@@ -84,10 +84,7 @@ let mini_pbft () =
   Fl_baselines.Pbft_cluster.run ~until:(Fl_sim.Time.ms 200) pb
 
 (* Codec micro-bench: the wire codec sits on every message hop, so its
-   cost is part of the simulator's own overhead (not simulated time).
-   The key kernels compare [Msg.ob_key]'s plain concatenation against
-   the [Printf.sprintf "ob:%d:%d:%d"] it replaced — the ~6x gap cited
-   in lib/fireledger/msg.ml is measured here. *)
+   cost is part of the simulator's own overhead (not simulated time). *)
 let codec_msg =
   let txs = Array.init 100 (fun i -> Fl_chain.Tx.create ~id:i ~size:128) in
   let block =
@@ -116,9 +113,8 @@ let wal_record =
   in
   Fl_persist.Wal.Append { block; signature = String.make 32 's' }
 
-(* A live log for the scratch-buffer framing kernel: [Wal.build_frame]
-   seals into the log's reusable writer (vs. the allocating
-   [frame (encode_record r)] pair the plain kernel measures). *)
+(* A live log for the WAL framing kernel: [Wal.build_frame] seals into
+   the log's reusable writer, the steady state of every append. *)
 let bench_wal = Fl_persist.Wal.create ~segment_bytes:(1 lsl 20)
 
 (* Sweep kernel: fixed work (4 shards x 2000-event engine drain)
@@ -224,9 +220,6 @@ let kernels : (string * string * (unit -> unit)) list =
       "codec/ob-key-concat",
       fun () -> ignore (Fl_fireledger.Msg.ob_key ~era:3 ~round:12345 ~attempt:2)
     );
-    ( "codec",
-      "codec/ob-key-sprintf",
-      fun () -> ignore (Printf.sprintf "ob:%d:%d:%d" 3 12345 2) );
     (* Substrate kernels. *)
     ( "substrate",
       "substrate/event-queue-10k",
@@ -240,11 +233,6 @@ let kernels : (string * string * (unit -> unit)) list =
       "substrate/merkle-1k-leaves",
       let leaves = List.init 1000 string_of_int in
       fun () -> ignore (Fl_crypto.Merkle.root leaves) );
-    ( "substrate",
-      "substrate/wal-frame-append",
-      fun () ->
-        ignore (Fl_persist.Wal.frame (Fl_persist.Wal.encode_record wal_record))
-    );
     ( "substrate",
       "substrate/wal-frame-append-reuse",
       fun () -> ignore (Fl_persist.Wal.build_frame bench_wal wal_record) );

@@ -94,44 +94,6 @@ let custom_cmd =
       const run $ n $ w $ batch $ sigma $ geo $ seconds $ seed $ byzantine
       $ crash)
 
-let trace_cmd =
-  let open Arg in
-  let n = value & opt int 4 & info [ "n" ] ~doc:"Cluster size." in
-  let seconds = value & opt float 1.0 & info [ "t"; "seconds" ] ~doc:"Simulated seconds." in
-  let byzantine = value & flag & info [ "byzantine" ] ~doc:"Make node 1 equivocate." in
-  let limit = value & opt int 40 & info [ "limit" ] ~doc:"Events to print." in
-  let run n seconds byzantine limit =
-    let trace = Fl_sim.Trace.create () in
-    let config =
-      { (Fl_fireledger.Config.default ~n) with
-        Fl_fireledger.Config.batch_size = 50;
-        tx_size = 128 }
-    in
-    let behavior i =
-      if byzantine && i = 1 then Fl_fireledger.Instance.Equivocator
-      else Fl_fireledger.Instance.Honest
-    in
-    let c = Fl_fireledger.Cluster.create ~trace ~behavior ~config () in
-    Fl_fireledger.Cluster.start c;
-    Fl_fireledger.Cluster.run ~until:(Fl_sim.Time.of_float_s seconds) c;
-    Printf.printf "%d events captured; fingerprint %s; last %d:\n"
-      (Fl_sim.Trace.count trace)
-      (Fl_sim.Trace.fingerprint trace)
-      limit;
-    let events = Fl_sim.Trace.events trace in
-    let skip = max 0 (List.length events - limit) in
-    List.iteri
-      (fun i e ->
-        if i >= skip then
-          Format.printf "%a  %-10s %s@." Fl_sim.Time.pp
-            e.Fl_sim.Trace.at e.Fl_sim.Trace.category e.Fl_sim.Trace.detail)
-      events
-  in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:"Run a cluster with structured tracing and dump the tail.")
-    Term.(const run $ n $ seconds $ byzantine $ limit)
-
 let export_cmd =
   let open Arg in
   let n = value & opt int 4 & info [ "n" ] ~doc:"Cluster size." in
@@ -177,4 +139,4 @@ let () =
   in
   exit
     (Cmd.eval
-       (Cmd.group info [ list_cmd; run_cmd; custom_cmd; trace_cmd; export_cmd ]))
+       (Cmd.group info [ list_cmd; run_cmd; custom_cmd; export_cmd ]))

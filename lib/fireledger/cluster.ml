@@ -20,7 +20,7 @@ type t = {
 let create ?(seed = 42) ?(latency = Latency.single_dc)
     ?(cost = Fl_crypto.Cost_model.default) ?(cores = 4)
     ?(bandwidth_bps = Nic.ten_gbps) ?bandwidth_of
-    ?(behavior = fun _ -> Instance.Honest) ?valid ?trace ?obs
+    ?(behavior = fun _ -> Instance.Honest) ?valid ?obs
     ?(config_of = fun _ c -> c) ?(output = fun _ -> Instance.null_output)
     ?(halves_of = fun _ -> None) ?persist:persist_config
     ?(persist_app = fun _ -> None) ?members ~config () =
@@ -99,7 +99,6 @@ let create ?(seed = 42) ?(latency = Latency.single_dc)
         f = config.Config.f;
         seed;
         label = "w0";
-        trace;
         obs;
         worker = 0 }
     in

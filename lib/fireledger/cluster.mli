@@ -38,7 +38,6 @@ val create :
   ?bandwidth_of:(int -> float) ->
   ?behavior:(int -> Instance.behavior) ->
   ?valid:(Fl_chain.Block.t -> bool) ->
-  ?trace:Trace.t ->
   ?obs:Fl_obs.Obs.t ->
   ?config_of:(int -> Config.t -> Config.t) ->
   ?output:(int -> Instance.output) ->
@@ -57,7 +56,7 @@ val create :
     pins node [i]'s equivocation audience split ([None] keeps the
     seeded random split) — the model checker branches over it. [obs] installs
     a span sink across every layer (engine, CPUs, net, consensus,
-    instances) — observe-only, so trace fingerprints are unchanged.
+    instances) — observe-only, so metrics and ledgers are unchanged.
     [persist] gives every node a durability layer (WAL + snapshots on
     a simulated disk); [persist_app] optionally supplies the per-node
     application hooks (e.g. the KV state machine) the layer snapshots

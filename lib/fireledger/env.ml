@@ -18,7 +18,6 @@ type t = {
   f : int;  (** resilience parameter, shared with Config.f *)
   seed : int;  (** experiment seed (common coin, rotation) *)
   label : string;  (** worker label, namespaces coin instances *)
-  trace : Trace.t option;  (** structured event sink, [None] = off *)
   obs : Fl_obs.Obs.t option;  (** span sink, [None] = off *)
   worker : int;  (** FLO worker index, [0] standalone, for attribution *)
 }

@@ -144,13 +144,6 @@ let recorder t = t.env.Env.recorder
 let now t = Engine.now (engine t)
 let incr_c t name = Fl_metrics.Recorder.incr (recorder t) name
 
-let trace t ~category fmt =
-  Printf.ksprintf
-    (fun detail ->
-      Trace.emit t.env.Env.trace (engine t) ~category
-        (Printf.sprintf "%s/n%d %s" t.env.Env.label (me t) detail))
-    fmt
-
 let obs_span t ~name ?round ?args ~t_begin ~t_end () =
   Fl_obs.Obs.span t.env.Env.obs ~cat:"fireledger" ~name ~node:(me t)
     ~worker:t.env.Env.worker ?round ?args ~t_begin ~t_end ()
@@ -380,8 +373,6 @@ let note_evidence ?(relay = true) t ev =
     if not (Hashtbl.mem t.evidence_log digest) then begin
       Hashtbl.replace t.evidence_log digest ev;
       incr_c t "evidence_collected";
-      trace t ~category:"evidence" "accused=%d r=%d" ev.Types.accused
-        ev.Types.first.Types.header.Header.round;
       obs_instant t ~name:"evidence"
         ~round:ev.Types.first.Types.header.Header.round
         ~args:[ ("accused", string_of_int ev.Types.accused) ]
@@ -834,8 +825,6 @@ let schedule_epoch t ~round changes =
   | Some e ->
       t.epochs <- e :: t.epochs;
       incr_c t "epochs_scheduled";
-      trace t ~category:"epoch" "scheduled idx=%d act=%d members=%d (from r=%d)"
-        e.Epoch.index e.Epoch.activation (Epoch.n e) round;
       obs_instant t ~name:"epoch_scheduled" ~round
         ~args:
           [ ("epoch", string_of_int e.Epoch.index);
@@ -969,8 +958,6 @@ let accept_block t (p : Types.proposal) txs ~header_at =
   obs_span t ~name:"tentative" ~round:r
     ~args:[ ("proposer", string_of_int h.Header.proposer) ]
     ~t_begin:a ~t_end:c ();
-  trace t ~category:"tentative" "r=%d by=%d %s" r h.Header.proposer
-    (Fl_crypto.Hex.short (Block.hash block));
   t.output.on_tentative ~round:r block;
   if h.Header.proposer = me t then begin
     (match Queue.peek_opt t.prepared with
@@ -1023,7 +1010,9 @@ let own_version t r =
 let recovery t r =
   incr_c t "recoveries";
   let recovery_start = now t in
-  trace t ~category:"recovery" "start r=%d era=%d" r t.era;
+  obs_instant t ~name:"recovery_start" ~round:r
+    ~args:[ ("era", string_of_int t.era) ]
+    ();
   Fl_metrics.Recorder.mark (recorder t) "recoveries" ~now:(now t) 1;
   Detector.invalidate t.detector;
   let f = f_of t in
@@ -1222,8 +1211,6 @@ let recovery t r =
     | None -> 0
   in
   t.proposer <- Rotation.eligible t.rotation ~round:t.round ~recent candidate;
-  trace t ~category:"recovery" "done r=%d rescinded=%d new-round=%d" r
-    !rescinded t.round;
   obs_span t ~name:"recovery" ~round:r
     ~args:
       [ ("era", string_of_int (t.era - 1));
@@ -1308,7 +1295,6 @@ let nil_path t ~k =
   obs_instant t ~name:"nil_round" ~round:t.round
     ~args:[ ("proposer", string_of_int k) ]
     ();
-  trace t ~category:"nil" "r=%d proposer=%d" t.round k;
   Detector.record_timeout t.detector ~proposer:k;
   t.full_mode <- true;
   t.attempt <- t.attempt + 1;
@@ -1362,7 +1348,9 @@ let rescind_tentative_suffix t =
     | None -> ());
     Fl_metrics.Recorder.add (recorder t) "blocks_rescinded" (old_len - from);
     incr_c t "catchup_rescinds";
-    trace t ~category:"catchup" "rescind tentative %d..%d" from (old_len - 1);
+    obs_instant t ~name:"catchup_rescind" ~round:from
+      ~args:[ ("upto", string_of_int (old_len - 1)) ]
+      ();
     t.round <- Store.length t.store;
     t.attempt <- 0
   end
@@ -1380,7 +1368,6 @@ let maybe_catch_up t =
   if target >= t.round + f_of t + 4 then begin
     incr_c t "catch_ups";
     let catch_up_start = now t and from_round = t.round in
-    trace t ~category:"catchup" "from=%d target=%d" t.round target;
     let abort = Some t.abort in
     let pull_timeout = min (Timer.current t.timer) (Time.ms 200) in
     (* [stalls] counts consecutive rounds where pulling produced no
@@ -1449,8 +1436,7 @@ let maybe_catch_up t =
     obs_span t ~name:"catch_up" ~round:from_round
       ~args:
         [ ("target", string_of_int target); ("at", string_of_int t.round) ]
-      ~t_begin:catch_up_start ~t_end:(now t) ();
-    trace t ~category:"catchup" "done at=%d" t.round
+      ~t_begin:catch_up_start ~t_end:(now t) ()
   end
 
 (* Activate the epoch governing the current round: swap the rotation
@@ -1463,8 +1449,6 @@ let refresh_epoch t =
     t.active_epoch <- e;
     Rotation.set_members t.rotation (Epoch.members e);
     incr_c t "epoch_activations";
-    trace t ~category:"epoch" "activate idx=%d members=%d r=%d" e.Epoch.index
-      (Epoch.n e) t.round;
     obs_instant t ~name:"epoch_activate" ~round:t.round
       ~args:
         [ ("epoch", string_of_int e.Epoch.index);
@@ -1584,8 +1568,11 @@ let round_step t =
                     p.Types.sh.Types.header.Header.round) ->
             let proof = { Types.later = p.Types.sh; earlier } in
             incr_c t "proofs_generated";
-            trace t ~category:"proof" "r=%d against=%d" t.round
-              p.Types.sh.Types.header.Header.proposer;
+            obs_instant t ~name:"proof" ~round:t.round
+              ~args:
+                [ ( "against",
+                    string_of_int p.Types.sh.Types.header.Header.proposer ) ]
+              ();
             t.rb_tag <- t.rb_tag + 1;
             (match t.rb with
             | Some rb -> Fl_broadcast.Bracha.broadcast rb ~tag:t.rb_tag proof
@@ -1625,8 +1612,6 @@ let do_handoff t =
         let txs = Array.map fst arr and fees = Array.map snd arr in
         Fl_metrics.Recorder.add (recorder t) "txs_handoff_out"
           (Array.length arr);
-        trace t ~category:"epoch" "leave handoff %d txs -> %d"
-          (Array.length arr) dst;
         obs_instant t ~name:"leave_handoff" ~round:t.round
           ~args:
             [ ("dst", string_of_int dst);
@@ -1673,7 +1658,7 @@ let adopt_snapshot t (snap : Fl_persist.Snapshot.t) chain =
     | None -> 0
   in
   t.proposer <- Rotation.eligible t.rotation ~round:t.round ~recent candidate;
-  (match t.persist with
+  match t.persist with
   | Some per ->
       for r = 0 to t.definite_upto do
         match Store.get t.store r with
@@ -1682,9 +1667,7 @@ let adopt_snapshot t (snap : Fl_persist.Snapshot.t) chain =
       done;
       Fl_persist.Node.take_snapshot per ~store:t.store ~upto:t.definite_upto
         ~era:t.era
-  | None -> ());
-  trace t ~category:"epoch" "adopted snapshot upto=%d era=%d round=%d"
-    t.definite_upto t.era t.round
+  | None -> ()
 
 (* Joiner state transfer: ask a donor for the chunked snapshot, with
    bounded exponential backoff on silence and donor rotation on
@@ -1751,7 +1734,9 @@ let state_transfer t =
           charge_hash t ~bytes:(String.length encoded);
           let fail why =
             incr_c t "transfer_decode_failures";
-            trace t ~category:"epoch" "transfer rejected: %s" why;
+            obs_instant t ~name:"transfer_rejected" ~round:t.round
+              ~args:[ ("why", why) ]
+              ();
             Hashtbl.reset chunks;
             sid := -1;
             total := -1
@@ -1961,8 +1946,12 @@ let adopt_recovered t (r : Fl_persist.Recovery.recovered) =
   t.boot_delay <-
     t.boot_delay
     + Fl_crypto.Cost_model.hash_cost t.env.Env.cost ~bytes:!body_bytes_total;
-  trace t ~category:"recovery" "boot: recovered len=%d definite=%d era=%d"
-    (Store.length t.store) t.definite_upto t.era
+  obs_instant t ~name:"boot_recovered" ~round:t.round
+    ~args:
+      [ ("len", string_of_int (Store.length t.store));
+        ("definite", string_of_int t.definite_upto);
+        ("era", string_of_int t.era) ]
+    ()
 
 let create env ~config ?(behavior = Honest) ?(valid = fun _ -> true) ?persist
     ?halves ?epoch ~output () =

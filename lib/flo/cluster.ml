@@ -20,7 +20,7 @@ type t = {
 let create ?(seed = 42) ?(latency = Latency.single_dc)
     ?(cost = Fl_crypto.Cost_model.default) ?(cores = 4)
     ?(bandwidth_bps = Nic.ten_gbps) ?(behavior = fun _ -> Instance.Honest)
-    ?valid ?trace ?obs ?(keep_log = false)
+    ?valid ?obs ?(keep_log = false)
     ?(on_deliver = fun ~node:_ _ -> ()) ?persist:persist_config ~config
     ~workers () =
   Config.validate config;
@@ -104,7 +104,6 @@ let create ?(seed = 42) ?(latency = Latency.single_dc)
                 f = config.Config.f;
                 seed = seed + (1_000_003 * w);
                 label = Printf.sprintf "w%d" w;
-                trace;
                 obs;
                 worker = w }
             in

@@ -32,7 +32,6 @@ val create :
   ?bandwidth_bps:float ->
   ?behavior:(int -> Fl_fireledger.Instance.behavior) ->
   ?valid:(Fl_chain.Block.t -> bool) ->
-  ?trace:Fl_sim.Trace.t ->
   ?obs:Fl_obs.Obs.t ->
   ?keep_log:bool ->
   ?on_deliver:(node:int -> Node.delivery -> unit) ->

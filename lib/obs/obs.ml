@@ -81,6 +81,47 @@ let gauges t =
     t.last_gauges []
   |> List.sort compare
 
+(* 64-bit FNV-1a over each event's fields. Integers and float bit
+   patterns feed in as 8 little-endian bytes, strings as their length
+   then their bytes, so field boundaries cannot alias. *)
+let fnv_byte h b = Int64.mul (Int64.logxor h (Int64.of_int b)) 0x100000001b3L
+
+let fnv_int64 h x =
+  let h = ref h in
+  for i = 0 to 7 do
+    h :=
+      fnv_byte !h (Int64.to_int (Int64.shift_right_logical x (8 * i)) land 0xff)
+  done;
+  !h
+
+let fnv_int h x = fnv_int64 h (Int64.of_int x)
+
+let fnv_string h s =
+  String.fold_left
+    (fun h c -> fnv_byte h (Char.code c))
+    (fnv_int h (String.length s))
+    s
+
+let fnv_event h ev =
+  let h = fnv_int h ev.seq in
+  let h = fnv_string (fnv_string h ev.cat) ev.name in
+  let h = fnv_int (fnv_int (fnv_int h ev.node) ev.worker) ev.round in
+  let h =
+    match ev.kind with
+    | Span { t_begin; t_end } -> fnv_int (fnv_int (fnv_byte h 0) t_begin) t_end
+    | Instant { at } -> fnv_int (fnv_byte h 1) at
+    | Gauge { at; value } ->
+        fnv_int64 (fnv_int (fnv_byte h 2) at) (Int64.bits_of_float value)
+  in
+  List.fold_left
+    (fun h (k, v) -> fnv_string (fnv_string h k) v)
+    (fnv_int h (List.length ev.args))
+    ev.args
+
+let fingerprint t =
+  let h = Queue.fold fnv_event 0xcbf29ce484222325L t.buffer in
+  Printf.sprintf "%016Lx" (fnv_int h t.total)
+
 let time_of ev =
   match ev.kind with
   | Span { t_begin; _ } -> t_begin

@@ -10,12 +10,11 @@
     Design rules, in force everywhere a sink is threaded:
 
     - {b Zero-cost off}: every emitter takes a [t option]; [None]
-      short-circuits before any formatting or allocation, exactly like
-      {!Fl_sim.Trace.emit}.
+      short-circuits before any formatting or allocation.
     - {b Observe-only}: emitting never schedules engine events, never
       draws from an RNG and never mutates protocol state, so a run
-      with a sink installed is byte-identical (same
-      {!Fl_sim.Trace.fingerprint}) to the same run without one.
+      with a sink installed reaches the same metrics and ledgers as
+      the same run without one.
     - {b Bounded}: the sink is a ring buffer (oldest events evicted,
       eviction counted) so long runs cannot exhaust memory.
 
@@ -91,6 +90,12 @@ val count : t -> int
 (** Total emitted, including evicted. *)
 
 val dropped : t -> int
+
+val fingerprint : t -> string
+(** 64-bit FNV-1a, as 16 hex digits, over every field of the retained
+    events (floats by bit pattern) folded with {!count}. Computed on
+    demand, so emitting pays nothing for it. Two runs of the same
+    seeded configuration produce the same fingerprint. *)
 
 val gauges : t -> (string * int * float) list
 (** Last value of every gauge as [(name, node, value)], sorted — a

@@ -265,11 +265,7 @@ let recover t =
     t.replayed <- t.replayed + r.Recovery.r_records;
     (* the valid record prefix becomes the live WAL again, fully
        durable (it just came off the media) *)
-    Wal.reset_to_frames t.wal
-      (List.map
-         (fun record ->
-           (Wal.frame (Wal.encode_record record), Wal.round_of record))
-         (Wal.replay_media media).Wal.records);
+    Wal.reset_to_frames t.wal r.Recovery.r_frames;
     t.last_snapshot_upto <-
       (match t.snapshot_media with
       | Some s -> (

@@ -23,6 +23,9 @@ type recovered = {
   r_era : int;
   r_torn : bool;  (** a torn/corrupt WAL tail was discarded *)
   r_records : int;  (** WAL records applied *)
+  r_frames : (string * int) list;
+      (** the media's valid WAL prefix as verified frames with their
+          rounds, oldest first — the live log restarts from these *)
   r_from_snapshot : bool;
 }
 
@@ -134,4 +137,5 @@ let run ~snapshot_media ~wal_media ~app =
     r_era = !era;
     r_torn = replay.Wal.torn || not !ok;
     r_records = !count;
+    r_frames = replay.Wal.frames;
     r_from_snapshot = base <> None }

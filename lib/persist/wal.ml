@@ -76,12 +76,6 @@ let decode_record s =
   | exception Codec.Reader.Underflow -> Error "truncated WAL record"
   | exception Codec.Malformed e -> Error e
 
-let frame sealed =
-  let w = Codec.Writer.create ~capacity:(String.length sealed + 4) () in
-  Codec.Writer.u32 w (String.length sealed);
-  Codec.Writer.raw w sealed;
-  Codec.Writer.contents w
-
 type segment = {
   mutable frames : string list;  (* newest first *)
   mutable bytes : int;
@@ -119,8 +113,7 @@ let create ~segment_bytes =
     scratch = Codec.Writer.create ~capacity:4096 () }
 
 (* Build one record's framed bytes — [u32 length | sealed envelope] —
-   in the log's scratch buffer, one pass, no intermediate strings.
-   Byte-identical to [frame (encode_record record)]. *)
+   in the log's scratch buffer, one pass, no intermediate strings. *)
 let build_frame_impl t record =
   let w = t.scratch in
   Codec.Writer.clear w;
@@ -255,6 +248,9 @@ let truncate t ~upto =
 
 type replay = {
   records : record list;  (* oldest first, valid prefix only *)
+  frames : (string * int) list;
+      (* the same prefix's verified frame bytes, as read off the media,
+         each with its record's round — what [reset_to_frames] takes *)
   torn : bool;  (* a partial / corrupt tail was detected and discarded *)
 }
 
@@ -265,6 +261,7 @@ let replay_media_impl media =
   let len = String.length media in
   let pos = ref 0 in
   let records = ref [] in
+  let frames = ref [] in
   let torn = ref false in
   let stop = ref false in
   while (not !stop) && !pos < len do
@@ -290,6 +287,8 @@ let replay_media_impl media =
             match read_record tag body with
             | Ok rec_ when Codec.Reader.at_end body ->
                 records := rec_ :: !records;
+                frames :=
+                  (String.sub media !pos (4 + flen), round_of rec_) :: !frames;
                 pos := !pos + 4 + flen
             | Ok _ | Error _ ->
                 torn := true;
@@ -299,7 +298,7 @@ let replay_media_impl media =
                 stop := true)
     end
   done;
-  { records = List.rev !records; torn = !torn }
+  { records = List.rev !records; frames = List.rev !frames; torn = !torn }
 
 (* Self-profiling bracket: replay parsing is total (never raises), so
    a plain leave suffices. *)

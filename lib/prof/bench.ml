@@ -102,9 +102,13 @@ let measure ?(quota = default_quota) ~name ~area f =
     k_runs = !total_runs }
 
 (* Allocation-only measurement: exact on a deterministic kernel, used
-   by the committed allocation pins. *)
+   by the committed allocation pins. The minor collection before the
+   first reading empties the minor heap, so the words a collection
+   promotes during the runs do not depend on what earlier code left
+   there. *)
 let alloc_per_run ?(runs = 1000) f =
   f ();
+  Gc.minor ();
   let minor0, _, major0 = Gc.counters () in
   for _ = 1 to runs do
     f ()

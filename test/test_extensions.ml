@@ -98,56 +98,56 @@ let prop_block_roundtrip =
       | Ok b' -> Block.equal b b'
       | Error _ -> false)
 
-(* ---------- trace ---------- *)
+(* ---------- event capture ---------- *)
+
+let fireledger_events sink =
+  List.filter
+    (fun (e : Fl_obs.Obs.event) -> String.equal e.cat "fireledger")
+    (Fl_obs.Obs.events sink)
+
+let named name events =
+  List.filter (fun (e : Fl_obs.Obs.event) -> String.equal e.name name) events
 
 let test_trace_capture_and_fingerprint () =
   let run () =
-    let trace = Trace.create () in
+    let sink = Fl_obs.Obs.create () in
     let config =
       { (Config.default ~n:4) with Config.batch_size = 10; tx_size = 32 }
     in
-    let c = Cluster.create ~seed:77 ~trace ~config () in
+    let c = Cluster.create ~seed:77 ~obs:sink ~config () in
     Cluster.start c;
     Cluster.run ~until:(Time.ms 300) c;
-    trace
+    sink
   in
-  let t1 = run () in
-  Alcotest.(check bool) "events captured" true (Trace.count t1 > 10);
+  let s1 = run () in
+  let events = fireledger_events s1 in
+  Alcotest.(check bool) "events captured" true (List.length events > 10);
   Alcotest.(check bool) "tentative events present" true
-    (Trace.filter t1 ~category:"tentative" <> []);
-  Alcotest.(check (list reject)) "no recoveries traced" []
-    (Trace.filter t1 ~category:"recovery");
+    (named "tentative" events <> []);
+  Alcotest.(check int) "no recoveries" 0
+    (List.length (named "recovery_start" events @ named "recovery" events));
   (* Determinism: same seed, same fingerprint. *)
-  let t2 = run () in
-  Alcotest.(check string) "replay-identical traces" (Trace.fingerprint t1)
-    (Trace.fingerprint t2)
+  let s2 = run () in
+  Alcotest.(check string) "replay-identical events" (Fl_obs.Obs.fingerprint s1)
+    (Fl_obs.Obs.fingerprint s2)
 
 let test_trace_byzantine_events () =
-  let trace = Trace.create () in
+  let sink = Fl_obs.Obs.create () in
   let config =
     { (Config.default ~n:4) with Config.batch_size = 10; tx_size = 32 }
   in
   let c =
-    Cluster.create ~seed:5 ~trace
+    Cluster.create ~seed:5 ~obs:sink
       ~behavior:(fun i -> if i = 2 then Instance.Equivocator else Instance.Honest)
       ~config ()
   in
   Cluster.start c;
   Cluster.run ~until:(Time.s 1) c;
-  Alcotest.(check bool) "proof events" true
-    (Trace.filter trace ~category:"proof" <> []);
-  Alcotest.(check bool) "recovery events" true
-    (Trace.filter trace ~category:"recovery" <> [])
-
-let test_trace_bounded () =
-  let t = Trace.create ~capacity:10 () in
-  let e = Engine.create () in
-  for i = 0 to 99 do
-    Trace.emit (Some t) e ~category:"x" (string_of_int i)
-  done;
-  Alcotest.(check int) "total counted" 100 (Trace.count t);
-  Alcotest.(check int) "dropped oldest" 90 (Trace.dropped t);
-  Alcotest.(check int) "buffer bounded" 10 (List.length (Trace.events t))
+  let events = fireledger_events sink in
+  Alcotest.(check bool) "proof events" true (named "proof" events <> []);
+  Alcotest.(check bool) "recovery start events" true
+    (named "recovery_start" events <> []);
+  Alcotest.(check bool) "recovery spans" true (named "recovery" events <> [])
 
 (* ---------- gossip dissemination ---------- *)
 
@@ -236,7 +236,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_block_roundtrip;
     Alcotest.test_case "trace capture" `Quick test_trace_capture_and_fingerprint;
     Alcotest.test_case "trace byzantine" `Quick test_trace_byzantine_events;
-    Alcotest.test_case "trace bounded" `Quick test_trace_bounded;
     Alcotest.test_case "gossip progress" `Quick
       test_gossip_progress_and_agreement;
     Alcotest.test_case "gossip trade-off" `Quick test_gossip_trade_off;

@@ -340,9 +340,13 @@ let test_node_power_fail_recover () =
               ~signature:(sig_of b.Block.header.Header.round))
         blocks);
   Engine.run e;
+  let valid_prefix = Wal.power_fail_image n.Node.wal ~torn:false in
   Node.power_fail n ~torn:true;
   Alcotest.(check bool) "dead after power fail" false (Node.live n);
   Alcotest.(check bool) "media non-empty" true (Node.media_bytes n > 0);
+  Alcotest.(check bool) "torn fragment past the valid prefix" true
+    (String.length n.Node.wal_media > String.length valid_prefix
+    && String.starts_with ~prefix:valid_prefix n.Node.wal_media);
   (match Node.recover n with
   | None -> Alcotest.fail "expected recovered state"
   | Some r ->
@@ -351,6 +355,9 @@ let test_node_power_fail_recover () =
       Alcotest.(check int) "definite watermark" 1 r.Recovery.r_definite;
       Alcotest.(check bool) "torn tail discarded" true r.Recovery.r_torn);
   Alcotest.(check bool) "live again" true (Node.live n);
+  (* the live log restarts from exactly the frames read off the media *)
+  Alcotest.(check string) "rebuilt WAL = valid media prefix" valid_prefix
+    (Wal.power_fail_image n.Node.wal ~torn:false);
   let st = Node.stats n in
   Alcotest.(check int) "one recovery" 1 st.Node.s_recovers;
   Alcotest.(check int) "one torn discard" 1 st.Node.s_torn_discards;

@@ -201,22 +201,23 @@ let test_prof_accounting_exact () =
 
 (* ---------- profiling-on runs are byte-identical ---------- *)
 
-(* Same pinned baselines as test_obs.ml: seed 77, n=4, 300 simulated
-   ms. Enabling the self-profiler must reproduce them exactly — the
-   profiler observes host time only and never touches the simulation. *)
+(* Same pinned run as test_obs.ml: seed 77, n=4, 300 simulated ms.
+   Enabling the self-profiler must reproduce its sink count and
+   fingerprint exactly — the profiler observes host time only and
+   never touches the simulation. *)
 let test_fingerprint_unchanged_with_prof () =
-  let trace = Fl_sim.Trace.create () in
+  let sink = Fl_obs.Obs.create () in
   Prof.enable ();
   let c =
-    Fl_flo.Cluster.create ~seed:77 ~trace ~config:(quick_config 4) ~workers:2
-      ()
+    Fl_flo.Cluster.create ~seed:77 ~obs:sink ~config:(quick_config 4)
+      ~workers:2 ()
   in
   Fl_flo.Cluster.start c;
   Fl_flo.Cluster.run ~until:(Fl_sim.Time.ms 300) c;
   Prof.disable ();
-  Alcotest.(check int) "flo count" 1176 (Fl_sim.Trace.count trace);
-  Alcotest.(check string) "flo fp" "ae6e67b39c6410c4"
-    (Fl_sim.Trace.fingerprint trace);
+  Alcotest.(check int) "flo count" 24500 (Fl_obs.Obs.count sink);
+  Alcotest.(check string) "flo fp" "47a71f41df4910fe"
+    (Fl_obs.Obs.fingerprint sink);
   (* And the profile itself saw the run: engine dispatch plus at least
      one nested subsystem accumulated time. *)
   Alcotest.(check bool) "attributed > 0" true (Prof.attributed_ns () > 0);

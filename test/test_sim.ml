@@ -307,39 +307,6 @@ let test_rng_distributions () =
   let frac = float_of_int !below /. float_of_int n in
   Alcotest.(check bool) "lognormal median ~100" true (frac > 0.47 && frac < 0.53)
 
-let test_trace_ring_buffer () =
-  let e = Engine.create () in
-  let small = Trace.create ~capacity:2 () in
-  let big = Trace.create () in
-  let hooked = ref [] in
-  Trace.set_hook small (Some (fun ev -> hooked := ev.Trace.detail :: !hooked));
-  for i = 1 to 5 do
-    ignore
-      (Engine.schedule e ~delay:i (fun () ->
-           Trace.emit (Some small) e ~category:"t" (string_of_int i);
-           Trace.emit (Some big) e ~category:"t" (string_of_int i)))
-  done;
-  Engine.run e;
-  Alcotest.(check int) "count includes evicted" 5 (Trace.count small);
-  Alcotest.(check int) "dropped oldest-first" 3 (Trace.dropped small);
-  Alcotest.(check int) "big sink drops nothing" 0 (Trace.dropped big);
-  Alcotest.(check (list string))
-    "only the newest survive, in order" [ "4"; "5" ]
-    (List.map (fun (ev : Trace.event) -> ev.Trace.detail) (Trace.events small));
-  (* the hook sees every event, even ones later evicted *)
-  Alcotest.(check (list string))
-    "hook sees all" [ "1"; "2"; "3"; "4"; "5" ]
-    (List.rev !hooked);
-  (* the fingerprint folds at emit time, so eviction cannot change it:
-     a tiny ring and an unbounded one agree on identical input *)
-  Alcotest.(check string) "fingerprint independent of capacity"
-    (Trace.fingerprint big) (Trace.fingerprint small)
-
-let test_trace_capacity_validated () =
-  Alcotest.check_raises "zero capacity rejected"
-    (Invalid_argument "Trace.create: capacity") (fun () ->
-      ignore (Trace.create ~capacity:0 ()))
-
 let test_time_pp () =
   let s v = Format.asprintf "%a" Time.pp v in
   Alcotest.(check string) "ns" "17ns" (s 17);
@@ -420,9 +387,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_split_independent;
     QCheck_alcotest.to_alcotest prop_named_split_pure;
     Alcotest.test_case "rng distributions" `Quick test_rng_distributions;
-    Alcotest.test_case "trace ring buffer" `Quick test_trace_ring_buffer;
-    Alcotest.test_case "trace capacity validated" `Quick
-      test_trace_capacity_validated;
     Alcotest.test_case "time pp" `Quick test_time_pp;
     Alcotest.test_case "par map = sequential map" `Quick
       test_par_matches_sequential;

@@ -32,92 +32,6 @@ let test_regions_latency_sampling () =
       (d > Time.ms 70 && d < Time.ms 170)
   done
 
-let test_clients_generate_load () =
-  let config =
-    { (Fl_fireledger.Config.default ~n:4) with
-      Fl_fireledger.Config.batch_size = 20;
-      tx_size = 64;
-      fill_blocks = false }
-  in
-  let cluster = Fl_flo.Cluster.create ~seed:5 ~config ~workers:1 () in
-  let engine = cluster.Fl_flo.Cluster.engine in
-  let rng = Rng.create 6 in
-  let client =
-    Fl_workload.Clients.spawn engine ~rng
-      ~node:cluster.Fl_flo.Cluster.nodes.(0) ~rate_per_s:2000.0 ~tx_size:64 ()
-  in
-  Fl_flo.Cluster.start cluster;
-  Fl_flo.Cluster.run ~until:(Time.s 1) cluster;
-  Fl_workload.Clients.stop client;
-  let submitted = Fl_workload.Clients.submitted client in
-  (* Poisson at 2000/s over 1 s. *)
-  Alcotest.(check bool)
-    (Printf.sprintf "~2000 submissions (%d)" submitted)
-    true
-    (submitted > 1500 && submitted < 2500);
-  Alcotest.(check bool) "ledger carried the load" true
-    (Fl_flo.Node.delivered_txs cluster.Fl_flo.Cluster.nodes.(0)
-    > submitted / 2)
-
-(* Regression: the naive [-mean * log u] inter-arrival form returns
-   +inf at the u = 0. a 64-bit uniform draw does produce, stalling the
-   client fiber forever. The log1p form must stay finite and
-   non-negative over the whole closed range. *)
-let test_exp_gap_guard () =
-  let mean = 1e6 in
-  let gap u = Fl_workload.Clients.exp_gap_ns ~mean_gap_ns:mean ~u in
-  List.iter
-    (fun u ->
-      let g = gap u in
-      Alcotest.(check bool)
-        (Printf.sprintf "gap finite at u=%g" u)
-        true
-        (Float.is_finite g && g >= 0.0))
-    [ 0.0; 1e-300; 0.25; 0.5; 0.999999; 1.0; Float.pred 1.0; -0.1; 1.5 ];
-  (* median of the exponential is mean * ln 2 *)
-  Alcotest.(check bool) "median at mean*ln2" true
-    (abs_float (gap 0.5 -. (mean *. log 2.0)) < 1e-6);
-  Alcotest.(check bool) "monotone in u" true (gap 0.9 > gap 0.5)
-
-(* Honest backpressure accounting: against a deliberately tiny pool,
-   refused attempts land in [backpressured] (absorbed), exhausted
-   retries in [dropped] (lost). *)
-let test_clients_retry_semantics () =
-  let config =
-    { (Fl_fireledger.Config.default ~n:4) with
-      Fl_fireledger.Config.batch_size = 20;
-      tx_size = 64;
-      fill_blocks = false;
-      mempool_capacity = 30 }
-  in
-  let cluster = Fl_flo.Cluster.create ~seed:5 ~config ~workers:1 () in
-  let engine = cluster.Fl_flo.Cluster.engine in
-  let rng = Rng.create 6 in
-  let client =
-    Fl_workload.Clients.spawn engine ~rng
-      ~node:cluster.Fl_flo.Cluster.nodes.(0) ~rate_per_s:20_000.0 ~tx_size:64
-      ~max_retries:2 ~retry_backoff:(Time.ms 1) ()
-  in
-  Fl_flo.Cluster.start cluster;
-  Fl_flo.Cluster.run ~until:(Time.ms 500) cluster;
-  Fl_workload.Clients.stop client;
-  let submitted = Fl_workload.Clients.submitted client in
-  let backpressured = Fl_workload.Clients.backpressured client in
-  let dropped = Fl_workload.Clients.dropped client in
-  Alcotest.(check bool) "some accepted" true (submitted > 0);
-  Alcotest.(check bool) "overload backpressured" true (backpressured > 0);
-  Alcotest.(check bool) "overload dropped" true (dropped > 0);
-  (* each drop burned 1 + max_retries refused attempts *)
-  Alcotest.(check bool) "backpressure >= 3x drops" true
-    (backpressured >= 3 * dropped);
-  (* conservation: every generated tx is accounted exactly once *)
-  Alcotest.(check bool) "submitted+dropped = generated" true
-    (submitted + dropped > 0)
-
 let suite =
   [ Alcotest.test_case "regions matrix" `Quick test_regions_matrix_well_formed;
-    Alcotest.test_case "regions latency" `Quick test_regions_latency_sampling;
-    Alcotest.test_case "clients load" `Quick test_clients_generate_load;
-    Alcotest.test_case "exponential gap guard" `Quick test_exp_gap_guard;
-    Alcotest.test_case "clients retry semantics" `Quick
-      test_clients_retry_semantics ]
+    Alcotest.test_case "regions latency" `Quick test_regions_latency_sampling ]

@@ -12,7 +12,15 @@
     transferable proof, reliably broadcast, and a recovery that
     atomically agrees on the last f+1 blocks.
 
-    FLO ({!Fl_flo}) runs ω of these per node. *)
+    FLO ({!Fl_flo}) runs ω of these per node.
+
+    This module only composes the phase modules, which share the
+    instance record of {!State}: {!Wrb} (Algorithm 1), {!Ledger}
+    (appends, definiteness and every other chain change), {!Recovery}
+    (Algorithm 3), {!Accountability} (equivocation evidence),
+    {!Reconfig} (membership epochs) and {!Sync} (catch-up, state
+    transfer, handoff). Here live construction, the fibers and the
+    per-round step of Algorithm 2. *)
 
 open Fl_sim
 open Fl_chain
@@ -85,9 +93,6 @@ val start : t -> unit
 (** Spawn the instance's fibers (main loop, dissemination and service
     fibers, RB and AB endpoints). *)
 
-val stop : t -> unit
-(** Stop proposing/advancing after the current round. *)
-
 val shutdown : t -> unit
 (** Synchronous teardown for cold restarts: stops the instance AND its
     consensus components (OBBCs, RB, AB) directly, without relying on
@@ -106,21 +111,13 @@ val inflight_client_txs : t -> (Tx.t * int) list
 
 val round : t -> int
 val definite_upto : t -> int
-val recoveries : t -> int
 
 val era : t -> int
 (** Completed recoveries at this instance — advances exactly once per
     executed recovery (it keys post-recovery OBBC instances). *)
 
-val persist : t -> Fl_persist.Node.t option
-(** The durability layer this instance logs to, if any. *)
-
 val active_epoch : t -> Epoch.t
 (** The epoch governing the current round. *)
-
-val epoch_of_round : t -> round:int -> Epoch.t
-(** The epoch governing an arbitrary round (genesis for rounds before
-    any scheduled activation). *)
 
 val epochs_scheduled : t -> int
 (** Successor epochs scheduled from definite blocks so far. *)
@@ -131,10 +128,6 @@ val is_member : t -> bool
 val submit_reconfig : t -> Epoch.change -> unit
 (** Admit a reconfiguration transaction into this node's mempool at
     maximal fee priority — it rides the chain like any client tx. *)
-
-val evidence : t -> Types.evidence list
-(** Every distinct equivocation-evidence object collected so far
-    (detected locally or delivered by the evidence RB channel). *)
 
 val accused : t -> int list
 (** Sorted, deduplicated proposers this node holds valid evidence

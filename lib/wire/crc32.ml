@@ -11,27 +11,28 @@
    operations and dominated frame encode, decode and WAL sealing for
    block-sized bodies; this form is pure unboxed arithmetic. The
    eight 256-entry tables live in one flat array so each step is a
-   single bounds-free load. *)
+   single bounds-free load. They are built eagerly at module
+   initialisation: a lazy table forced for the first time by two
+   sweep domains at once raises [CamlinternalLazy.Undefined]. *)
 
 let poly = 0xEDB88320
 
 let tables =
-  lazy
-    (let t = Array.make (8 * 256) 0 in
-     for n = 0 to 255 do
-       let c = ref n in
-       for _ = 0 to 7 do
-         c := if !c land 1 = 1 then poly lxor (!c lsr 1) else !c lsr 1
-       done;
-       t.(n) <- !c
-     done;
-     for k = 1 to 7 do
-       for n = 0 to 255 do
-         let p = t.(((k - 1) * 256) + n) in
-         t.((k * 256) + n) <- t.(p land 0xff) lxor (p lsr 8)
-       done
-     done;
-     t)
+  let t = Array.make (8 * 256) 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      c := if !c land 1 = 1 then poly lxor (!c lsr 1) else !c lsr 1
+    done;
+    t.(n) <- !c
+  done;
+  for k = 1 to 7 do
+    for n = 0 to 255 do
+      let p = t.(((k - 1) * 256) + n) in
+      t.((k * 256) + n) <- t.(p land 0xff) lxor (p lsr 8)
+    done
+  done;
+  t
 
 (* Core loop over an implicit string view. The caller has validated
    [pos, pos+len); [crc] is the running 32-bit state *without* the
@@ -76,8 +77,7 @@ let run t s ~pos ~len crc =
 let update_int_sub crc s ~pos ~len =
   if pos < 0 || len < 0 || len > String.length s - pos then
     invalid_arg "Crc32.update_sub";
-  let t = Lazy.force tables in
-  run t s ~pos ~len ((crc land 0xFFFFFFFF) lxor 0xFFFFFFFF) lxor 0xFFFFFFFF
+  run tables s ~pos ~len ((crc land 0xFFFFFFFF) lxor 0xFFFFFFFF) lxor 0xFFFFFFFF
 
 let digest_int_sub s ~pos ~len = update_int_sub 0 s ~pos ~len
 let digest_int s = digest_int_sub s ~pos:0 ~len:(String.length s)
@@ -88,8 +88,7 @@ let digest_int s = digest_int_sub s ~pos:0 ~len:(String.length s)
 let digest_int_bytes_sub b ~pos ~len =
   if pos < 0 || len < 0 || len > Bytes.length b - pos then
     invalid_arg "Crc32.digest_int_bytes_sub";
-  let t = Lazy.force tables in
-  run t (Bytes.unsafe_to_string b) ~pos ~len 0xFFFFFFFF lxor 0xFFFFFFFF
+  run tables (Bytes.unsafe_to_string b) ~pos ~len 0xFFFFFFFF lxor 0xFFFFFFFF
 
 (* Int32-facing compatibility surface: same 32-bit patterns as the
    historical interface (conversions wrap modulo 2^32). *)

@@ -127,6 +127,25 @@ let test_byzantine_equivocation () =
         correct)
     correct
 
+(* Client transactions in an equivocator's own rescinded blocks go
+   back into its pool at their original fee: recovery re-queues them,
+   and none vanishes. *)
+let test_recovery_readmits_client_txs () =
+  let ledger = Conservation.create ~node:2 in
+  let behavior i = if i = 2 then Instance.Equivocator else Instance.Honest in
+  let c =
+    Cluster.create ~seed:1 ~behavior ~output:(Conservation.output ledger)
+      ~config:(quick_config 4) ()
+  in
+  Conservation.attach_load ledger c ~period:(Time.ms 2);
+  Cluster.start c;
+  Cluster.run ~until:(Time.s 2) c;
+  Alcotest.(check bool) "recoveries happened" true
+    (Fl_metrics.Recorder.counter c.Cluster.recorder "recoveries" > 0);
+  Alcotest.(check bool) "rescinded client txs re-queued" true
+    (Fl_metrics.Recorder.counter c.Cluster.recorder "txs_readmitted" > 0);
+  Conservation.check ledger c
+
 let test_non_triviality () =
   (* Blocks carry transactions (Non-Triviality of §3.3). *)
   let c = make ~n:4 () in
@@ -198,6 +217,8 @@ let suite =
     Alcotest.test_case "crash failures" `Quick test_crash_failures;
     Alcotest.test_case "byzantine equivocation" `Quick
       test_byzantine_equivocation;
+    Alcotest.test_case "recovery readmits client txs" `Quick
+      test_recovery_readmits_client_txs;
     Alcotest.test_case "non-triviality" `Quick test_non_triviality;
     Alcotest.test_case "rotation" `Quick test_rotation_covers_nodes;
     Alcotest.test_case "ablation: no piggyback" `Quick

@@ -174,11 +174,12 @@ let test_donor_crash_mid_transfer () =
 (* ---- rolling restart of every node ---- *)
 
 let test_rolling_restart () =
+  let ledger = Conservation.create ~node:0 in
   let c =
     Cluster.create ~seed:17 ~persist:Fl_persist.Node.default_config
-      ~config:(quick_config 4) ()
+      ~output:(Conservation.output ledger) ~config:(quick_config 4) ()
   in
-  attach_load c ~node:0 ~period:(Time.ms 5);
+  Conservation.attach_load ledger c ~period:(Time.ms 5);
   Cluster.start c;
   Cluster.run ~until:(Time.ms 400) c;
   let before = min_definite_of c [ 0; 1; 2; 3 ] in
@@ -191,6 +192,8 @@ let test_rolling_restart () =
     t := !t + Time.ms 60;
     Cluster.run ~until:!t c;
     Cluster.restart c i;
+    (* the cold restart lost node 0's pool: account from here on *)
+    if i = 0 then Conservation.reset ledger;
     t := !t + Time.ms 240;
     Cluster.run ~until:!t c
   done;
@@ -203,7 +206,12 @@ let test_rolling_restart () =
     true
     (after > before + 10);
   Alcotest.(check int) "every node restarted once" 4
-    (Array.fold_left ( + ) 0 c.Cluster.incarnation)
+    (Array.fold_left ( + ) 0 c.Cluster.incarnation);
+  (* A restarted node's WAL-recovered tentative rounds were rescinded
+     while it was down: the catch-up sync must drop them to re-link. *)
+  Alcotest.(check bool) "catch-up rescinded a dead tentative suffix" true
+    (Fl_metrics.Recorder.counter c.Cluster.recorder "catchup_rescinds" > 0);
+  Conservation.check ledger c
 
 (* ---- decided Leave shrinks the rotation to the survivors ---- *)
 

@@ -181,11 +181,48 @@ let reconfig_block =
 let reconfig_genesis =
   Fl_fireledger.Epoch.genesis ~members:[ 0; 1; 2; 3 ] ~universe:5 ()
 
+(* Persist tier: one incremental snapshot seal. A 1024-round chain
+   whose first 960 rounds are already sealed (fifteen cached 64-round
+   segments, as a node holds them after sealing every 64 definite
+   rounds); the kernel seals through round 1023, which encodes only
+   the 64 new rounds. Sealing the whole chain again instead is 16×
+   the bytes. *)
+let persist_store =
+  let store = Fl_chain.Store.create () in
+  for r = 0 to 1023 do
+    let txs =
+      Array.init 10 (fun i -> Fl_chain.Tx.create ~id:((r * 10) + i) ~size:128)
+    in
+    let b =
+      Fl_chain.Block.create ~round:r ~proposer:(r mod 4)
+        ~prev_hash:(Fl_chain.Store.last_hash store) txs
+    in
+    match Fl_chain.Store.append store b with
+    | Ok () -> ()
+    | Error _ -> failwith "bench: persist chain build"
+  done;
+  store
+
+let persist_sealed_960 =
+  List.fold_left
+    (fun prev upto ->
+      Fl_persist.Snapshot.seal ~prev ~store:persist_store ~upto ~era:1 ~app:""
+        ~app_hash:"")
+    None
+    (List.init 15 (fun k -> (64 * (k + 1)) - 1))
+
 (* The explicit, ordered kernel registry: areas in fixed order, kernels
    in fixed order within each area, so text and JSON output are
    deterministic (no Hashtbl iteration order). *)
 let areas =
-  [ "crypto"; "codec"; "substrate"; "sweep"; "kernels"; "load"; "reconfig" ]
+  [ "crypto";
+    "codec";
+    "substrate";
+    "sweep";
+    "kernels";
+    "load";
+    "reconfig";
+    "persist" ]
 
 let kernels : (string * string * (unit -> unit)) list =
   [ (* Figure 5 calibration: the real crypto kernels. *)
@@ -308,7 +345,13 @@ let kernels : (string * string * (unit -> unit)) list =
             ~activation:14
         with
         | Some _ -> ()
-        | None -> failwith "bench: epoch-switch produced no successor" ) ]
+        | None -> failwith "bench: epoch-switch produced no successor" );
+    ( "persist",
+      "persist/snapshot-seal-next-64",
+      fun () ->
+        ignore
+          (Fl_persist.Snapshot.seal ~prev:persist_sealed_960
+             ~store:persist_store ~upto:1023 ~era:1 ~app:"" ~app_hash:"") ) ]
 
 (* ---------- measurement and reporting ---------- *)
 

@@ -100,6 +100,11 @@ let block_of_string s =
   | Ok _ -> Error "trailing bytes"
   | Error e -> Error e
 
+let write_chain_header w ~length ~pruned_below =
+  Codec.Writer.raw w magic;
+  Codec.Writer.varint w length;
+  Codec.Writer.varint w pruned_below
+
 (* A whole chain is one sealed {!Fl_wire.Envelope}: the CRC makes any
    single-byte corruption detectable even where the structural decode
    could not see it (a flipped bit inside a synthetic transaction's
@@ -107,9 +112,8 @@ let block_of_string s =
    zeros). The magic stays in the body as a format fingerprint. *)
 let encode_chain store =
   Envelope.seal ~tag:0 (fun w ->
-      Codec.Writer.raw w magic;
-      Codec.Writer.varint w (Store.length store);
-      Codec.Writer.varint w (Store.pruned_below store);
+      write_chain_header w ~length:(Store.length store)
+        ~pruned_below:(Store.pruned_below store);
       Store.iter store (fun b -> encode_block w b))
 
 let decode_chain s =

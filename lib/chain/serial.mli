@@ -44,6 +44,11 @@ val encode_chain : Store.t -> string
     image is detected even where the structural decode would not see
     it (e.g. inside synthetic-transaction padding). *)
 
+val write_chain_header :
+  Fl_wire.Codec.Writer.t -> length:int -> pruned_below:int -> unit
+(** The fields that open an {!encode_chain} body, ahead of the blocks
+    — for sealers that assemble the body from pre-encoded block runs. *)
+
 val decode_chain : string -> (Store.t, string) result
 (** Rebuild a store, re-validating the envelope CRC and every hash
     link. *)

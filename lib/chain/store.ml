@@ -27,6 +27,9 @@ let get t round =
 
 let last t = if t.len = 0 then None else Some t.blocks.(t.len - 1)
 
+let hash t round =
+  if round < 0 || round >= t.len then None else Some t.hashes.(round)
+
 let ensure_capacity t block =
   if t.len = Array.length t.blocks then begin
     let cap = max 64 (2 * Array.length t.blocks) in

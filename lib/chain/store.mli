@@ -29,6 +29,10 @@ val get : t -> int -> Block.t option
 
 val last : t -> Block.t option
 
+val hash : t -> int -> string option
+(** Header hash of the block at a round, if stored (memoised: no
+    re-hash). *)
+
 val append : ?check_body:bool -> t -> Block.t -> (unit, error) result
 (** [check_body] (default true) re-verifies the body commitment;
     callers that already verified the body through a content-addressed

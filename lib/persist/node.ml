@@ -55,7 +55,9 @@ type t = {
   app : Recovery.app option;
   mutable chain : (unit -> Store.t * int * int) option;
       (* store, definite_upto, era — set by the attached instance *)
-  mutable snapshot_media : string option;
+  mutable snapshot_media : Snapshot.image option;
+  mutable sealed : Snapshot.image option;
+      (* the last image built: the sealer's segment cache *)
   mutable wal_media : string;  (* frozen image between power_fail and recover *)
   mutable live : bool;
   mutable gen : int;  (* incarnation guard for in-flight async work *)
@@ -83,6 +85,7 @@ let create engine ?obs ?(node = -1) ?(worker = 0) ?disk ?app ~config () =
     app;
     chain = None;
     snapshot_media = None;
+    sealed = None;
     wal_media = "";
     live = true;
     gen = 0;
@@ -139,29 +142,31 @@ let take_snapshot t ~store ~upto ~era =
     | Some a -> (a.Recovery.app_snapshot (), a.Recovery.app_hash ())
     | None -> ("", "")
   in
-  match Snapshot.build ~store ~upto ~era ~app ~app_hash with
+  match Snapshot.seal ~prev:t.sealed ~store ~upto ~era ~app ~app_hash with
   | None -> ()
-  | Some snap ->
+  | Some image ->
       t.last_snapshot_upto <- upto;
-      let encoded = Snapshot.encode snap in
+      t.sealed <- Some image;
+      let bytes = Snapshot.length image in
       let gen = t.gen in
-      (* The encode is a point-in-time copy; writing it out and
-         truncating the WAL happens off the hot path. *)
+      (* The image is a point-in-time value (its segments are
+         immutable); writing it out and truncating the WAL happens off
+         the hot path. *)
       Fiber.spawn t.engine (fun () ->
           let t_begin = Engine.now t.engine in
           if t.live && t.gen = gen then begin
-            ignore (Disk.write t.disk ~bytes:(String.length encoded));
+            ignore (Disk.write t.disk ~bytes);
             let frames = Wal.total_frames t.wal in
             Disk.fsync ~name:"snapshot_fsync" t.disk;
             if t.live && t.gen = gen then begin
-              t.snapshot_media <- Some encoded;
+              t.snapshot_media <- Some image;
               Wal.mark_durable_upto t.wal frames;
               ignore (Wal.truncate t.wal ~upto);
               t.snapshots <- t.snapshots + 1;
               Fl_obs.Obs.span t.obs ~cat:"disk" ~name:"snapshot" ~node:t.node
                 ~worker:t.worker ~round:upto
                 ~args:
-                  [ ("bytes", string_of_int (String.length encoded));
+                  [ ("bytes", string_of_int bytes);
                     ("upto", string_of_int upto) ]
                 ~t_begin ~t_end:(Engine.now t.engine) ()
             end
@@ -243,7 +248,7 @@ let lose_media t =
    instance charges as its boot delay. *)
 let media_bytes t =
   String.length t.wal_media
-  + match t.snapshot_media with Some s -> String.length s | None -> 0
+  + match t.snapshot_media with Some i -> Snapshot.length i | None -> 0
 
 (* Parse the frozen media back into node state and go live again.
    [None] = nothing durable (first boot, or the media was lost):
@@ -258,19 +263,16 @@ let recover t =
     t.recovers <- t.recovers + 1;
     t.wal_media <- "";
     let r =
-      Recovery.run ~snapshot_media:t.snapshot_media ~wal_media:media
-        ~app:t.app
+      Recovery.run
+        ~snapshot_media:(Option.map Snapshot.encode t.snapshot_media)
+        ~wal_media:media ~app:t.app
     in
     if r.Recovery.r_torn then t.torn_discards <- t.torn_discards + 1;
     t.replayed <- t.replayed + r.Recovery.r_records;
     (* the valid record prefix becomes the live WAL again, fully
        durable (it just came off the media) *)
     Wal.reset_to_frames t.wal r.Recovery.r_frames;
-    t.last_snapshot_upto <-
-      (match t.snapshot_media with
-      | Some s -> (
-          match Snapshot.decode s with Ok snap -> snap.Snapshot.upto | Error _ -> -1)
-      | None -> -1);
+    t.last_snapshot_upto <- r.Recovery.r_snapshot_upto;
     if Store.length r.Recovery.r_store = 0 && not r.Recovery.r_from_snapshot
     then begin
       Fl_obs.Obs.instant t.obs ~cat:"disk" ~name:"cold_start" ~node:t.node

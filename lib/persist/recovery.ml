@@ -27,6 +27,8 @@ type recovered = {
       (** the media's valid WAL prefix as verified frames with their
           rounds, oldest first — the live log restarts from these *)
   r_from_snapshot : bool;
+  r_snapshot_upto : int;
+      (** [upto] of the snapshot on the media, [-1] = none readable *)
 }
 
 (* Apply one WAL record to the store under reconstruction. Replay is
@@ -70,16 +72,18 @@ let apply_record ~store ~sigs ~applied ~app record =
 let run ~snapshot_media ~wal_media ~app =
   let replay = Wal.replay_media wal_media in
   (* 1. snapshot base *)
-  let base =
+  let snap =
     match snapshot_media with
     | None -> None
-    | Some s -> (
-        match Snapshot.decode s with
+    | Some s -> Result.to_option (Snapshot.decode s)
+  in
+  let base =
+    match snap with
+    | None -> None
+    | Some snap -> (
+        match Snapshot.restore_chain snap with
         | Error _ -> None
-        | Ok snap -> (
-            match Snapshot.restore_chain snap with
-            | Error _ -> None
-            | Ok store -> Some (snap, store)))
+        | Ok store -> Some (snap, store))
   in
   let store, definite0, era0, restored_app =
     match base with
@@ -138,4 +142,6 @@ let run ~snapshot_media ~wal_media ~app =
     r_torn = replay.Wal.torn || not !ok;
     r_records = !count;
     r_frames = replay.Wal.frames;
-    r_from_snapshot = base <> None }
+    r_from_snapshot = base <> None;
+    r_snapshot_upto =
+      (match snap with Some s -> s.Snapshot.upto | None -> -1) }

@@ -90,6 +90,53 @@ let digest_int_bytes_sub b ~pos ~len =
     invalid_arg "Crc32.digest_int_bytes_sub";
   run tables (Bytes.unsafe_to_string b) ~pos ~len 0xFFFFFFFF lxor 0xFFFFFFFF
 
+(* ---------- combine (zlib's crc32_combine) ----------
+
+   [combine (digest a) (digest b) (length b) = digest (a ^ b)] without
+   touching the bytes again: appending [len] bytes multiplies the first
+   CRC by x^(8·len) modulo the polynomial, which takes O(log len)
+   carry-less 32-bit multiplications using a table of x^(2^k). This is
+   what lets a frame assembled from already-checksummed pieces get its
+   CRC in constant time per piece. *)
+
+(* a·b modulo the polynomial, both in reflected bit order *)
+let multmodp a b =
+  let p = ref 0 and b = ref b and m = ref (1 lsl 31) in
+  while !m <> 0 do
+    if a land !m <> 0 then begin
+      p := !p lxor !b;
+      if a land (!m - 1) = 0 then m := 0
+    end;
+    if !m <> 0 then begin
+      m := !m lsr 1;
+      b := if !b land 1 = 1 then (!b lsr 1) lxor poly else !b lsr 1
+    end
+  done;
+  !p
+
+(* x2n_table.(k) = x^(2^k) mod p *)
+let x2n_table =
+  let t = Array.make 32 0 in
+  t.(0) <- 1 lsl 30 (* x^1 *);
+  for k = 1 to 31 do
+    t.(k) <- multmodp t.(k - 1) t.(k - 1)
+  done;
+  t
+
+(* x^(n·2^k) mod p *)
+let x2nmodp n k =
+  let p = ref (1 lsl 31) (* x^0 *) and n = ref n and k = ref k in
+  while !n <> 0 do
+    if !n land 1 = 1 then p := multmodp x2n_table.(!k land 31) !p;
+    n := !n lsr 1;
+    incr k
+  done;
+  !p
+
+let combine crc1 crc2 len2 =
+  if len2 < 0 then invalid_arg "Crc32.combine";
+  multmodp (x2nmodp len2 3) (crc1 land 0xFFFFFFFF) lxor (crc2 land 0xFFFFFFFF)
+
 (* Int32-facing compatibility surface: same 32-bit patterns as the
    historical interface (conversions wrap modulo 2^32). *)
 let to_int c = Int32.to_int (Int32.logand c 0xFFFFFFFFl) land 0xFFFFFFFF

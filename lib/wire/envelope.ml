@@ -14,6 +14,13 @@ let version = 1
 let header_bytes = 6
 let max_tag = 0xff
 
+(* Fill a reserved header slot for a body whose CRC is already known —
+   also for frames assembled from pre-checksummed pieces. *)
+let patch_header w ~start ~tag ~crc =
+  Codec.Writer.patch_u8 w start version;
+  Codec.Writer.patch_u8 w (start + 1) tag;
+  Codec.Writer.patch_u32 w (start + 2) crc
+
 (* Frames build front-to-back in one pass: reserve the 6 header bytes,
    write the body after them, then checksum the body in place and
    patch the header. The only per-seal allocation is the final frame
@@ -25,9 +32,7 @@ let finish w ~tag ~start =
       (Codec.Writer.unsafe_bytes w)
       ~pos:(start + header_bytes) ~len:blen
   in
-  Codec.Writer.patch_u8 w start version;
-  Codec.Writer.patch_u8 w (start + 1) tag;
-  Codec.Writer.patch_u32 w (start + 2) crc
+  patch_header w ~start ~tag ~crc
 
 let seal_impl ~tag write =
   if tag < 0 || tag > max_tag then invalid_arg "Envelope.seal: tag";

@@ -527,7 +527,14 @@ let test_snapshot_roundtrip () =
       match Fl_persist.Snapshot.decode enc with
       | Error e -> Alcotest.failf "decode: %s" e
       | Ok snap' -> (
-          Alcotest.(check bool) "snapshot round-trips" true (snap = snap');
+          let module S = Fl_persist.Snapshot in
+          Alcotest.(check (pair int int)) "upto, era" (3, 1)
+            (snap'.S.upto, snap'.S.era);
+          Alcotest.(check (pair string string)) "app payload and hash"
+            ("app-bytes", Fl_crypto.Sha256.digest "state")
+            (snap'.S.app, snap'.S.app_hash);
+          Alcotest.(check int) "image length" (String.length enc)
+            (S.length snap);
           match Fl_persist.Snapshot.restore_chain snap' with
           | Error e -> Alcotest.failf "restore: %s" e
           | Ok prefix ->

@@ -203,6 +203,162 @@ let test_snapshot_truncated_chunk_fails_closed () =
   | Ok s -> Alcotest.(check int) "upto" 3 s.Snapshot.upto
   | Error e -> Alcotest.failf "intact decode: %s" e
 
+(* Incremental sealing must produce exactly the bytes of a whole-chain
+   encode. The reference is the format spelled out by hand: the store
+   truncated to [upto] and pruned to its boundary, through
+   [Serial.encode_chain], wrapped in the FLSNAP1 fields. *)
+let reference_image store ~upto ~era ~app ~app_hash =
+  let prefix = Store.create () in
+  for r = 0 to upto do
+    match Store.get store r with
+    | Some b -> (
+        match Store.append ~check_body:false prefix b with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "reference copy: %a" Store.pp_error e)
+    | None -> Alcotest.failf "reference copy: round %d missing" r
+  done;
+  Store.prune prefix ~keep_from:(min (Store.pruned_below store) (upto + 1));
+  let open Fl_wire in
+  Envelope.seal ~tag:0 (fun w ->
+      Codec.Writer.raw w "FLSNAP1\x01";
+      Codec.Writer.varint w upto;
+      Codec.Writer.varint w era;
+      Codec.Writer.bytes w app;
+      Codec.Writer.bytes w app_hash;
+      Codec.Writer.bytes w (Serial.encode_chain prefix))
+
+(* Extend [store] to [len] rounds; [salt] picks the transactions, so
+   two salts give two different chains. One synthetic and one
+   real-payload transaction per block exercise both tx encodings. *)
+let grow ~salt store len =
+  while Store.length store < len do
+    let round = Store.length store in
+    let txs =
+      [| Tx.create ~id:((salt * 1_000_000) + round) ~size:24;
+         Tx.create_payload
+           ~id:((salt * 1_000_000) + round + 500_000)
+           (Printf.sprintf "s%d-r%d" salt round) |]
+    in
+    let b =
+      Block.create ~round ~proposer:(round mod 4)
+        ~prev_hash:(Store.last_hash store) txs
+    in
+    match Store.append store b with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "grow %d: %a" round Store.pp_error e
+  done
+
+(* Replace rounds [from..] with a differently salted suffix of the
+   same length. *)
+let rewrite ~salt store ~from =
+  let len = Store.length store in
+  (match Store.replace_suffix store ~from [] with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "truncate: %a" Store.pp_error e);
+  grow ~salt store len
+
+let test_snapshot_incremental_equals_whole () =
+  let interval = 64 in
+  let store = ref (Store.create ()) in
+  let prev = ref None in
+  (* Each step seals at the next 64-round mark after an optional chain
+     change and states how many segments must be encoded afresh; all
+     other segments must be the previous image's, physically. *)
+  let steps =
+    [ (1, `Extend, 1);
+      (2, `Extend, 1);
+      (3, `Extend, 1);
+      (4, `Extend, 1);
+      (5, `Extend, 1);
+      (* prune boundary lands inside [64..127]: it and [0..63] change *)
+      (6, `Prune 100, 3);
+      (7, `Extend, 1);
+      (* replace_suffix inside the sealed [384..447] *)
+      (8, `Rewrite 420, 2);
+      (9, `Extend, 1);
+      (* boundary moves from inside [64..127] to inside [256..319] *)
+      (10, `Prune 300, 5);
+      (* a replace_suffix below the prune boundary re-appends bodies
+         the image must still drop *)
+      (11, `Rewrite 290, 7);
+      (12, `Extend, 1);
+      (* power fail + recover: same content, new values — all kept *)
+      (13, `Recover, 1);
+      (14, `Extend, 1);
+      (* a different chain of equal length (pruned alike, as
+         [Ledger.adopt_chain] leaves it): nothing kept *)
+      (15, `Adopt, 15);
+      (16, `Extend, 1);
+      (* from inside [256..319] to inside [960..1023] *)
+      (17, `Prune 1000, 13);
+      (18, `Extend, 1) ]
+  in
+  List.iter
+    (fun (k, change, fresh_expected) ->
+      let upto = (k * interval) - 1 in
+      let chain_len = Store.length !store in
+      (match change with
+      | `Extend -> ()
+      | `Prune keep_from -> Store.prune !store ~keep_from
+      | `Rewrite from -> rewrite ~salt:k !store ~from
+      | `Recover -> (
+          let img =
+            match !prev with Some i -> Snapshot.encode i | None -> assert false
+          in
+          match Result.bind (Snapshot.decode img) Snapshot.restore_chain with
+          | Error e -> Alcotest.failf "recover: %s" e
+          | Ok recovered ->
+              for r = Store.length recovered to chain_len - 1 do
+                match Store.get !store r with
+                | Some b -> ignore (Store.append recovered b)
+                | None -> ()
+              done;
+              store := recovered)
+      | `Adopt ->
+          let other = Store.create () in
+          grow ~salt:k other chain_len;
+          Store.prune other ~keep_from:(Store.pruned_below !store);
+          store := other);
+      grow ~salt:0 !store (upto + 2);
+      let era = k and app = Printf.sprintf "app-%d" k in
+      let app_hash = Fl_crypto.Sha256.digest app in
+      let image =
+        match
+          Snapshot.seal ~prev:!prev ~store:!store ~upto ~era ~app ~app_hash
+        with
+        | Some i -> i
+        | None -> Alcotest.failf "step %d: seal failed" k
+      in
+      let got = Snapshot.encode image in
+      Alcotest.(check int)
+        (Printf.sprintf "step %d: length" k)
+        (String.length got) (Snapshot.length image);
+      if
+        not
+          (String.equal got
+             (reference_image !store ~upto ~era ~app ~app_hash))
+      then Alcotest.failf "step %d: image differs from the whole-chain encode" k;
+      let old =
+        match !prev with Some i -> Snapshot.segments i | None -> []
+      in
+      let fresh = ref 0 in
+      List.iter
+        (fun (first, last, bytes) ->
+          match
+            List.find_opt (fun (f, l, _) -> f = first && l = last) old
+          with
+          | Some (_, _, kept) when kept == bytes -> ()
+          | Some (_, _, kept) when String.equal kept bytes ->
+              Alcotest.failf "step %d: unchanged [%d..%d] re-encoded" k first
+                last
+          | _ -> incr fresh)
+        (Snapshot.segments image);
+      Alcotest.(check int)
+        (Printf.sprintf "step %d: segments encoded" k)
+        fresh_expected !fresh;
+      prev := Some image)
+    steps
+
 (* ---- Recovery ---- *)
 
 let wal_media_of records =
@@ -456,6 +612,8 @@ let suite =
     Alcotest.test_case "wal segments + truncate" `Quick
       test_wal_segments_truncate;
     Alcotest.test_case "snapshot roundtrip" `Quick test_snapshot_roundtrip;
+    Alcotest.test_case "snapshot incremental = whole-chain encode" `Quick
+      test_snapshot_incremental_equals_whole;
     Alcotest.test_case "recovery snapshot+suffix" `Quick
       test_recovery_snapshot_plus_suffix;
     Alcotest.test_case "recovery truncate replay" `Quick

@@ -55,9 +55,37 @@ let prop_bytes_roundtrip =
       List.for_all (fun s -> String.equal (Codec.Reader.bytes r) s) ss
       && Codec.Reader.at_end r)
 
+(* [combine] must equal a digest of the concatenation for every split,
+   empty halves and lengths off the 8-byte stride included. *)
+let combine_holds s k =
+  let a = String.sub s 0 k and b = String.sub s k (String.length s - k) in
+  Crc32.combine (Crc32.digest_int a) (Crc32.digest_int b) (String.length b)
+  = Crc32.digest_int s
+
+let prop_crc32_combine =
+  QCheck.Test.make ~name:"crc32: combine = digest of concatenation"
+    ~count:500
+    QCheck.(pair (string_of_size Gen.(0 -- 300)) small_nat)
+    (fun (s, k) -> combine_holds s (k mod (String.length s + 1)))
+
+let test_crc32_combine_edges () =
+  let s = String.init 4099 (fun i -> Char.chr ((i * 131) land 0xff)) in
+  List.iter
+    (fun (len, k) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "len %d split %d" len k)
+        true
+        (combine_holds (String.sub s 0 len) k))
+    [ (0, 0); (1, 0); (1, 1); (7, 0); (7, 7); (9, 3); (17, 9); (4099, 0);
+      (4099, 4099); (4099, 2051); (4099, 4091) ];
+  Alcotest.(check int) "empty b is the identity" (Crc32.digest_int "abc")
+    (Crc32.combine (Crc32.digest_int "abc") (Crc32.digest_int "") 0)
+
 let suite =
   [ Alcotest.test_case "scalar roundtrip" `Quick test_roundtrip_scalars;
     Alcotest.test_case "underflow" `Quick test_underflow;
     Alcotest.test_case "varint size" `Quick test_varint_size;
+    Alcotest.test_case "crc32 combine edges" `Quick test_crc32_combine_edges;
     QCheck_alcotest.to_alcotest prop_varint_roundtrip;
-    QCheck_alcotest.to_alcotest prop_bytes_roundtrip ]
+    QCheck_alcotest.to_alcotest prop_bytes_roundtrip;
+    QCheck_alcotest.to_alcotest prop_crc32_combine ]

@@ -105,6 +105,30 @@ let codec_framed_buf = "\x00batch-prefix\x00" ^ codec_msg_bytes ^ "\x00tail"
 let codec_framed_pos = 14
 let codec_framed_len = String.length codec_msg_bytes
 
+(* Receive path: one 100-tx body broadcast over a 16-node net into 16
+   hubs. The receivers share the frame's single decode; decoding once
+   per receiver instead makes this kernel ~11x slower (~16x at smoke
+   quota). The world is built once and each run empties the channel
+   it filled. *)
+let bcast_nodes = 16
+let bcast_engine = Fl_sim.Engine.create ()
+
+let bcast_net =
+  Fl_net.Net.create bcast_engine (Fl_sim.Rng.create 1)
+    ~nics:
+      (Array.init bcast_nodes (fun _ ->
+           Fl_net.Nic.create ~bandwidth_bps:Fl_net.Nic.ten_gbps))
+    ~latency:Fl_net.Latency.single_dc ~decode:Fl_fireledger.Msg.decode
+
+let bcast_boxes =
+  let key = Fl_fireledger.Msg.key codec_msg in
+  Array.init bcast_nodes (fun i ->
+      let hub =
+        Fl_net.Hub.create bcast_engine ~inbox:(Fl_net.Net.inbox bcast_net i)
+          ~key:Fl_fireledger.Msg.key ()
+      in
+      Fl_net.Hub.box hub key)
+
 let wal_record =
   let txs = Array.init 100 (fun i -> Fl_chain.Tx.create ~id:i ~size:128) in
   let block =
@@ -239,8 +263,9 @@ let kernels : (string * string * (unit -> unit)) list =
         ignore
           (Fl_crypto.Sha256.hmac ~key:"k" "calibration-message-64-bytes....")
     );
-    (* Codec kernels: encode/decode of a 100-tx block body frame and
-       the per-dispatch channel-key builders. *)
+    (* Codec kernels: encode/decode of a 100-tx block body frame, its
+       receive path through a 16-node broadcast, and the per-dispatch
+       channel-key builders. *)
     ( "codec",
       "codec/encode-body-100tx",
       fun () -> ignore (Fl_fireledger.Msg.encode codec_msg) );
@@ -253,6 +278,12 @@ let kernels : (string * string * (unit -> unit)) list =
         ignore
           (Fl_fireledger.Msg.decode_sub codec_framed_buf
              ~pos:codec_framed_pos ~len:codec_framed_len) );
+    ( "codec",
+      "codec/broadcast-receive-16",
+      fun () ->
+        Fl_net.Net.broadcast bcast_net ~src:0 codec_msg_bytes;
+        Fl_sim.Engine.run bcast_engine;
+        Array.iter Fl_sim.Mailbox.clear bcast_boxes );
     ( "codec",
       "codec/ob-key-concat",
       fun () -> ignore (Fl_fireledger.Msg.ob_key ~era:3 ~round:12345 ~attempt:2)

@@ -90,7 +90,7 @@ type replica = {
   recorder : Fl_metrics.Recorder.t;
   cost : Fl_crypto.Cost_model.t;
   cpu : Cpu.t;
-  net : Net.t;
+  net : msg Net.t;
   batch_size : int;
   tx_size : int;
   mutable view : int;
@@ -312,7 +312,9 @@ let create ?(seed = 42) ?(latency = Latency.single_dc)
   let rng = Rng.create seed in
   let recorder = Fl_metrics.Recorder.create () in
   let nics = Array.init n (fun _ -> Nic.create ~bandwidth_bps) in
-  let net = Net.create engine (Rng.named_split rng "net") ~nics ~latency in
+  let net =
+    Net.create engine (Rng.named_split rng "net") ~nics ~latency ~decode
+  in
   let replicas =
     Array.init n (fun i ->
         if crashed i then None
@@ -358,7 +360,7 @@ let start t =
           Fiber.spawn r.engine (fun () ->
               while true do
                 let src, frame = Mailbox.recv (Net.inbox r.net r.id) in
-                match decode frame with
+                match Net.Frame.msg frame with
                 | Some m -> handle r (src, m)
                 | None ->
                     Fl_metrics.Recorder.incr r.recorder "decode_errors"

@@ -46,7 +46,10 @@ let create ?(seed = 42) ?(latency = Latency.single_dc)
   let rng = Rng.create seed in
   let recorder = Fl_metrics.Recorder.create () in
   let nics = Array.init n (fun _ -> Nic.create ~bandwidth_bps) in
-  let net = Net.create engine (Rng.named_split rng "net") ~nics ~latency in
+  let net =
+    Net.create engine (Rng.named_split rng "net") ~nics ~latency
+      ~decode:decode_msg
+  in
   (* Default closed-loop window: one batch per node. A deeper window
      inflates measured latency with queueing delay rather than
      protocol delay (Little's law), which is not what Figure 17
@@ -76,7 +79,7 @@ let create ?(seed = 42) ?(latency = Latency.single_dc)
       if not (crashed i) then begin
         let hub_key (_ : Tx.t Pbft.msg) = "pbft" in
         let hub =
-          Hub.create engine ~inbox:(Net.inbox net i) ~decode:decode_msg
+          Hub.create engine ~inbox:(Net.inbox net i)
             ~on_malformed:(fun ~src:_ ~bytes:_ ->
               Fl_metrics.Recorder.incr recorder "decode_errors")
             ~key:hub_key ()

@@ -8,7 +8,7 @@ type t = {
   registry : Fl_crypto.Signature.registry;
   nics : Nic.t array;
   cpus : Cpu.t array;
-  net : Net.t;
+  net : Msg.t Net.t;
   instances : Instance.t array;
   crashed : (int, unit) Hashtbl.t;
   persist : Fl_persist.Node.t option array;
@@ -44,7 +44,10 @@ let create ?(seed = 42) ?(latency = Latency.single_dc)
   in
   let nics = Array.init n (fun i -> Nic.create ~bandwidth_bps:(node_bw i)) in
   let cpus = Array.init n (fun _ -> Cpu.create engine ~cores) in
-  let net = Net.create engine (Rng.named_split rng "net") ~nics ~latency in
+  let net =
+    Net.create engine (Rng.named_split rng "net") ~nics ~latency
+      ~decode:Msg.decode
+  in
   (match obs with
   | None -> ()
   | Some sink ->
@@ -66,9 +69,8 @@ let create ?(seed = 42) ?(latency = Latency.single_dc)
                  ~config:pc ()))
   in
   let mk_instance i ~incarnation =
-    (* Frames decode at the hub; a frame that fails to decode (bit
-       flipped, truncated) is dropped and counted, like a NIC checksum
-       discard. *)
+    (* A frame that fails to decode (bit flipped, truncated) is
+       dropped and counted at the hub, like a NIC checksum discard. *)
     let on_malformed ~src ~bytes =
       Fl_metrics.Recorder.incr recorder "decode_errors";
       Fl_obs.Obs.instant obs ~cat:"net" ~name:"decode_error" ~node:i
@@ -77,8 +79,7 @@ let create ?(seed = 42) ?(latency = Latency.single_dc)
         ~at:(Engine.now engine) ()
     in
     let hub =
-      Hub.create engine ~inbox:(Net.inbox net i) ~decode:Msg.decode
-        ~on_malformed ~key:Msg.key ()
+      Hub.create engine ~inbox:(Net.inbox net i) ~on_malformed ~key:Msg.key ()
     in
     let env =
       { Env.engine;

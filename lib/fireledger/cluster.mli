@@ -16,7 +16,7 @@ type t = {
   registry : Fl_crypto.Signature.registry;
   nics : Nic.t array;
   cpus : Cpu.t array;
-  net : Net.t;
+  net : Msg.t Net.t;
   instances : Instance.t array;
       (** entries are replaced in place by cold restarts — re-read
           after a restart rather than caching an [Instance.t] *)

@@ -12,7 +12,7 @@ type t = {
   registry : Fl_crypto.Signature.registry;
   cost : Fl_crypto.Cost_model.t;
   cpu : Cpu.t;  (** the node's CPU, shared by its workers *)
-  net : Net.t;  (** this worker's network instance (byte transport) *)
+  net : Msg.t Net.t;  (** this worker's network instance *)
   hub : Msg.t Hub.t;
   me : int;
   f : int;  (** resilience parameter, shared with Config.f *)

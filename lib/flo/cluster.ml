@@ -9,7 +9,7 @@ type t = {
   registry : Fl_crypto.Signature.registry;
   nics : Nic.t array;
   cpus : Cpu.t array;
-  nets : Net.t array;
+  nets : Msg.t Net.t array;
   nodes : Node.t array;
   workers : Instance.t array array;
   crashed : (int, unit) Hashtbl.t;
@@ -41,7 +41,7 @@ let create ?(seed = 42) ?(latency = Latency.single_dc)
         let net =
           Net.create engine
             (Rng.named_split rng (Printf.sprintf "net-%d" w))
-            ~nics ~latency
+            ~nics ~latency ~decode:Msg.decode
         in
         (match obs with
         | Some sink -> Net.set_obs ~worker:w net (Some sink)
@@ -86,7 +86,6 @@ let create ?(seed = 42) ?(latency = Latency.single_dc)
         Array.init workers (fun w ->
             let hub =
               Hub.create engine ~inbox:(Net.inbox nets.(w) i)
-                ~decode:Msg.decode
                 ~on_malformed:(fun ~src:_ ~bytes:_ ->
                   Fl_metrics.Recorder.incr recorder "decode_errors")
                 ~key:Msg.key ()

@@ -14,7 +14,7 @@ type t = {
   registry : Fl_crypto.Signature.registry;
   nics : Nic.t array;
   cpus : Cpu.t array;
-  nets : Net.t array;  (** per worker *)
+  nets : Fl_fireledger.Msg.t Net.t array;  (** per worker *)
   nodes : Node.t array;
   workers : Fl_fireledger.Instance.t array array;  (** [node].(worker) *)
   crashed : (int, unit) Hashtbl.t;

@@ -28,7 +28,7 @@ val of_hub :
   ?accept:(int -> bool) ->
   'w Hub.t ->
   key:string ->
-  net:Net.t ->
+  net:'w Net.t ->
   self:int ->
   f:int ->
   encode:('w -> string) ->

@@ -3,7 +3,6 @@ open Fl_sim
 type 'm t = {
   engine : Engine.t;
   key : 'm -> string;
-  decode : string -> 'm option;
   on_malformed : (src:int -> bytes:int -> unit) option;
   boxes : (string, (int * 'm) Mailbox.t) Hashtbl.t;
   mutable malformed : int;
@@ -17,23 +16,24 @@ let box t k =
       Hashtbl.add t.boxes k b;
       b
 
-let create engine ~inbox ~decode ?on_malformed ~key () =
+let create engine ~inbox ?on_malformed ~key () =
   let t =
-    { engine; key; decode; on_malformed; boxes = Hashtbl.create 64;
-      malformed = 0 }
+    { engine; key; on_malformed; boxes = Hashtbl.create 64; malformed = 0 }
   in
   Fiber.spawn engine (fun () ->
       let rec loop () =
         let src, frame = Mailbox.recv inbox in
-        (* Decode behind the dispatcher: a malformed frame — bit
-           flipped, truncated, or outright garbage — is dropped and
-           counted here, and never reaches a protocol fiber. *)
-        (match t.decode frame with
+        (* The frame's decode is shared with the other receivers of the
+           same transmission, but each hub judges it on its own: a
+           malformed frame — bit flipped, truncated, or outright
+           garbage — is dropped and counted here, and never reaches a
+           protocol fiber. *)
+        (match Net.Frame.msg frame with
         | Some msg -> Mailbox.send (box t (t.key msg)) (src, msg)
         | None ->
             t.malformed <- t.malformed + 1;
             (match t.on_malformed with
-            | Some f -> f ~src ~bytes:(String.length frame)
+            | Some f -> f ~src ~bytes:(String.length (Net.Frame.bytes frame))
             | None -> ()));
         loop ()
       in

@@ -1,14 +1,15 @@
-(** Decoding and demultiplexing of a node's inbox into per-channel
-    mailboxes.
+(** Demultiplexing of a node's inbox into per-channel mailboxes.
 
-    The network delivers framed byte strings; protocol fibers consume
-    typed messages. A [Hub] runs a dispatcher fiber over the node's
-    inbox that decodes each frame through the node's message codec and
-    routes the result to the mailbox of its channel key (by round, by
-    protocol phase, by instance), creating mailboxes on demand. A
-    frame the codec rejects — truncated, bit-flipped, garbage — is
-    dropped and counted, never crashing the dispatcher nor reaching a
-    protocol fiber. Fibers block on [box]/[recv_timeout] for the
+    The network delivers frames ({!Net.Frame}); protocol fibers
+    consume typed messages. A [Hub] runs a dispatcher fiber over the
+    node's inbox that reads each frame's decoded message — decoded
+    once per frame by the network's codec and shared with the other
+    receivers of the same transmission — and routes it to the mailbox
+    of its channel key (by round, by protocol phase, by instance),
+    creating mailboxes on demand. A frame the codec rejects —
+    truncated, bit-flipped, garbage — is dropped and counted by every
+    hub that receives it, never crashing the dispatcher nor reaching
+    a protocol fiber. Fibers block on [box]/[recv_timeout] for the
     channels they care about; messages for future rounds wait in their
     channel until the protocol catches up. [remove] discards finished
     channels so memory stays bounded over long runs. *)
@@ -19,8 +20,7 @@ type 'm t
 
 val create :
   Engine.t ->
-  inbox:(int * string) Mailbox.t ->
-  decode:(string -> 'm option) ->
+  inbox:(int * 'm Net.Frame.t) Mailbox.t ->
   ?on_malformed:(src:int -> bytes:int -> unit) ->
   key:('m -> string) ->
   unit ->
@@ -41,4 +41,4 @@ val channels : 'm t -> int
 (** Live channel count — for leak tests. *)
 
 val malformed : 'm t -> int
-(** Frames the codec rejected since creation. *)
+(** Frames this hub received whose decode failed, since creation. *)

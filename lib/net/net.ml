@@ -1,7 +1,16 @@
 open Fl_sim
 
-type t = {
+module Frame = struct
+  type 'm t = { bytes : string; msg : 'm option Lazy.t }
+
+  let make decode bytes = { bytes; msg = lazy (decode bytes) }
+  let bytes f = f.bytes
+  let msg f = Lazy.force f.msg
+end
+
+type 'm t = {
   engine : Engine.t;
+  decode : string -> 'm option;
   rng : Rng.t;
   loss_rng : Rng.t;
       (* dedicated stream so probabilistic-loss draws do not perturb
@@ -12,7 +21,7 @@ type t = {
          byte-identical to pre-corruption builds *)
   nics : Nic.t array;
   latency : Latency.t;
-  inboxes : (int * string) Mailbox.t array;
+  inboxes : (int * 'm Frame.t) Mailbox.t array;
   mutable filter : (src:int -> dst:int -> bool) option;
   mutable groups : int array option;  (* partition: group id per node *)
   loss : (int, float) Hashtbl.t;  (* per-node outbound drop probability *)
@@ -26,10 +35,11 @@ type t = {
   mutable obs_worker : int;
 }
 
-let create engine rng ~nics ~latency =
+let create engine rng ~nics ~latency ~decode =
   let n = Array.length nics in
   if n = 0 then invalid_arg "Net.create: empty nic array";
   { engine;
+    decode;
     rng;
     loss_rng = Rng.named_split rng "net-loss";
     corrupt_rng = Rng.named_split rng "net-corrupt";
@@ -110,18 +120,21 @@ let deliverable t ~src ~dst =
      | Some p -> Rng.float t.loss_rng 1.0 >= p)
 
 (* Byte-level fault injection: with the window's probability, either
-   flip one bit of a copy of the frame or truncate it at a random
-   boundary — the two physical failure modes a checksum must catch.
-   Self-delivery is exempt (no wire). The payload is copied before
-   mutation: broadcast shares one encoded string across links. *)
-let maybe_corrupt t ~src ~dst payload =
-  if src = dst then payload
+   flip one bit of a copy of the frame's bytes or truncate them at a
+   random boundary — the two physical failure modes a checksum must
+   catch. Self-delivery is exempt (no wire). The bytes are copied
+   before mutation, and the mutant travels as a fresh frame with its
+   own decode: the other links of the same broadcast keep the intact
+   frame and its shared decode. *)
+let maybe_corrupt t ~src ~dst frame =
+  if src = dst then frame
   else
     match Hashtbl.find_opt t.corrupt src with
-    | None -> payload
+    | None -> frame
     | Some p ->
+        let payload = Frame.bytes frame in
         let len = String.length payload in
-        if len = 0 || Rng.float t.corrupt_rng 1.0 >= p then payload
+        if len = 0 || Rng.float t.corrupt_rng 1.0 >= p then frame
         else begin
           t.corrupted <- t.corrupted + 1;
           let flip = Rng.bool t.corrupt_rng in
@@ -143,10 +156,10 @@ let maybe_corrupt t ~src ~dst payload =
                 ("mode", if flip then "bitflip" else "truncate");
                 ("bytes", string_of_int (String.length payload')) ]
             ~at:(Engine.now t.engine) ();
-          payload'
+          Frame.make t.decode payload'
         end
 
-let deliver t ~src ~dst ~at msg =
+let deliver t ~src ~dst ~at frame =
   let now = Engine.now t.engine in
   (* Tagged with the destination as its lane: deliveries to different
      nodes commute, which is what lets the model-checker arbiter prune
@@ -154,29 +167,30 @@ let deliver t ~src ~dst ~at msg =
   ignore
     (Engine.schedule ~lane:dst t.engine ~delay:(at - now) (fun () ->
          t.delivered <- t.delivered + 1;
-         Mailbox.send t.inboxes.(dst) (src, msg)))
+         Mailbox.send t.inboxes.(dst) (src, frame)))
 
-(* The frame is whatever bytes the sender encoded; the NIC is charged
-   its exact length — there is no separate size channel to drift from
-   the content. A truncating fault shortens the frame before the NIC,
-   as on a real wire where the cut transmission ends early. *)
-let send t ~src ~dst (payload : string) =
+(* The frame carries whatever bytes the sender encoded; the NIC is
+   charged their exact length — there is no separate size channel to
+   drift from the content. A truncating fault shortens the frame
+   before the NIC, as on a real wire where the cut transmission ends
+   early. *)
+let transmit t ~src ~dst frame =
   if not (deliverable t ~src ~dst) then begin
     t.dropped <- t.dropped + 1;
     Fl_obs.Obs.instant t.obs ~cat:"net" ~name:"drop" ~node:src
       ~worker:t.obs_worker
       ~args:
         [ ("dst", string_of_int dst);
-          ("bytes", string_of_int (String.length payload)) ]
+          ("bytes", string_of_int (String.length (Frame.bytes frame))) ]
       ~at:(Engine.now t.engine) ()
   end
   else begin
-    let payload = maybe_corrupt t ~src ~dst payload in
-    let size = String.length payload in
+    let frame = maybe_corrupt t ~src ~dst frame in
+    let size = String.length (Frame.bytes frame) in
     t.link_bytes.(src).(dst) <- t.link_bytes.(src).(dst) + size;
     let now = Engine.now t.engine in
     let propagation = Latency.sample t.latency t.rng ~src ~dst in
-    if src = dst then deliver t ~src ~dst ~at:(now + propagation) payload
+    if src = dst then deliver t ~src ~dst ~at:(now + propagation) frame
     else begin
       if Fl_obs.Obs.enabled t.obs then
         Fl_obs.Obs.gauge t.obs ~cat:"net" ~name:"nic_tx_backlog" ~node:src
@@ -196,19 +210,27 @@ let send t ~src ~dst (payload : string) =
           ~args:[ ("dst", string_of_int dst); ("bytes", string_of_int size) ]
           ~t_begin:tx_done ~t_end:rx_done ()
       end;
-      deliver t ~src ~dst ~at:rx_done payload
+      deliver t ~src ~dst ~at:rx_done frame
     end
   end
 
+(* Each call wraps its bytes in one frame, whatever the number of
+   destinations: every receiver of a broadcast shares the frame and
+   hence its single decode. *)
+let send t ~src ~dst payload =
+  transmit t ~src ~dst (Frame.make t.decode payload)
+
 let broadcast ?(include_self = true) t ~src payload =
+  let frame = Frame.make t.decode payload in
   let count = Array.length t.nics in
   for dst = 0 to count - 1 do
-    if dst <> src then send t ~src ~dst payload
+    if dst <> src then transmit t ~src ~dst frame
   done;
-  if include_self then send t ~src ~dst:src payload
+  if include_self then transmit t ~src ~dst:src frame
 
 let multicast t ~src ~dsts payload =
-  List.iter (fun dst -> send t ~src ~dst payload) dsts
+  let frame = Frame.make t.decode payload in
+  List.iter (fun dst -> transmit t ~src ~dst frame) dsts
 
 let set_filter t f = t.filter <- f
 let messages_delivered t = t.delivered

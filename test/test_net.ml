@@ -15,12 +15,36 @@ let make_world ?latency n =
 let make_int_world ~key n =
   World.make ~n ~key ~encode:string_of_int ~decode:int_of_string_opt ()
 
+(* Counting worlds: the codec's decode bumps [calls], so tests can
+   count how many times the network parsed a frame. *)
+let make_counting_world ~key ~encode ~decode n =
+  let calls = ref 0 in
+  let decode s =
+    incr calls;
+    decode s
+  in
+  (World.make ~n ~key ~encode ~decode (), calls)
+
+(* Start every node's hub and collect what reaches channel [key]. *)
+let collect w ~key =
+  Array.init w.World.n (fun i ->
+      let got = ref [] in
+      let box = Hub.box (World.hub w i) key in
+      Fiber.spawn w.World.engine (fun () ->
+          let rec loop () =
+            let _, m = Mailbox.recv box in
+            got := m :: !got;
+            loop ()
+          in
+          loop ());
+      got)
+
 let test_delivery () =
   let w = make_world 3 in
   let got = ref [] in
   Fiber.spawn w.World.engine (fun () ->
-      let src, msg = Mailbox.recv (Net.inbox w.World.net 1) in
-      got := (src, msg) :: !got);
+      let src, frame = Mailbox.recv (Net.inbox w.World.net 1) in
+      got := (src, Net.Frame.bytes frame) :: !got);
   Net.send w.World.net ~src:0 ~dst:1 "hi";
   World.run w;
   Alcotest.(check (list (pair int string))) "delivered" [ (0, "hi") ] !got
@@ -151,8 +175,8 @@ let test_corruption_window () =
   Fiber.spawn w.World.engine (fun () ->
       let rec loop k =
         if k > 0 then begin
-          let _, m = Mailbox.recv (Net.inbox w.World.net 1) in
-          got := m :: !got;
+          let _, frame = Mailbox.recv (Net.inbox w.World.net 1) in
+          got := Net.Frame.bytes frame :: !got;
           loop (k - 1)
         end
       in
@@ -172,8 +196,8 @@ let test_corruption_window () =
   Net.set_corrupt w.World.net ~node:0 0.0;
   let clean = ref None in
   Fiber.spawn w.World.engine (fun () ->
-      let _, m = Mailbox.recv (Net.inbox w.World.net 1) in
-      clean := Some m);
+      let _, frame = Mailbox.recv (Net.inbox w.World.net 1) in
+      clean := Some (Net.Frame.bytes frame));
   Net.send w.World.net ~src:0 ~dst:1 payload;
   World.run w;
   Alcotest.(check (option string)) "window closed" (Some payload) !clean
@@ -183,8 +207,8 @@ let test_corruption_self_exempt () =
   Net.set_corrupt w.World.net ~node:0 1.0;
   let got = ref None in
   Fiber.spawn w.World.engine (fun () ->
-      let _, m = Mailbox.recv (Net.inbox w.World.net 0) in
-      got := Some m);
+      let _, frame = Mailbox.recv (Net.inbox w.World.net 0) in
+      got := Some (Net.Frame.bytes frame));
   Net.send w.World.net ~src:0 ~dst:0 "loopback";
   World.run w;
   Alcotest.(check (option string)) "self-delivery intact" (Some "loopback")
@@ -215,6 +239,68 @@ let test_byte_accounting () =
   Alcotest.(check int) "bytes_out sums links (incl. loopback)" 1500
     (Net.bytes_out w.World.net ~node:0)
 
+let test_broadcast_decodes_once () =
+  (* One broadcast is one frame: its decode runs at the first receiver
+     and every other receiver reads the same result. *)
+  let w, calls =
+    make_counting_world ~key:(fun _ -> "main") ~encode:string_of_int
+      ~decode:int_of_string_opt 4
+  in
+  let got = collect w ~key:"main" in
+  Net.broadcast w.World.net ~src:2 "42";
+  World.run w;
+  Alcotest.(check int) "one decode for four receivers" 1 !calls;
+  Array.iteri
+    (fun i g ->
+      Alcotest.(check (list int)) (Printf.sprintf "node %d" i) [ 42 ] !g)
+    got
+
+let test_corrupt_links_decode_apart () =
+  (* Every wire copy of node 0's broadcast is corrupted; each mutant is
+     a fresh frame, decoded on its own and rejected by the envelope
+     CRC at its receiver, while node 0's self-delivery of the same
+     broadcast arrives intact. *)
+  let module Msg = Fl_fireledger.Msg in
+  let w, calls =
+    make_counting_world ~key:Msg.key ~encode:Msg.encode ~decode:Msg.decode 4
+  in
+  let got = collect w ~key:(Msg.key (Msg.Req { round = 0 })) in
+  Net.set_corrupt w.World.net ~node:0 1.0;
+  Net.broadcast w.World.net ~src:0 (Msg.encode (Msg.Req { round = 5 }));
+  World.run w;
+  Alcotest.(check int) "three link copies corrupted" 3
+    (Net.messages_corrupted w.World.net);
+  Alcotest.(check int) "intact frame + three mutants decoded" 4 !calls;
+  Alcotest.(check bool) "self-delivery intact" true
+    (match !(got.(0)) with [ Msg.Req { round = 5 } ] -> true | _ -> false);
+  Alcotest.(check int) "sender's hub saw nothing malformed" 0
+    (Hub.malformed (World.hub w 0));
+  for i = 1 to 3 do
+    Alcotest.(check int) (Printf.sprintf "node %d malformed" i) 1
+      (Hub.malformed (World.hub w i));
+    Alcotest.(check int) (Printf.sprintf "node %d delivered" i) 0
+      (List.length !(got.(i)))
+  done
+
+let test_garbage_counted_per_hub () =
+  (* A garbage frame broadcast once is decoded once, yet every hub that
+     receives it counts it: per-receiver decode-error counters keep
+     their meaning. *)
+  let w, calls =
+    make_counting_world ~key:(fun _ -> "main") ~encode:string_of_int
+      ~decode:int_of_string_opt 4
+  in
+  let got = collect w ~key:"main" in
+  Net.broadcast w.World.net ~src:1 "not-a-number";
+  World.run w;
+  Alcotest.(check int) "decoded once" 1 !calls;
+  for i = 0 to 3 do
+    Alcotest.(check int) (Printf.sprintf "node %d malformed" i) 1
+      (Hub.malformed (World.hub w i));
+    Alcotest.(check int) (Printf.sprintf "node %d delivered" i) 0
+      (List.length !(got.(i)))
+  done
+
 let suite =
   [ Alcotest.test_case "delivery" `Quick test_delivery;
     Alcotest.test_case "broadcast" `Quick test_broadcast_reaches_all;
@@ -224,6 +310,12 @@ let suite =
     Alcotest.test_case "hub buffers future channels" `Quick
       test_hub_buffers_future;
     Alcotest.test_case "hub drops malformed" `Quick test_hub_drops_malformed;
+    Alcotest.test_case "broadcast decodes once" `Quick
+      test_broadcast_decodes_once;
+    Alcotest.test_case "corrupted link copies decode apart" `Quick
+      test_corrupt_links_decode_apart;
+    Alcotest.test_case "garbage counted by every hub" `Quick
+      test_garbage_counted_per_hub;
     Alcotest.test_case "corruption window" `Quick test_corruption_window;
     Alcotest.test_case "corruption exempts self" `Quick
       test_corruption_self_exempt;

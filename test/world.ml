@@ -2,8 +2,9 @@
    with one network instance and per-node hubs/CPUs. The network
    carries framed byte strings, so a world is built around a message
    codec: [encode] is used by channels at the send boundary, [decode]
-   by each node's hub dispatcher (malformed frames are dropped and
-   counted, never delivered). Hubs are created lazily — a hub's
+   by the network, once per frame, with the result shared by every
+   receiver of that frame (each hub still drops and counts the
+   malformed frames it receives). Hubs are created lazily — a hub's
    dispatcher fiber consumes the node's inbox, so tests that read
    inboxes directly must not trigger them. *)
 
@@ -15,11 +16,10 @@ type 'm t = {
   rng : Rng.t;
   recorder : Fl_metrics.Recorder.t;
   nics : Nic.t array;
-  net : Net.t;
+  net : 'm Net.t;
   hubs : 'm Hub.t option array;
   hub_key : 'm -> string;
   encode : 'm -> string;
-  decode : string -> 'm option;
   cpus : Cpu.t array;
   n : int;
   f : int;
@@ -30,7 +30,9 @@ let make ?(seed = 42) ?(latency = Latency.single_dc) ?(cores = 4) ~n ~key
   let engine = Engine.create () in
   let rng = Rng.create seed in
   let nics = Array.init n (fun _ -> Nic.create ~bandwidth_bps:Nic.ten_gbps) in
-  let net = Net.create engine (Rng.named_split rng "net") ~nics ~latency in
+  let net =
+    Net.create engine (Rng.named_split rng "net") ~nics ~latency ~decode
+  in
   let cpus = Array.init n (fun _ -> Cpu.create engine ~cores) in
   { engine;
     rng;
@@ -40,7 +42,6 @@ let make ?(seed = 42) ?(latency = Latency.single_dc) ?(cores = 4) ~n ~key
     hubs = Array.make n None;
     hub_key = key;
     encode;
-    decode;
     cpus;
     n;
     f = (n - 1) / 3 }
@@ -50,8 +51,7 @@ let hub w node =
   | Some h -> h
   | None ->
       let h =
-        Hub.create w.engine ~inbox:(Net.inbox w.net node) ~decode:w.decode
-          ~key:w.hub_key ()
+        Hub.create w.engine ~inbox:(Net.inbox w.net node) ~key:w.hub_key ()
       in
       w.hubs.(node) <- Some h;
       h

@@ -525,6 +525,90 @@ let run_check ~tolerance ~baseline_path measured =
   print_string (Compare.render report);
   Compare.passed report
 
+(* ---------- host-work ledger ---------- *)
+
+(* A smoke-size Figure 12 cell: n = 7 with equivocators 1 and 4, ~1
+   sim-s, so blocks are adopted through recovery — versions over PBFT,
+   panic proofs and fork evidence over Bracha. The simulator is
+   deterministic, so the host work this cell does is exact: it pins
+   the events run and the SHA-256, envelope-encode and envelope-decode
+   call counts at equality. Allocated words are not pinned; they
+   differ between OCaml versions. `--json` writes the pin next to the
+   BENCH files; `--check DIR` compares against DIR's pin. *)
+let work_file = "WORK_byzantine.json"
+
+let work_byzantine () =
+  let module S = Fl_harness.Settings in
+  let module Prof = Fl_prof.Prof in
+  let s =
+    { (S.flo ~n:7 ~workers:1 ~batch:100 ~tx_size:512) with
+      S.seed = 1;
+      warmup = Fl_sim.Time.ms 200;
+      duration = Fl_sim.Time.ms 800;
+      faults = { S.no_faults with S.byzantine = [ 1; 4 ] } }
+  in
+  let c = S.build_flo s in
+  let engine = c.Fl_flo.Cluster.engine in
+  let ev0 = Fl_sim.Engine.processed engine in
+  Prof.enable ();
+  let r =
+    Fun.protect ~finally:Prof.disable (fun () -> S.run_cluster s c)
+  in
+  let calls sub =
+    (List.find (fun st -> st.Prof.p_sub = sub) (Prof.stats ())).Prof.p_calls
+  in
+  if r.S.rps <= 0. then failwith "work cell: no recovery ran";
+  [ ("sim.events", Fl_sim.Engine.processed engine - ev0);
+    ("sha256_calls", calls Prof.sha256);
+    ("codec_encode_calls", calls Prof.codec_encode);
+    ("codec_decode_calls", calls Prof.codec_decode) ]
+
+let work_json counts =
+  let module J = Fl_prof.Json in
+  J.to_string
+    (J.Obj
+       [ ("cell", J.Str "byzantine n=7 eq={1,4} seed=1 warmup=200ms run=800ms");
+         ( "counts",
+           J.Obj
+             (List.map (fun (k, v) -> (k, J.Num (float_of_int v))) counts) ) ])
+
+let write_work ~dir counts =
+  let path = Filename.concat dir work_file in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (work_json counts));
+  Printf.printf "wrote %s\n%!" path
+
+(* Every pinned count must be reproduced exactly. *)
+let check_work path =
+  let module J = Fl_prof.Json in
+  let text = In_channel.with_open_text path In_channel.input_all in
+  let pinned =
+    match J.of_string text with
+    | Ok json -> (
+        match J.member "counts" json with
+        | Some (J.Obj kvs) ->
+            List.filter_map
+              (fun (k, v) -> Option.map (fun f -> (k, int_of_float f)) (J.to_float v))
+              kvs
+        | _ -> [])
+    | Error e ->
+        Printf.eprintf "bench: %s: %s\n" path e;
+        exit 2
+  in
+  if pinned = [] then begin
+    Printf.eprintf "bench: %s pins no counts\n" path;
+    exit 2
+  end;
+  let current = work_byzantine () in
+  Printf.printf "host-work ledger %s:\n" path;
+  List.fold_left
+    (fun ok (k, want) ->
+      let got = Option.value (List.assoc_opt k current) ~default:(-1) in
+      Printf.printf "  %-20s pinned %10d  now %10d  %s\n" k want got
+        (if got = want then "ok" else "CHANGED");
+      ok && got = want)
+    true pinned
+
 (* ---------- entry point ---------- *)
 
 let () =
@@ -598,11 +682,22 @@ let () =
     if need_micro then measure_all ~quota ~handicaps:!handicaps else []
   in
   if not !skip_micro then print_micro measured;
-  if !json then write_json ~dir:!out_dir ~mode_name measured;
+  if !json then begin
+    write_json ~dir:!out_dir ~mode_name measured;
+    write_work ~dir:!out_dir (work_byzantine ())
+  end;
   let check_ok =
     match !check_path with
     | None -> true
     | Some p -> run_check ~tolerance:!tol ~baseline_path:p measured
+  in
+  let work_ok =
+    match !check_path with
+    | Some p
+      when Sys.is_directory p
+           && Sys.file_exists (Filename.concat p work_file) ->
+        check_work (Filename.concat p work_file)
+    | _ -> true
   in
   (* `--json` / `--check` invocations are CI bench runs: skip the (much
      slower) experiment grid unless ids are named explicitly. *)
@@ -619,4 +714,4 @@ let () =
           if not (Fl_harness.Experiments.run_by_id id mode) then
             Printf.eprintf "unknown experiment %S\n" id)
         ids);
-  if not check_ok then exit 1
+  if not (check_ok && work_ok) then exit 1

@@ -3,19 +3,18 @@ type t = { header : Header.t; txs : Tx.t array }
 let genesis_hash = Fl_crypto.Sha256.digest "fireledger-genesis"
 
 let body_hash txs =
-  let ctx = Fl_crypto.Sha256.init () in
   let buf = Bytes.create 16 in
-  Array.iter
-    (fun tx ->
-      if tx.Tx.payload = "" then begin
-        (* synthetic commitment packed in place: id + size *)
-        Bytes.set_int64_le buf 0 (Int64.of_int tx.Tx.id);
-        Bytes.set_int64_le buf 8 (Int64.of_int tx.Tx.size);
-        Fl_crypto.Sha256.feed_bytes ctx buf
-      end
-      else Fl_crypto.Sha256.feed_string ctx (Tx.digest tx))
-    txs;
-  Fl_crypto.Sha256.finalize ctx
+  Fl_crypto.Sha256.digest_with (fun ctx ->
+      Array.iter
+        (fun tx ->
+          if tx.Tx.payload = "" then begin
+            (* synthetic commitment packed in place: id + size *)
+            Bytes.set_int64_le buf 0 (Int64.of_int tx.Tx.id);
+            Bytes.set_int64_le buf 8 (Int64.of_int tx.Tx.size);
+            Fl_crypto.Sha256.feed_bytes ctx buf
+          end
+          else Fl_crypto.Sha256.feed_string ctx (Tx.digest tx))
+        txs)
 
 let create ~round ~proposer ~prev_hash txs =
   let body_size = Array.fold_left (fun acc tx -> acc + tx.Tx.size) 0 txs in

@@ -175,11 +175,10 @@ type 'a t = {
 }
 
 let batch_digest config batch =
-  let ctx = Fl_crypto.Sha256.init () in
-  List.iter
-    (fun p -> Fl_crypto.Sha256.feed_string ctx (config.payload_digest p))
-    batch;
-  Fl_crypto.Sha256.finalize ctx
+  Fl_crypto.Sha256.digest_with (fun ctx ->
+      List.iter
+        (fun p -> Fl_crypto.Sha256.feed_string ctx (config.payload_digest p))
+        batch)
 
 let leader_of t view = view mod t.channel.Channel.n
 let is_leader t = leader_of t t.view = t.channel.Channel.self

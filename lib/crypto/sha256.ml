@@ -146,6 +146,27 @@ let digest s =
   end
   else digest_impl s
 
+(* The streaming form under the same bracket: [feed] absorbs into a
+   fresh context, so a digest over many pieces (a block body's tx
+   commitments, a batch of payload digests) is one attributed call. *)
+let digest_with feed =
+  let run () =
+    let t = init () in
+    feed t;
+    finalize t
+  in
+  if !Fl_prof.Prof.on then begin
+    Fl_prof.Prof.enter Fl_prof.Prof.sha256;
+    match run () with
+    | r ->
+        Fl_prof.Prof.leave ();
+        r
+    | exception e ->
+        Fl_prof.Prof.leave ();
+        raise e
+  end
+  else run ()
+
 let digest_bytes_impl b =
   let t = init () in
   feed_bytes t b;

@@ -23,6 +23,12 @@ val finalize : t -> string
 val digest : string -> string
 (** One-shot digest of a string. *)
 
+val digest_with : (t -> unit) -> string
+(** [digest_with feed] runs [feed] on a fresh context and returns its
+    digest — the incremental interface as one call, attributed to
+    [Fl_prof]'s sha256 frame like {!digest}. [feed] must not suspend
+    the calling fiber. *)
+
 val digest_bytes : bytes -> string
 (** One-shot digest of a byte buffer. *)
 

@@ -10,7 +10,9 @@ open Fl_wire
 type t =
   | Body of { body_hash : string; txs : Tx.t array; ttl : int }
       (** background block-body dissemination (§6.1.1); [ttl] > 0
-          asks receivers to keep gossiping the body *)
+          asks receivers to keep gossiping the body. [body_hash] must
+          be [Block.body_hash txs]: the decoder rejects a frame whose
+          hash does not commit to its txs *)
   | Push of { proposal : Types.proposal }
       (** WRB direct broadcast (Algorithm 1, line 3) *)
   | Ob of { era : int; round : int; attempt : int; m : ob_payload Obbc.msg }
@@ -121,6 +123,10 @@ let read tag r =
       let body_hash = Codec.Reader.raw r 32 in
       let txs = Serial.decode_txs r in
       let ttl = Codec.Reader.varint r in
+      (* Checked once per frame, so every receiver can key the body by
+         [body_hash] without hashing it again. *)
+      if not (String.equal body_hash (Block.body_hash txs)) then
+        raise (Codec.Malformed "body: hash does not commit to txs");
       Body { body_hash; txs; ttl }
   | 1 -> Push { proposal = Types.read_proposal r }
   | 2 ->
@@ -159,6 +165,3 @@ let decode_sub s ~pos ~len = Msg_codec.decode_frame_sub read s ~pos ~len
 (* Observationally [decode (String.sub s pos len)] without the copy —
    the receive path decoding one frame out of a batched buffer. Any
    [Slice.t] payload in the result borrows [s]. *)
-
-let size m = String.length (encode m)
-(* Wire bytes of a message — by construction, [encode]'s length. *)

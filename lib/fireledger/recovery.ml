@@ -14,8 +14,7 @@ let version_box t r =
 let own_version t r =
   let f = f_of t in
   let s = max 0 (r - (f + 1)) in
-  if t.round < r - 1 then
-    { Types.recovery_round = r; origin = me t; blocks = [] }
+  if t.round < r - 1 then Types.make_version ~recovery_round:r ~origin:(me t) []
   else
     let blocks =
       Store.sub t.store ~from:s
@@ -26,7 +25,7 @@ let own_version t r =
              | Some sh -> Some (b, sh.Types.signature)
              | None -> None)
     in
-    { Types.recovery_round = r; origin = me t; blocks }
+    Types.make_version ~recovery_round:r ~origin:(me t) blocks
 
 let recovery t r =
   incr_c t "recoveries";
@@ -201,7 +200,7 @@ let prove_inconsistency t (later : Types.signed_header) =
   | Some earlier
     when not (Hashtbl.mem t.handled_recoveries later.Types.header.Header.round)
     ->
-      let proof = { Types.later; earlier } in
+      let proof = Types.make_proof ~later ~earlier in
       incr_c t "proofs_generated";
       obs_instant t ~name:"proof" ~round:t.round
         ~args:

@@ -76,7 +76,14 @@ let read_proposal r =
   in
   { sh; body }
 
-type proof = { later : signed_header; earlier : signed_header }
+type proof = { later : signed_header; earlier : signed_header; digest : string }
+
+let make_proof ~later ~earlier =
+  { later;
+    earlier;
+    digest =
+      Fl_crypto.Sha256.digest
+        (encode_signed_header later ^ encode_signed_header earlier) }
 
 let write_proof w p =
   write_signed_header w p.later;
@@ -85,7 +92,7 @@ let write_proof w p =
 let read_proof r =
   let later = read_signed_header r in
   let earlier = read_signed_header r in
-  { later; earlier }
+  make_proof ~later ~earlier
 
 let proof_round p = p.later.header.Header.round
 
@@ -97,23 +104,43 @@ let proof_valid registry p =
        (String.equal p.later.header.Header.prev_hash
           (Header.hash p.earlier.header))
 
-let proof_digest p =
-  Fl_crypto.Sha256.digest
-    (encode_signed_header p.later ^ encode_signed_header p.earlier)
+let proof_digest p = p.digest
 
 type evidence = {
   accused : int;
   first : signed_header;
   second : signed_header;
+  digest : string;
 }
+
+let write_evidence_fields w ~accused ~first ~second =
+  Codec.Writer.varint w accused;
+  write_signed_header w first;
+  write_signed_header w second
+
+let write_evidence w e =
+  write_evidence_fields w ~accused:e.accused ~first:e.first ~second:e.second
+
+(* Detached framing for evidence objects stored or relayed outside a
+   protocol message — same envelope format as every other frame. *)
+let evidence_tag = 0x45
+
+(* The digest is over the detached frame, so it is sealed once here,
+   when the value is built or decoded, and never again per receiver. *)
+let evidence_of ~accused ~first ~second =
+  let frame =
+    Envelope.seal ~tag:evidence_tag (fun w ->
+        write_evidence_fields w ~accused ~first ~second)
+  in
+  { accused; first; second; digest = Fl_crypto.Sha256.digest frame }
 
 (* Canonical form: order the conflicting pair by header hash so the
    same conflict always digests identically no matter which side was
    seen first. *)
 let make_evidence ~accused sha shb =
   if String.compare (Header.hash sha.header) (Header.hash shb.header) <= 0
-  then { accused; first = sha; second = shb }
-  else { accused; first = shb; second = sha }
+  then evidence_of ~accused ~first:sha ~second:shb
+  else evidence_of ~accused ~first:shb ~second:sha
 
 (* Provable equivocation. An honest FireLedger proposer signs at most
    one header per (round, prev_hash) slot: re-proposals after a failed
@@ -133,20 +160,13 @@ let evidence_valid registry e =
   && signed_header_valid registry e.first
   && signed_header_valid registry e.second
 
-let write_evidence w e =
-  Codec.Writer.varint w e.accused;
-  write_signed_header w e.first;
-  write_signed_header w e.second
-
+(* The decoder keeps the wire order: a pair that is not canonical must
+   still reach [evidence_valid] and fail there. *)
 let read_evidence r =
   let accused = Codec.Reader.varint r in
   let first = read_signed_header r in
   let second = read_signed_header r in
-  { accused; first; second }
-
-(* Detached framing for evidence objects stored or relayed outside a
-   protocol message — same envelope format as every other frame. *)
-let evidence_tag = 0x45
+  evidence_of ~accused ~first ~second
 
 let encode_evidence e = Envelope.seal ~tag:evidence_tag (fun w -> write_evidence w e)
 
@@ -159,13 +179,34 @@ let decode_evidence s =
   | result -> result
   | exception (Codec.Reader.Underflow | Codec.Malformed _) -> None
 
-let evidence_digest e = Fl_crypto.Sha256.digest (encode_evidence e)
+let evidence_digest e = e.digest
 
 type version = {
   recovery_round : int;
   origin : int;
   blocks : (Block.t * string) list;
+  hashes : string list;
+  digest : string;
+  mutable soundness : soundness;
 }
+
+and soundness =
+  | Unchecked
+  | Checked of { registry : Fl_crypto.Signature.registry; sound : bool }
+
+let make_version ~recovery_round ~origin blocks =
+  let hashes = List.map (fun (b, _) -> Block.hash b) blocks in
+  let digest =
+    Fl_crypto.Sha256.digest_with (fun ctx ->
+        Fl_crypto.Sha256.feed_string ctx
+          (Printf.sprintf "v:%d:%d" recovery_round origin);
+        List.iter2
+          (fun h (_, s) ->
+            Fl_crypto.Sha256.feed_string ctx h;
+            Fl_crypto.Sha256.feed_string ctx s)
+          hashes blocks)
+  in
+  { recovery_round; origin; blocks; hashes; digest; soundness = Unchecked }
 
 let version_tip v =
   match List.rev v.blocks with
@@ -192,17 +233,9 @@ let read_version r =
         let s = Codec.Reader.bytes r in
         (b, s))
   in
-  { recovery_round; origin; blocks }
+  make_version ~recovery_round ~origin blocks
 
-let version_digest v =
-  let ctx = Fl_crypto.Sha256.init () in
-  Fl_crypto.Sha256.feed_string ctx (Printf.sprintf "v:%d:%d" v.recovery_round v.origin);
-  List.iter
-    (fun (b, s) ->
-      Fl_crypto.Sha256.feed_string ctx (Block.hash b);
-      Fl_crypto.Sha256.feed_string ctx s)
-    v.blocks;
-  Fl_crypto.Sha256.finalize ctx
+let version_digest v = v.digest
 
 type version_check = Adoptable | Unanchored | Invalid
 
@@ -225,54 +258,62 @@ let rotation_ok ~f blocks =
   done;
   !ok
 
+(* Every block's body matches its commitment and carries its
+   proposer's signature. This depends only on the version's content
+   and the registry, so the verdict is kept on the value: the
+   receivers of one decoded frame share it, and a different registry
+   recomputes it. *)
+let blocks_sound registry v =
+  match v.soundness with
+  | Checked c when c.registry == registry -> c.sound
+  | Unchecked | Checked _ ->
+      let sound =
+        List.for_all
+          (fun (b, s) ->
+            let h = b.Block.header in
+            Block.body_matches b
+            && Fl_crypto.Signature.verify registry ~signer:h.Header.proposer
+                 ~msg:(Header.encode h) s)
+          v.blocks
+      in
+      v.soundness <- Checked { registry; sound };
+      sound
+
 let validate_version registry ~f ~n ~anchor v =
-  if v.blocks = [] then Adoptable
-  else begin
-    let expected_start = max 0 (v.recovery_round - (f + 1)) in
-    let rec structure prev_round acc = function
-      | [] -> Some (List.rev acc)
-      | (b, s) :: rest ->
-          let h = b.Block.header in
-          if
+  match v.blocks with
+  | [] -> Adoptable
+  | (first, _) :: _ ->
+      let expected_start = max 0 (v.recovery_round - (f + 1)) in
+      (* Consecutive rounds from [expected_start], by in-range
+         proposers. *)
+      let rec shaped prev_round = function
+        | [] -> true
+        | (b, _) :: rest ->
+            let h = b.Block.header in
             h.Header.round = prev_round + 1
             && h.Header.proposer >= 0
             && h.Header.proposer < n
-            && Block.body_matches b
-            && Fl_crypto.Signature.verify registry ~signer:h.Header.proposer
-                 ~msg:(Header.encode h) s
-          then structure h.Header.round ((b, s) :: acc) rest
-          else None
-    in
-    match v.blocks with
-    | (first, _) :: _ when first.Block.header.Header.round = expected_start
-      -> (
-        match structure (expected_start - 1) [] v.blocks with
-        | None -> Invalid
-        | Some blocks ->
-            (* Internal hash links. *)
-            let linked =
-              let rec go prev_hash = function
-                | [] -> true
-                | (b, _) :: rest ->
-                    (match prev_hash with
-                    | None -> true
-                    | Some ph ->
-                        String.equal b.Block.header.Header.prev_hash ph)
-                    && go (Some (Block.hash b)) rest
-              in
-              go None blocks
-            in
-            if not (linked && rotation_ok ~f blocks) then Invalid
-            else
-              (* Anchor the first block to our agreed prefix. *)
-              let first_block, _ = List.hd blocks in
-              match anchor (expected_start - 1) with
-              | None -> Unanchored
-              | Some prev_hash ->
-                  if
-                    String.equal first_block.Block.header.Header.prev_hash
-                      prev_hash
-                  then Adoptable
-                  else Invalid)
-    | _ -> Invalid
-  end
+            && shaped h.Header.round rest
+      in
+      (* Internal hash links. *)
+      let rec linked blocks hashes =
+        match (blocks, hashes) with
+        | _ :: ((b, _) :: _ as rest), h :: hs ->
+            String.equal b.Block.header.Header.prev_hash h && linked rest hs
+        | _ -> true
+      in
+      if
+        not
+          (shaped (expected_start - 1) v.blocks
+          && linked v.blocks v.hashes
+          && rotation_ok ~f v.blocks
+          && blocks_sound registry v)
+      then Invalid
+      else
+        (* Anchor the first block to our agreed prefix. *)
+        match anchor (expected_start - 1) with
+        | None -> Unanchored
+        | Some prev_hash ->
+            if String.equal first.Block.header.Header.prev_hash prev_hash
+            then Adoptable
+            else Invalid

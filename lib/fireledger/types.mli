@@ -41,11 +41,28 @@ type proposal = { sh : signed_header; body : Tx.t array option }
 val write_proposal : Fl_wire.Codec.Writer.t -> proposal -> unit
 val read_proposal : Fl_wire.Codec.Reader.t -> proposal
 
-type proof = { later : signed_header; earlier : signed_header }
+(** {2 Derived fields}
+
+    Proofs, evidence and versions are immutable wire values that many
+    receivers share once decoded ({!Fl_net.Net.Frame}). Facts derived
+    from their content — digests, block hashes, the per-block soundness
+    verdict — are fields of the value: computed once, by the one
+    constructor or the decoder, never written to the wire, and a
+    function of the content only. The types are [private], so no value
+    can carry a stale digest. Every simulated [Cpu.charge] for checking
+    them stays with each receiver. *)
+
+type proof = private {
+  later : signed_header;
+  earlier : signed_header;
+  digest : string;  (** derived: {!proof_digest} *)
+}
 (** Evidence of chain inconsistency: two properly signed headers at
     consecutive rounds where [later.prev_hash] does not extend
     [earlier] (Algorithm 2, line b6). Anyone can check it; its
     existence convicts one of the two proposers. *)
+
+val make_proof : later:signed_header -> earlier:signed_header -> proof
 
 val write_proof : Fl_wire.Codec.Writer.t -> proof -> unit
 val read_proof : Fl_wire.Codec.Reader.t -> proof
@@ -56,11 +73,13 @@ val proof_round : proof -> int
 val proof_valid : Fl_crypto.Signature.registry -> proof -> bool
 
 val proof_digest : proof -> string
+(** SHA-256 over both signed headers' canonical encodings. *)
 
-type evidence = {
+type evidence = private {
   accused : int;
   first : signed_header;  (** lower header hash of the pair *)
   second : signed_header;
+  digest : string;  (** derived: {!evidence_digest} *)
 }
 (** Fork-accountability evidence: two valid headers signed by
     [accused] for the same (round, prev_hash) slot with different
@@ -79,23 +98,40 @@ val make_evidence :
 val evidence_valid : Fl_crypto.Signature.registry -> evidence -> bool
 
 val write_evidence : Fl_wire.Codec.Writer.t -> evidence -> unit
+
 val read_evidence : Fl_wire.Codec.Reader.t -> evidence
+(** Keeps the wire order of the pair, canonical or not. *)
 
 val encode_evidence : evidence -> string
 (** Detached, enveloped frame (version/tag/CRC header) — the form
     evidence is stored or relayed in outside a protocol message. *)
 
 val decode_evidence : string -> evidence option
-val evidence_digest : evidence -> string
 
-type version = {
+val evidence_digest : evidence -> string
+(** SHA-256 of {!encode_evidence}. *)
+
+type version = private {
   recovery_round : int;
   origin : int;
   blocks : (Block.t * string) list;  (** oldest first, each signed *)
+  hashes : string list;  (** derived: [Block.hash] of each block *)
+  digest : string;  (** derived: {!version_digest} *)
+  mutable soundness : soundness;
+      (** memo of the per-block check in {!validate_version}; not
+          content, so compare versions before validating them *)
 }
 (** A node's candidate suffix for the recovery procedure (Algorithm 3):
     its blocks from round [recovery_round − (f+1)] to its tip. An
     empty [blocks] is the "empty version" of a lagging node. *)
+
+and soundness
+(** Whether every block's body matches its commitment and carries its
+    proposer's signature, and under which key registry that was
+    found. *)
+
+val make_version :
+  recovery_round:int -> origin:int -> (Block.t * string) list -> version
 
 val version_tip : version -> int
 (** Round of the version's last block; −1 when empty. *)
@@ -107,6 +143,8 @@ val write_version : Fl_wire.Codec.Writer.t -> version -> unit
 val read_version : Fl_wire.Codec.Reader.t -> version
 
 val version_digest : version -> string
+(** SHA-256 over the recovery round, the origin and each block's hash
+    and signature. *)
 
 type version_check = Adoptable | Unanchored | Invalid
 
@@ -124,4 +162,8 @@ val validate_version :
     prefix ([anchor r] returns the hash of our round-r block, or the
     genesis hash for r = −1). [Unanchored] means internally consistent
     but starting beyond our chain (we lag too far to verify or adopt
-    it). Empty versions are [Adoptable]. *)
+    it). Empty versions are [Adoptable].
+
+    Body commitments and signatures are checked once per value and
+    registry; the other checks depend on [f], [n] and [anchor] and run
+    on every call. *)

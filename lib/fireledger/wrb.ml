@@ -6,15 +6,20 @@ open State
 
 (* ---------- bodies ---------- *)
 
-let store_body t txs ~at =
-  let bytes = body_bytes txs in
-  charge_hash t ~bytes;
-  let bh = Block.body_hash txs in
+(* [bh] is [Block.body_hash txs]: computed by the caller, or checked
+   by the decoder of a received [Body] frame. The simulated hash is
+   charged here, at every receiver, either way. *)
+let store_body_hashed t txs ~bh ~at =
+  charge_hash t ~bytes:(body_bytes txs);
   if not (Hashtbl.mem t.bodies bh) then begin
     Hashtbl.replace t.bodies bh txs;
     Hashtbl.replace t.body_arrival bh at;
     pulse_fill t
-  end;
+  end
+
+let store_body t txs ~at =
+  let bh = Block.body_hash txs in
+  store_body_hashed t txs ~bh ~at;
   bh
 
 let synth_tx t =
@@ -565,9 +570,9 @@ let spawn_fibers t =
       let box = Hub.box hub "body" in
       while true do
         match Mailbox.recv box with
-        | _src, Msg.Body { txs; ttl; _ } ->
-            let fresh = not (Hashtbl.mem t.bodies (Block.body_hash txs)) in
-            let bh = store_body t txs ~at:(now t) in
+        | _src, Msg.Body { body_hash = bh; txs; ttl } ->
+            let fresh = not (Hashtbl.mem t.bodies bh) in
+            store_body_hashed t txs ~bh ~at:(now t);
             (match t.config.Config.dissemination with
             | Config.Gossip fanout when fresh && ttl > 0 ->
                 multicast t ~dsts:(gossip_peers t fanout)

@@ -1,25 +1,26 @@
 (* Pooled writers — the per-message encode fast path.
 
-   Every wire message is encoded exactly once; a naive fresh
-   [Writer.create] per encode makes the allocator the hot path at
-   high message rates. [with_writer] hands out a cleared writer from a
-   small free list and returns it afterwards, so steady-state encoding
-   allocates only the final [contents] string (plus buffer growth on
-   the occasional outsized message, which is released again on
-   return). Deterministic (no RNG, a pooled writer is always handed
-   out cleared) and domain-safe: the free list is domain-local state
-   ([Domain.DLS]), so parallel sweep shards never share a writer or
-   contend on the pool. Nesting within a domain is safe because the
-   pool is a stack. *)
+   A naive fresh [Writer.create] per encode makes the allocator the
+   hot path at high message rates. [with_writer] hands out a cleared
+   writer from a small free list and returns it afterwards, so
+   steady-state encoding allocates only the final [contents] string.
+   A returned writer keeps the storage it grew, up to [retain_bytes]:
+   recovery versions (~210 KB frames) then reuse one buffer instead of
+   regrowing from 512 B on every encode. Deterministic (no RNG, a
+   pooled writer is always handed out cleared) and domain-safe: the
+   free list is domain-local state ([Domain.DLS]), so parallel sweep
+   shards never share a writer or contend on the pool. Nesting within
+   a domain is safe because the pool is a stack. *)
 
 type pool = { mutable free : Codec.Writer.t list; mutable count : int }
 
 let key = Domain.DLS.new_key (fun () -> { free = []; count = 0 })
 let max_pooled = 8
 
-(* A message much larger than this (a full block body) would pin its
-   grown buffer forever; release the storage instead. *)
-let retain_bytes = 1 lsl 16
+(* A writer whose storage grew past this releases it on return, so
+   one outsized frame cannot pin memory: the pool holds at most
+   [max_pooled * retain_bytes] = 8 MiB per domain. *)
+let retain_bytes = 1 lsl 20
 
 let acquire () =
   let p = Domain.DLS.get key in
@@ -33,7 +34,8 @@ let acquire () =
 let release w =
   let p = Domain.DLS.get key in
   if p.count < max_pooled then begin
-    if Codec.Writer.length w > retain_bytes then Codec.Writer.reset w
+    if Bytes.length (Codec.Writer.unsafe_bytes w) > retain_bytes then
+      Codec.Writer.reset w
     else Codec.Writer.clear w;
     p.free <- w :: p.free;
     p.count <- p.count + 1

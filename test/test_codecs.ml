@@ -61,7 +61,14 @@ let gen_proof =
   QCheck.Gen.(
     let* later = gen_signed_header in
     let+ earlier = gen_signed_header in
-    { Types.later; earlier })
+    Types.make_proof ~later ~earlier)
+
+let gen_evidence =
+  QCheck.Gen.(
+    let* accused = int_range 0 3 in
+    let* a = gen_signed_header in
+    let+ b = gen_signed_header in
+    Types.make_evidence ~accused a b)
 
 let gen_version =
   QCheck.Gen.(
@@ -73,7 +80,7 @@ let gen_version =
          let signer = b.Block.header.Header.proposer in
          (b, Fl_crypto.Signature.sign registry ~signer (Block.hash b)))
     in
-    { Types.recovery_round; origin; blocks })
+    Types.make_version ~recovery_round ~origin blocks)
 
 let gen_bbc =
   QCheck.Gen.(
@@ -162,10 +169,9 @@ let gen_pbft =
 let gen_msg =
   QCheck.Gen.(
     oneof
-      [ (let* body_hash = gen_hash in
-         let* txs = gen_txs in
+      [ (let* txs = gen_txs in
          let+ ttl = int_range 0 3 in
-         Msg.Body { body_hash; txs; ttl });
+         Msg.Body { body_hash = Block.body_hash txs; txs; ttl });
         (let+ proposal = gen_proposal in
          Msg.Push { proposal });
         (let* era = int_range 0 3 in
@@ -185,6 +191,10 @@ let gen_msg =
          Msg.Rb (Fl_broadcast.Bracha.Send { origin; tag; payload }));
         (let+ v = gen_version in
          Msg.Ab (Fl_consensus.Pbft.Submit v));
+        (let* origin = int_range 0 3 in
+         let* tag = int_range 0 40 in
+         let+ payload = gen_evidence in
+         Msg.Evd (Fl_broadcast.Bracha.Echo { origin; tag; payload }));
         (let+ from_chunk = int_range 0 20 in
          Msg.Snap_req { from_chunk });
         (let* sid = int_range 0 5 in
@@ -285,6 +295,56 @@ let prop_proof_roundtrip =
 let prop_version_roundtrip =
   prop_inbody "codecs: version roundtrip" gen_version Types.write_version
     Types.read_version
+
+(* Derived fields: the digest a value carries equals one recomputed
+   from scratch out of its content, both as built and as decoded. *)
+let proof_digest_from_scratch p =
+  Fl_crypto.Sha256.digest
+    (Types.encode_signed_header p.Types.later
+    ^ Types.encode_signed_header p.Types.earlier)
+
+let version_digest_from_scratch v =
+  Fl_crypto.Sha256.digest
+    (String.concat ""
+       (Printf.sprintf "v:%d:%d" v.Types.recovery_round v.Types.origin
+       :: List.concat_map (fun (b, s) -> [ Block.hash b; s ]) v.Types.blocks))
+
+let decoded write read x =
+  let w = Codec.Writer.create () in
+  write w x;
+  read (Codec.Reader.of_string (Codec.Writer.contents w))
+
+let prop_derived_digests =
+  QCheck.Test.make ~name:"codecs: stored digests match recomputation"
+    ~count:200
+    (arb_of QCheck.Gen.(triple gen_proof gen_evidence gen_version))
+    (fun (p, e, v) ->
+      let proof_ok p = Types.proof_digest p = proof_digest_from_scratch p in
+      let evidence_ok e =
+        Types.evidence_digest e
+        = Fl_crypto.Sha256.digest (Types.encode_evidence e)
+      in
+      let version_ok v =
+        Types.version_digest v = version_digest_from_scratch v
+        && v.Types.hashes = List.map (fun (b, _) -> Block.hash b) v.Types.blocks
+      in
+      proof_ok p
+      && proof_ok (decoded Types.write_proof Types.read_proof p)
+      && evidence_ok e
+      && evidence_ok (decoded Types.write_evidence Types.read_evidence e)
+      && version_ok v
+      && version_ok (decoded Types.write_version Types.read_version v))
+
+let test_body_hash_checked_on_decode () =
+  let txs = Array.init 3 (fun i -> Tx.create ~id:i ~size:64) in
+  let good = Msg.Body { body_hash = Block.body_hash txs; txs; ttl = 0 } in
+  Alcotest.(check bool) "committed body decodes" true
+    (Msg.decode (Msg.encode good) = Some good);
+  let forged =
+    Msg.Body { body_hash = Fl_crypto.Sha256.digest "other"; txs; ttl = 0 }
+  in
+  Alcotest.(check bool) "uncommitted body is rejected" true
+    (Msg.decode (Msg.encode forged) = None)
 
 let prop_bbc_roundtrip =
   prop_inbody "codecs: bbc roundtrip" gen_bbc Fl_consensus.Bbc.write_msg
@@ -409,10 +469,6 @@ let test_writer_reuse_detached () =
   Alcotest.(check string) "first contents survive reuse" "first-record" first;
   Alcotest.(check string) "second contents correct" "SECOND-RECORD-LONGER"
     (Codec.Writer.contents w)
-
-let prop_msg_size_is_wire_length =
-  QCheck.Test.make ~name:"codecs: Msg.size = String.length (encode)"
-    ~count:300 arb_msg (fun m -> Msg.size m = String.length (Msg.encode m))
 
 let prop_wal_record_roundtrip =
   QCheck.Test.make ~name:"codecs: WAL record roundtrip" ~count:200
@@ -604,6 +660,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_proposal_roundtrip;
     QCheck_alcotest.to_alcotest prop_proof_roundtrip;
     QCheck_alcotest.to_alcotest prop_version_roundtrip;
+    QCheck_alcotest.to_alcotest prop_derived_digests;
+    Alcotest.test_case "body hash checked on decode" `Quick
+      test_body_hash_checked_on_decode;
     QCheck_alcotest.to_alcotest prop_bbc_roundtrip;
     QCheck_alcotest.to_alcotest prop_obbc_roundtrip;
     QCheck_alcotest.to_alcotest prop_bracha_roundtrip;
@@ -616,7 +675,6 @@ let suite =
       test_slice_aliasing_safety;
     Alcotest.test_case "writer reuse detaches taken contents" `Quick
       test_writer_reuse_detached;
-    QCheck_alcotest.to_alcotest prop_msg_size_is_wire_length;
     QCheck_alcotest.to_alcotest prop_wal_record_roundtrip;
     QCheck_alcotest.to_alcotest prop_random_bytes_rejected;
     Alcotest.test_case "overflowing sequence count rejected" `Quick

@@ -172,20 +172,21 @@ let test_proof_validity () =
   (* Consistent chain: not a proof. *)
   Alcotest.(check bool) "consistent pair is no proof" false
     (Types.proof_valid registry
-       { Types.later = signed b1_good; earlier = signed b0 });
+       (Types.make_proof ~later:(signed b1_good) ~earlier:(signed b0)));
   (* Broken link with valid signatures: a proof. *)
   Alcotest.(check bool) "broken link is a proof" true
     (Types.proof_valid registry
-       { Types.later = signed b1_bad; earlier = signed b0 });
+       (Types.make_proof ~later:(signed b1_bad) ~earlier:(signed b0)));
   (* Forged signature: rejected. *)
   let forged = { (signed b1_bad) with Types.signature = String.make 32 'x' } in
   Alcotest.(check bool) "forged sig rejected" false
-    (Types.proof_valid registry { Types.later = forged; earlier = signed b0 });
+    (Types.proof_valid registry
+       (Types.make_proof ~later:forged ~earlier:(signed b0)));
   (* Non-consecutive rounds: rejected. *)
   let b5 = mk_block ~round:5 ~proposer:1 ~prev:Block.genesis_hash in
   Alcotest.(check bool) "non-consecutive rejected" false
     (Types.proof_valid registry
-       { Types.later = signed b5; earlier = signed b0 })
+       (Types.make_proof ~later:(signed b5) ~earlier:(signed b0)))
 
 let build_chain proposers =
   let rec go round prev acc = function
@@ -208,7 +209,7 @@ let test_version_validation () =
   let f = 1 and n = 4 in
   (* Recovery for round 4: version = blocks 2..5. *)
   let suffix = List.filteri (fun i _ -> i >= 2) chain in
-  let v = { Types.recovery_round = 4; origin = 0; blocks = suffix } in
+  let v = Types.make_version ~recovery_round:4 ~origin:0 suffix in
   Alcotest.(check bool) "well-formed version adoptable" true
     (Types.validate_version registry ~f ~n ~anchor:(anchor_of chain) v
     = Types.Adoptable);
@@ -216,13 +217,13 @@ let test_version_validation () =
   (* Empty version is trivially adoptable. *)
   Alcotest.(check bool) "empty adoptable" true
     (Types.validate_version registry ~f ~n ~anchor:(anchor_of chain)
-       { Types.recovery_round = 4; origin = 1; blocks = [] }
+       (Types.make_version ~recovery_round:4 ~origin:1 [])
     = Types.Adoptable);
   (* Wrong starting round: invalid. *)
   let late = List.filteri (fun i _ -> i >= 3) chain in
   Alcotest.(check bool) "wrong start invalid" true
     (Types.validate_version registry ~f ~n ~anchor:(anchor_of chain)
-       { Types.recovery_round = 4; origin = 2; blocks = late }
+       (Types.make_version ~recovery_round:4 ~origin:2 late)
     = Types.Invalid);
   (* Unanchored: our chain lacks the anchor block. *)
   Alcotest.(check bool) "missing anchor is unanchored" true
@@ -235,10 +236,17 @@ let test_version_rejects_rotation_violation () =
   (* Same proposer twice within an f+1 window. *)
   let chain = build_chain [ 0; 1; 2; 2; 3; 0 ] in
   let suffix = List.filteri (fun i _ -> i >= 2) chain in
-  let v = { Types.recovery_round = 4; origin = 0; blocks = suffix } in
+  let v = Types.make_version ~recovery_round:4 ~origin:0 suffix in
   Alcotest.(check bool) "rotation violation invalid" true
     (Types.validate_version registry ~f:1 ~n:4 ~anchor:(anchor_of chain) v
     = Types.Invalid)
+
+(* A version as a receiver holds it: decoded from its wire bytes. *)
+let decode_version v =
+  let w = Fl_wire.Codec.Writer.create () in
+  Types.write_version w v;
+  Types.read_version
+    (Fl_wire.Codec.Reader.of_string (Fl_wire.Codec.Writer.contents w))
 
 let test_version_rejects_tampered_body () =
   let chain = build_chain [ 0; 1; 2; 3; 0; 1 ] in
@@ -249,10 +257,71 @@ let test_version_rejects_tampered_body () =
         ({ b with Block.txs = [| Tx.create ~id:999 ~size:64 |] }, s) :: rest
     | [] -> []
   in
+  let v = Types.make_version ~recovery_round:4 ~origin:0 tampered in
   Alcotest.(check bool) "tampered body invalid" true
-    (Types.validate_version registry ~f:1 ~n:4 ~anchor:(anchor_of chain)
-       { Types.recovery_round = 4; origin = 0; blocks = tampered }
-    = Types.Invalid)
+    (Types.validate_version registry ~f:1 ~n:4 ~anchor:(anchor_of chain) v
+    = Types.Invalid);
+  (* Receivers of one decoded frame share its verdict: still invalid
+     at each of them. *)
+  let shared = decode_version v in
+  for _ = 1 to 7 do
+    Alcotest.(check bool) "tampered body invalid at every receiver" true
+      (Types.validate_version registry ~f:1 ~n:4 ~anchor:(anchor_of chain)
+         shared
+      = Types.Invalid)
+  done
+
+let sha256_calls () =
+  let s =
+    List.find
+      (fun s -> s.Fl_prof.Prof.p_sub = Fl_prof.Prof.sha256)
+      (Fl_prof.Prof.stats ())
+  in
+  s.Fl_prof.Prof.p_calls
+
+let test_version_checked_once () =
+  let chain = build_chain [ 0; 1; 2; 3; 0; 1 ] in
+  let v =
+    Types.make_version ~recovery_round:4 ~origin:0
+      (List.filteri (fun i _ -> i >= 2) chain)
+  in
+  (* The anchor reads precomputed hashes, as a receiver reads its own
+     store: only the version's checks hash. *)
+  let hashes = Array.of_list (List.map (fun (b, _) -> Block.hash b) chain) in
+  let anchor r = if r < 0 then Some Block.genesis_hash else Some hashes.(r) in
+  let validate_at ~receivers v =
+    Fl_prof.Prof.enable ();
+    Fun.protect ~finally:Fl_prof.Prof.disable (fun () ->
+        for _ = 1 to receivers do
+          Alcotest.(check bool) "adoptable" true
+            (Types.validate_version registry ~f:1 ~n:4 ~anchor v
+            = Types.Adoptable)
+        done);
+    sha256_calls ()
+  in
+  let once = validate_at ~receivers:1 (decode_version v) in
+  let shared = validate_at ~receivers:7 (decode_version v) in
+  Alcotest.(check bool) "a validation hashes" true (once > 0);
+  Alcotest.(check int) "7 receivers of one decoded version hash once" once
+    shared
+
+let test_verdict_keyed_by_registry () =
+  let chain = build_chain [ 0; 1; 2; 3; 0; 1 ] in
+  let v =
+    decode_version
+      (Types.make_version ~recovery_round:4 ~origin:0
+         (List.filteri (fun i _ -> i >= 2) chain))
+  in
+  let other = Fl_crypto.Signature.create_registry ~seed:"other" ~n:4 in
+  let check registry =
+    Types.validate_version registry ~f:1 ~n:4 ~anchor:(anchor_of chain) v
+  in
+  Alcotest.(check bool) "valid under the signing registry" true
+    (check registry = Types.Adoptable);
+  Alcotest.(check bool) "not reused under another registry" true
+    (check other = Types.Invalid);
+  Alcotest.(check bool) "recomputed for the signing registry" true
+    (check registry = Types.Adoptable)
 
 let prop_chain_versions_valid =
   QCheck.Test.make ~name:"types: honest suffixes always validate" ~count:50
@@ -265,7 +334,7 @@ let prop_chain_versions_valid =
       let s = max 0 (r - 2) in
       let suffix = List.filteri (fun i _ -> i >= s) chain in
       Types.validate_version registry ~f:1 ~n:4 ~anchor:(anchor_of chain)
-        { Types.recovery_round = r; origin = 0; blocks = suffix }
+        (Types.make_version ~recovery_round:r ~origin:0 suffix)
       = Types.Adoptable)
 
 let suite =
@@ -291,4 +360,8 @@ let suite =
       test_version_rejects_rotation_violation;
     Alcotest.test_case "version tampered body" `Quick
       test_version_rejects_tampered_body;
+    Alcotest.test_case "version checked once per value" `Quick
+      test_version_checked_once;
+    Alcotest.test_case "version verdict keyed by registry" `Quick
+      test_verdict_keyed_by_registry;
     QCheck_alcotest.to_alcotest prop_chain_versions_valid ]

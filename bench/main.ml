@@ -298,10 +298,6 @@ let kernels : (string * string * (unit -> unit)) list =
         done;
         Fl_sim.Engine.run e );
     ( "substrate",
-      "substrate/merkle-1k-leaves",
-      let leaves = List.init 1000 string_of_int in
-      fun () -> ignore (Fl_crypto.Merkle.root leaves) );
-    ( "substrate",
       "substrate/wal-frame-append-reuse",
       fun () -> ignore (Fl_persist.Wal.build_frame bench_wal wal_record) );
     (* Parallel-sweep substrate: same shard work as event-queue, fanned

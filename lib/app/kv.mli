@@ -15,9 +15,6 @@ val apply : t -> Command.t -> outcome
 val get : t -> string -> string option
 val size : t -> int
 
-val bindings : t -> (string * string) list
-(** Sorted by key. *)
-
 val state_hash : t -> string
 (** SHA-256 over the sorted bindings — equal iff states are equal. *)
 

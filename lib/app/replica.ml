@@ -60,7 +60,6 @@ let apply_tx t tx =
 let deliver t (d : Fl_flo.Node.delivery) =
   Array.iter (apply_tx t) d.Fl_flo.Node.block.Fl_chain.Block.txs
 
-let kv t = t.kv_
 let get t key = Kv.get t.kv_ key
 let state_hash t = Kv.state_hash t.kv_
 let applied t = t.applied

@@ -15,7 +15,6 @@ val deliver : t -> Fl_flo.Node.delivery -> unit
     payloads and (session, seq) replays are skipped deterministically —
     every replica skips exactly the same ones. *)
 
-val kv : t -> Kv.t
 val get : t -> string -> string option
 val state_hash : t -> string
 

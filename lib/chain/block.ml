@@ -37,5 +37,3 @@ let equal a b =
   Header.equal a.header b.header
   && Array.length a.txs = Array.length b.txs
   && Array.for_all2 Tx.equal a.txs b.txs
-
-let pp fmt t = Header.pp fmt t.header

@@ -21,4 +21,3 @@ val body_matches : t -> bool
     transactions? *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -19,4 +19,3 @@ let digest t =
   end
 
 let equal a b = a.id = b.id && a.size = b.size && String.equal a.payload b.payload
-let pp fmt t = Format.fprintf fmt "tx#%d(%dB)" t.id t.size

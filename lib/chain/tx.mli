@@ -24,4 +24,3 @@ val digest : t -> string
     canonical id-derived tag otherwise. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -288,7 +288,6 @@ let accused t =
   List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) t.accused_tbl [])
 
 let evidence_count t = Hashtbl.length t.evidence
-let rescind_seen t = t.rescind_seen
 let epoch_count t = Hashtbl.length t.epochs
 let transfer_count t = t.transfers
 

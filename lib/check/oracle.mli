@@ -105,9 +105,6 @@ val accused : t -> int list
 val evidence_count : t -> int
 (** Distinct evidence objects seen across all watched nodes. *)
 
-val rescind_seen : t -> bool
-(** Whether any watched recovery actually rescinded blocks. *)
-
 val epoch_count : t -> int
 (** Successor epochs reported (canonical schedule size, genesis
     excluded). *)

@@ -56,9 +56,6 @@ let has_disk_faults t =
       | Torn_tail _ | Disk_loss _ | Fsync_stall _ -> true | _ -> false)
     t.faults
 
-let has_corrupt_faults t =
-  List.exists (function Corrupt _ -> true | _ -> false) t.faults
-
 let has_surge_faults t =
   List.exists (function Surge _ -> true | _ -> false) t.faults
 
@@ -692,5 +689,3 @@ let of_string s =
               let t = { n; f; seed; faults } in
               Result.map (fun () -> t) (validate t))
       | _ -> Error "plan header must be n=<int>,f=<int>,seed=<int>")
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -126,9 +126,6 @@ val restarted : t -> int list
 val has_disk_faults : t -> bool
 (** The plan needs a persistence-enabled cluster. *)
 
-val has_corrupt_faults : t -> bool
-(** The plan contains at least one byte-corruption window. *)
-
 val has_surge_faults : t -> bool
 (** The plan contains at least one flash-crowd window — the explorer
     then attaches an open-loop traffic source and the no-silent-drop
@@ -188,5 +185,3 @@ val to_string : t -> string
     ["n=7,f=2,seed=3;eq=1;crash=2@300/800;part=0.1|2.3@200-600;loss=4:0.30@100-500;slow=5:4.0;skew=6:2.0"]. *)
 
 val of_string : string -> (t, string) result
-
-val pp : Format.formatter -> t -> unit

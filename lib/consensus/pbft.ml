@@ -537,4 +537,3 @@ let stop t =
 let halt t = t.stopped <- true
 
 let view t = t.view
-let last_executed t = t.last_exec

@@ -20,10 +20,6 @@ let hash_cost t ~bytes =
 let sign_cost t ~bytes =
   int_of_float ((t.hash_ns_per_byte *. float_of_int bytes) +. t.sign_const_ns)
 
-let verify_cost t ~bytes =
-  int_of_float
-    ((t.hash_ns_per_byte *. float_of_int bytes) +. t.verify_const_ns)
-
 let signatures_per_second t ~payload_bytes ~cores =
   let per_sig_ns = float_of_int (sign_cost t ~bytes:payload_bytes) in
   float_of_int cores *. 1e9 /. per_sig_ns

@@ -138,12 +138,8 @@ let digest_impl s =
 (* Self-profiling bracket (Fl_prof): pure, observe-only, one
    load-and-branch when profiling is off. *)
 let digest s =
-  if !Fl_prof.Prof.on then begin
-    Fl_prof.Prof.enter Fl_prof.Prof.sha256;
-    let r = digest_impl s in
-    Fl_prof.Prof.leave ();
-    r
-  end
+  if !Fl_prof.Prof.on then
+    Fl_prof.Prof.frame Fl_prof.Prof.sha256 (fun () -> digest_impl s)
   else digest_impl s
 
 (* The streaming form under the same bracket: [feed] absorbs into a
@@ -155,31 +151,8 @@ let digest_with feed =
     feed t;
     finalize t
   in
-  if !Fl_prof.Prof.on then begin
-    Fl_prof.Prof.enter Fl_prof.Prof.sha256;
-    match run () with
-    | r ->
-        Fl_prof.Prof.leave ();
-        r
-    | exception e ->
-        Fl_prof.Prof.leave ();
-        raise e
-  end
+  if !Fl_prof.Prof.on then Fl_prof.Prof.frame Fl_prof.Prof.sha256 run
   else run ()
-
-let digest_bytes_impl b =
-  let t = init () in
-  feed_bytes t b;
-  finalize t
-
-let digest_bytes b =
-  if !Fl_prof.Prof.on then begin
-    Fl_prof.Prof.enter Fl_prof.Prof.sha256;
-    let r = digest_bytes_impl b in
-    Fl_prof.Prof.leave ();
-    r
-  end
-  else digest_bytes_impl b
 
 let hmac_impl ~key msg =
   let block_size = 64 in
@@ -200,10 +173,6 @@ let hmac_impl ~key msg =
   finalize outer
 
 let hmac ~key msg =
-  if !Fl_prof.Prof.on then begin
-    Fl_prof.Prof.enter Fl_prof.Prof.sha256;
-    let r = hmac_impl ~key msg in
-    Fl_prof.Prof.leave ();
-    r
-  end
+  if !Fl_prof.Prof.on then
+    Fl_prof.Prof.frame Fl_prof.Prof.sha256 (fun () -> hmac_impl ~key msg)
   else hmac_impl ~key msg

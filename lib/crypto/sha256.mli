@@ -1,6 +1,6 @@
 (** Pure-OCaml SHA-256 (FIPS 180-4).
 
-    Used for block hashes, Merkle trees and as the PRF underlying the
+    Used for block hashes and as the PRF underlying the
     simulated signature scheme. Incremental ([init]/[feed]/[finalize])
     and one-shot ([digest]) interfaces are provided. Digests are
     32-byte [string] values. *)
@@ -28,9 +28,6 @@ val digest_with : (t -> unit) -> string
     digest — the incremental interface as one call, attributed to
     [Fl_prof]'s sha256 frame like {!digest}. [feed] must not suspend
     the calling fiber. *)
-
-val digest_bytes : bytes -> string
-(** One-shot digest of a byte buffer. *)
 
 val hmac : key:string -> string -> string
 (** HMAC-SHA-256 (RFC 2104) of a message under [key]. *)

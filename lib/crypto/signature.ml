@@ -1,16 +1,12 @@
 type registry = { secret_keys : string array }
 type signature = string
 
-let signature_size = Sha256.digest_size
-
 let create_registry ~seed ~n =
   if n <= 0 then invalid_arg "Signature.create_registry: n must be positive";
   let secret_keys =
     Array.init n (fun i -> Sha256.hmac ~key:seed (Printf.sprintf "sk:%d" i))
   in
   { secret_keys }
-
-let size r = Array.length r.secret_keys
 
 let secret_key r signer =
   if signer < 0 || signer >= Array.length r.secret_keys then

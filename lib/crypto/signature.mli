@@ -21,16 +21,8 @@ type registry
 type signature = string
 (** 32 bytes. *)
 
-val signature_size : int
-(** Wire size of a signature (32). Real ECDSA signatures are ~71 B
-    DER-encoded; the 39-byte difference is negligible against block
-    payloads and is accounted for in the wire-size model instead. *)
-
 val create_registry : seed:string -> n:int -> registry
 (** PKI for node identities [0..n-1]. Deterministic in [seed]. *)
-
-val size : registry -> int
-(** Number of identities. *)
 
 val sign : registry -> signer:int -> string -> signature
 (** Sign [msg] as node [signer]. Raises [Invalid_argument] on an

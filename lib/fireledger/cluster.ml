@@ -149,31 +149,20 @@ let crash ?(torn = false) t i =
   | Some p -> Fl_persist.Node.power_fail p ~torn
   | None -> ()
 
-let restart ?(warm = false) t i =
+(* A crash loses all volatile state. Tear the dead incarnation down
+   synchronously, abandon its inbox (parked fibers never wake), and
+   build a fresh instance that either recovers from its durability
+   layer or starts from genesis and network-catches-up. *)
+let restart t i =
   Hashtbl.remove t.crashed i;
   Net.set_filter t.net (crash_filter t);
-  if warm then (
-    (* Legacy semantics: the node's volatile state survived (the
-       "crash" was mere disconnection). Re-enable the durability layer
-       without adopting anything from it — the live state is ahead of
-       the media anyway. *)
-    match t.persist.(i) with
-    | Some p -> ignore (Fl_persist.Node.recover p)
-    | None -> ())
-  else begin
-    (* A real crash loses all volatile state. Tear the dead
-       incarnation down synchronously, abandon its inbox (parked
-       fibers never wake), and build a fresh instance that either
-       recovers from its durability layer or starts from genesis and
-       network-catches-up. *)
-    Instance.shutdown t.instances.(i);
-    Net.reset_inbox t.net i;
-    t.incarnation.(i) <- t.incarnation.(i) + 1;
-    let fresh = t.rebuild i t.incarnation.(i) in
-    t.instances.(i) <- fresh;
-    Instance.start fresh;
-    t.on_restart i
-  end
+  Instance.shutdown t.instances.(i);
+  Net.reset_inbox t.net i;
+  t.incarnation.(i) <- t.incarnation.(i) + 1;
+  let fresh = t.rebuild i t.incarnation.(i) in
+  t.instances.(i) <- fresh;
+  Instance.start fresh;
+  t.on_restart i
 
 let run ?until t = Engine.run ?until t.engine
 

@@ -85,16 +85,13 @@ val crash : ?torn:bool -> t -> int -> unit
     partial fragment of the first in-flight frame, the classic torn
     tail write that replay must detect and discard. *)
 
-val restart : ?warm:bool -> t -> int -> unit
-(** Undo {!crash}: reconnect the node. By default the restart is
-    {e cold} — a real crash lost all volatile state, so the old
-    instance is torn down, its inbox abandoned, and a fresh instance
-    built in place: it recovers chain, definite watermark and era from
-    its durability layer when one is attached, and otherwise starts
-    from genesis and relies on the catch-up sync to pull the missing
-    prefix from peers. [warm:true] keeps the legacy semantics: fibers
-    kept running while disconnected (the "crash" was only observable
-    as silence) and local state is intact. *)
+val restart : t -> int -> unit
+(** Undo {!crash} with a cold restart: the crash lost all volatile
+    state, so the node is reconnected, the old instance torn down, its
+    inbox abandoned, and a fresh instance built in place. It recovers
+    chain, definite watermark and era from its durability layer when
+    one is attached, and otherwise starts from genesis and relies on
+    the catch-up sync to pull the missing prefix from peers. *)
 
 val run : ?until:Time.t -> t -> unit
 

@@ -30,11 +30,6 @@ let is_member t id =
   (* members are tiny (<= universe size); linear scan is fine *)
   Array.exists (fun m -> m = id) t.members
 
-let pp ppf t =
-  Format.fprintf ppf "epoch %d @%d {%s}" t.index t.activation
-    (String.concat ","
-       (Array.to_list (Array.map string_of_int t.members)))
-
 let genesis ?members ~universe () =
   if universe <= 0 then invalid_arg "Epoch.genesis: universe";
   let members =

@@ -27,12 +27,6 @@ val f : t -> int
 (** [(n - 1) / 3] of the active member count. *)
 
 val is_member : t -> int -> bool
-val pp : Format.formatter -> t -> unit
-
-val apply_change :
-  universe:int -> int array -> change -> (int array, string) result
-(** Validate and apply one change to a member set. Rejections are
-    soft: every correct node ignores the same invalid change. *)
 
 val succeed : universe:int -> t -> change list -> activation:int -> t option
 (** Fold a decided block's changes over [t]'s members (skipping

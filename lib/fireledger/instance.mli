@@ -134,5 +134,7 @@ val accused : t -> int list
     against. *)
 
 val tee_output : output -> output -> output
-(** Compose two sinks: every event goes to [a] first, then [b] — how
-    oracles observe a cluster without displacing its real output. *)
+(** Compose two sinks: every event goes to [a] first, then [b]. A test
+    hook: the checking tests use it to observe a cluster with an
+    oracle without displacing its real output; nothing in the library
+    calls it. *)

@@ -27,7 +27,6 @@ type t = {
   log : Tx.t array ref;
   mutable log_len : int;
   mutable delivered_blocks : int;
-  mutable delivered_txs : int;
   on_deliver : delivery -> unit;
   obs : Fl_obs.Obs.t option;
 }
@@ -46,7 +45,6 @@ let create ~engine ~recorder ~node_id ~n_workers ?(keep_log = false)
     log = ref [||];
     log_len = 0;
     delivered_blocks = 0;
-    delivered_txs = 0;
     on_deliver;
     obs }
 
@@ -71,7 +69,6 @@ let rec drain t =
       let worker = t.rr in
       t.rr <- (t.rr + 1) mod t.n_workers;
       t.delivered_blocks <- t.delivered_blocks + 1;
-      t.delivered_txs <- t.delivered_txs + Array.length p.p_block.Block.txs;
       if t.keep_log then Array.iter (log_push t) p.p_block.Block.txs;
       Fl_metrics.Recorder.mark t.recorder "blocks_delivered" ~now 1;
       Fl_metrics.Recorder.mark t.recorder "txs_delivered" ~now
@@ -135,7 +132,6 @@ let submit_fee t tx ~fee =
 let submit t tx = submit_fee t tx ~fee:0
 
 let delivered_blocks t = t.delivered_blocks
-let delivered_txs t = t.delivered_txs
 
 let read t i =
   if t.keep_log && i >= 0 && i < t.log_len then Some !(t.log).(i) else None

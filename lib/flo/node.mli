@@ -58,7 +58,6 @@ val submit_fee : t -> Tx.t -> fee:int -> bool
     full and [fee] does not beat its lowest pending bid. *)
 
 val delivered_blocks : t -> int
-val delivered_txs : t -> int
 
 val read : t -> int -> Tx.t option
 (** Client read path: the i-th transaction in the node's merged

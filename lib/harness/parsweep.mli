@@ -14,17 +14,10 @@ val set_default_jobs : int -> unit
     [> 1] on a runtime that cannot spawn domains, [Invalid_argument]
     if [< 1]. *)
 
-val effective_jobs : ?jobs:int -> unit -> int
-(** The job count a sweep will actually use: [jobs] (default: the
-    installed process default), clamped to 1 while a default
-    observatory is installed. *)
-
 val map : ?jobs:int -> int -> (int -> 'a) -> 'a array
-(** [map ?jobs n f] is [[| f 0; ...; f (n-1) |]] over
-    [effective_jobs ?jobs ()] domains. *)
-
-val map_list : ?jobs:int -> 'a list -> ('a -> 'b) -> 'b list
-(** List-shaped [map], preserving order. *)
+(** [map ?jobs n f] is [[| f 0; ...; f (n-1) |]] over [jobs] domains
+    (default: the installed process default), clamped to 1 while a
+    default observatory is installed. *)
 
 val run_settings :
   ?jobs:int -> Settings.flo_setting array -> Settings.result array

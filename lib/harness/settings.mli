@@ -135,10 +135,9 @@ val build_flo : flo_setting -> Fl_flo.Cluster.t
 val run_cluster : flo_setting -> Fl_flo.Cluster.t -> result
 (** The other half: start, run to [warmup + duration], distil. *)
 
-val histo_mean_ms : Fl_metrics.Recorder.t -> string -> float
 val histo_q_ms : Fl_metrics.Recorder.t -> string -> float -> float
-(** Mean / quantile of a named recorder histogram in milliseconds
-    (0 when the histogram was never written). *)
+(** Quantile of a named recorder histogram in milliseconds (0 when
+    the histogram was never written). *)
 
 val latency_cdf : flo_setting -> points:int -> (float * float) list
 (** Run and return the end-to-end latency CDF [(ms, fraction)] —

@@ -280,5 +280,4 @@ let stats t =
 let pending_ids (t : t) =
   Hashtbl.fold (fun id _ acc -> id :: acc) t.pending []
 
-let owns_id t id = id >= t.id_base && id < t.id_base + t.next_seq
 let recorder t = t.recorder

@@ -89,7 +89,6 @@ let heal t =
   t.groups <- None;
   Fl_obs.Obs.instant t.obs ~cat:"net" ~name:"heal" ~at:(Engine.now t.engine)
     ()
-let partitioned t = t.groups <> None
 
 let set_loss t ~node prob =
   if prob < 0.0 || prob > 1.0 then invalid_arg "Net.set_loss: probability";

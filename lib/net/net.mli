@@ -109,8 +109,6 @@ val heal : 'm t -> unit
 (** Remove the partition (the filter, loss and corruption layers
     persist). *)
 
-val partitioned : 'm t -> bool
-
 val set_loss : 'm t -> node:int -> float -> unit
 (** Drop each of [node]'s outbound wire frames with the given
     probability (0 clears the entry — the window-close control).

@@ -6,7 +6,6 @@ type t = {
   mutable rx_free : Time.t;
   mutable bytes_sent : int;
   mutable bytes_received : int;
-  mutable messages_sent : int;
 }
 
 let ten_gbps = 10e9
@@ -17,8 +16,7 @@ let create ~bandwidth_bps =
     tx_free = 0;
     rx_free = 0;
     bytes_sent = 0;
-    bytes_received = 0;
-    messages_sent = 0 }
+    bytes_received = 0 }
 
 let serialization t bytes =
   max 1 (int_of_float (t.ns_per_byte *. float_of_int bytes))
@@ -30,7 +28,6 @@ let tx_finish t ~now ~bytes =
   let finish = start + serialization t bytes in
   t.tx_free <- finish;
   t.bytes_sent <- t.bytes_sent + bytes;
-  t.messages_sent <- t.messages_sent + 1;
   finish
 
 let rx_finish t ~arrival ~bytes =
@@ -42,4 +39,3 @@ let rx_finish t ~arrival ~bytes =
 
 let bytes_sent t = t.bytes_sent
 let bytes_received t = t.bytes_received
-let messages_sent t = t.messages_sent

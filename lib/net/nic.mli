@@ -38,4 +38,3 @@ val rx_finish : t -> arrival:Time.t -> bytes:int -> Time.t
 
 val bytes_sent : t -> int
 val bytes_received : t -> int
-val messages_sent : t -> int

@@ -39,9 +39,6 @@ let of_client_times ~submit ~a ~final =
 
 let client_total c = c.admission_wait + c.consensus
 
-let client_names =
-  [ "phase_admission_wait"; "client_consensus"; "latency_client_e2e" ]
-
 let record_client recorder c =
   Fl_metrics.Recorder.observe recorder "phase_admission_wait" c.admission_wait;
   Fl_metrics.Recorder.observe recorder "client_consensus" c.consensus;

@@ -1,22 +1,6 @@
-let buf_add_json_string buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
 let json_string s =
   let buf = Buffer.create (String.length s + 2) in
-  buf_add_json_string buf s;
+  Fl_prof.Json.escape buf s;
   Buffer.contents buf
 
 let filter ?nodes ?cats ?t_from ?t_to events =
@@ -44,7 +28,7 @@ let chrome_args buf (ev : Obs.event) =
   let first = ref true in
   let field k v =
     if !first then first := false else Buffer.add_char buf ',';
-    buf_add_json_string buf k;
+    Fl_prof.Json.escape buf k;
     Buffer.add_char buf ':';
     Buffer.add_string buf v
   in
@@ -163,9 +147,9 @@ let jsonl events =
         List.iteri
           (fun i (k, v) ->
             if i > 0 then Buffer.add_char buf ',';
-            buf_add_json_string buf k;
+            Fl_prof.Json.escape buf k;
             Buffer.add_char buf ':';
-            buf_add_json_string buf v)
+            Fl_prof.Json.escape buf v)
           ev.args;
         Buffer.add_char buf '}'
       end;

@@ -42,11 +42,9 @@ let push_impl t ~cat ~name ~node ~worker ~round ~kind ~args =
    sink pushes are host-time the simulator pays only when a sink is
    installed, and the perf observatory should say how much. *)
 let push t ~cat ~name ~node ~worker ~round ~kind ~args =
-  if !Fl_prof.Prof.on then begin
-    Fl_prof.Prof.enter Fl_prof.Prof.obs;
-    push_impl t ~cat ~name ~node ~worker ~round ~kind ~args;
-    Fl_prof.Prof.leave ()
-  end
+  if !Fl_prof.Prof.on then
+    Fl_prof.Prof.frame Fl_prof.Prof.obs (fun () ->
+        push_impl t ~cat ~name ~node ~worker ~round ~kind ~args)
   else push_impl t ~cat ~name ~node ~worker ~round ~kind ~args
 
 let span t ~cat ~name ?(node = -1) ?(worker = -1) ?(round = -1) ?(args = [])

@@ -1,36 +1,23 @@
-(* A per-node simulated storage device, the durable twin of
-   {!Fl_net.Nic}: an analytic single-queue model with a per-operation
-   setup latency and a bandwidth term. [write] is asynchronous (data
-   lands in the device cache and the busy cursor advances); [fsync]
-   blocks the calling fiber until everything written so far is stable.
-   Fault injection: a stall window delays fsync completion (firmware
-   garbage collection, a saturated device queue) and [lose] models
-   full media loss — everything on the device is gone. *)
-
 open Fl_sim
 
 type profile = {
-  p_name : string;
-  write_lat : Time.t;  (** per-write setup latency (device cache hit) *)
-  fsync_lat : Time.t;  (** flush latency once the queue drains *)
-  bandwidth_bps : float;  (** sustained sequential write bandwidth *)
+  write_lat : Time.t;
+  fsync_lat : Time.t;
+  bandwidth_bps : float;
 }
 
 let nvme =
-  { p_name = "nvme";
-    write_lat = Time.us 15;
+  { write_lat = Time.us 15;
     fsync_lat = Time.us 120;
     bandwidth_bps = 16e9 (* 2 GB/s *) }
 
 let ssd =
-  { p_name = "ssd";
-    write_lat = Time.us 60;
+  { write_lat = Time.us 60;
     fsync_lat = Time.us 600;
     bandwidth_bps = 4e9 (* 500 MB/s *) }
 
 let hdd =
-  { p_name = "hdd";
-    write_lat = Time.ms 1;
+  { write_lat = Time.ms 1;
     fsync_lat = Time.ms 8;
     bandwidth_bps = 1.2e9 (* 150 MB/s *) }
 
@@ -50,7 +37,6 @@ type t = {
   mutable stall_until : Time.t;  (* fsyncs cannot complete before this *)
   mutable lost : bool;
   mutable bytes_written : int;
-  mutable writes : int;
   mutable fsyncs : int;
 }
 
@@ -65,7 +51,6 @@ let create engine ?obs ?(node = -1) ~profile () =
     stall_until = 0;
     lost = false;
     bytes_written = 0;
-    writes = 0;
     fsyncs = 0 }
 
 let serialization t bytes =
@@ -80,7 +65,6 @@ let write t ~bytes =
   let finish = start + t.profile.write_lat + serialization t bytes in
   t.busy_until <- finish;
   t.bytes_written <- t.bytes_written + bytes;
-  t.writes <- t.writes + 1;
   finish
 
 (* Block the calling fiber until all writes issued so far are durable:
@@ -107,6 +91,4 @@ let lose t = t.lost <- true
 let lost t = t.lost
 
 let bytes_written t = t.bytes_written
-let writes t = t.writes
 let fsyncs t = t.fsyncs
-let profile t = t.profile

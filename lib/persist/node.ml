@@ -1,31 +1,13 @@
-(* Per-node durability facade — what a FireLedger instance (or one
-   FLO worker) talks to. Owns a {!Wal} on a (possibly shared) {!Disk},
-   the snapshot slot, the sync policy and the application hooks; it
-   survives instance rebuilds, so a cold restart recovers from here.
-
-   Lifecycle: [log_*] on the hot path while live; {!power_fail} at a
-   crash freezes the media at the durable watermark (optionally with a
-   torn tail); {!recover} at restart parses the media back into node
-   state and goes live again. Zero engine events while the sync policy
-   is [Never] and no snapshot triggers — and none at all for runs that
-   never construct a [Node], which is what keeps persistence-off
-   traces byte-identical. *)
-
 open Fl_sim
 open Fl_chain
 
 type sync_policy = Never | Group_commit of Time.t | Every_block
 
-let sync_policy_to_string = function
-  | Never -> "never"
-  | Group_commit s -> Printf.sprintf "group_commit(%dus)" (s / 1000)
-  | Every_block -> "every_block"
-
 type config = {
   profile : Disk.profile;
   sync : sync_policy;
   segment_bytes : int;
-  snapshot_interval : int;  (** definite rounds between snapshots; 0 = off *)
+  snapshot_interval : int;
 }
 
 let default_config =
@@ -99,7 +81,6 @@ let create engine ?obs ?(node = -1) ?(worker = 0) ?disk ?app ~config () =
 let disk t = t.disk
 let attach_chain t f = t.chain <- Some f
 let live t = t.live
-let config t = t.config
 
 let stats t =
   { s_appends = Wal.appends t.wal;
@@ -109,9 +90,6 @@ let stats t =
     s_replayed = t.replayed;
     s_torn_discards = t.torn_discards;
     s_bytes = Disk.bytes_written t.disk }
-
-let state_hash t =
-  match t.app with Some a -> Some (a.Recovery.app_hash ()) | None -> None
 
 (* ---------- durability ---------- *)
 

@@ -1,34 +1,26 @@
-(* The restart path: reload the latest durable snapshot, replay the
-   WAL suffix (skipping what the snapshot already covers, discarding a
-   torn tail), and hand back the reconstructed node state. The caller
-   (a FireLedger instance being rebuilt) resumes from the definite
-   watermark and network-catches-up only the missing suffix. *)
+(* The caller (a FireLedger instance being rebuilt) resumes from the
+   definite watermark and network-catches-up only the missing suffix. *)
 
 open Fl_chain
 
 type app = {
-  app_apply : Block.t -> unit;  (** a block became definite *)
+  app_apply : Block.t -> unit;
   app_snapshot : unit -> string;
-  app_restore : string -> bool;  (** [false] = payload rejected *)
-  app_reset : unit -> unit;  (** back to the genesis state *)
+  app_restore : string -> bool;
+  app_reset : unit -> unit;
   app_hash : unit -> string;
 }
 
 type recovered = {
   r_store : Store.t;
   r_sigs : (int * string) list;
-      (** proposer header signatures recovered from WAL appends,
-          oldest first — snapshot rounds carry none *)
-  r_definite : int;  (** definite watermark, [-1] = none *)
+  r_definite : int;
   r_era : int;
-  r_torn : bool;  (** a torn/corrupt WAL tail was discarded *)
-  r_records : int;  (** WAL records applied *)
+  r_torn : bool;
+  r_records : int;
   r_frames : (string * int) list;
-      (** the media's valid WAL prefix as verified frames with their
-          rounds, oldest first — the live log restarts from these *)
   r_from_snapshot : bool;
   r_snapshot_upto : int;
-      (** [upto] of the snapshot on the media, [-1] = none readable *)
 }
 
 (* Apply one WAL record to the store under reconstruction. Replay is

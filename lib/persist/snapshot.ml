@@ -1,20 +1,11 @@
-(* Periodic durable snapshots: the definite chain prefix (headers
-   always, bodies where not pruned) plus an opaque application payload
-   and its state hash. A snapshot at definite round [upto] supersedes
-   every WAL record about rounds <= [upto], enabling {!Wal.truncate};
-   recovery reloads it and replays only the WAL suffix.
-
-   The image is two nested {!Fl_wire.Envelope}s (tag 0):
+(* Image layout, two nested envelopes:
 
      FLSNAP1 frame: magic | upto | era | app | app_hash | len |
        FLCHAIN1 frame: {!Fl_chain.Serial.write_chain_header} | block...
 
-   byte for byte what {!Fl_chain.Serial.encode_chain} of the store
-   truncated to [upto] (and pruned to the store's boundary), wrapped
-   in the FLSNAP1 fields, would give. Everything ahead of the first
-   block is the small [head]; the blocks follow as immutable
-   [segment]s, one per sealing interval, each holding its encoded
-   bytes and their CRC-32.
+   Everything ahead of the first block is the small [head]; the blocks
+   follow as immutable [segment]s, one per sealing interval, each
+   holding its encoded bytes and their CRC-32.
 
    Sealing is incremental: {!seal} is handed the previous image and
    keeps each of its segments whose bytes cannot have changed, encoding
@@ -35,11 +26,11 @@ open Fl_wire
 let magic = "FLSNAP1\x01"
 
 type t = {
-  upto : int;  (** definite rounds 0..upto are contained *)
-  era : int;  (** completed recoveries at snapshot time *)
-  app : string;  (** opaque application payload ("" = no app attached) *)
-  app_hash : string;  (** application state hash at [upto] *)
-  chain : string;  (** [Serial.encode_chain] of the definite prefix *)
+  upto : int;
+  era : int;
+  app : string;
+  app_hash : string;
+  chain : string;
 }
 
 (* ---------- sealing ---------- *)
@@ -168,16 +159,9 @@ let seal_impl ~prev ~store ~upto ~era ~app ~app_hash =
 (* Self-profiling bracket (Fl_prof): sealing is snapshot encode, so it
    is attributed to codec_encode like every other frame. *)
 let seal ~prev ~store ~upto ~era ~app ~app_hash =
-  if !Fl_prof.Prof.on then begin
-    Fl_prof.Prof.enter Fl_prof.Prof.codec_encode;
-    match seal_impl ~prev ~store ~upto ~era ~app ~app_hash with
-    | r ->
-        Fl_prof.Prof.leave ();
-        r
-    | exception e ->
-        Fl_prof.Prof.leave ();
-        raise e
-  end
+  if !Fl_prof.Prof.on then
+    Fl_prof.Prof.frame Fl_prof.Prof.codec_encode (fun () ->
+        seal_impl ~prev ~store ~upto ~era ~app ~app_hash)
   else seal_impl ~prev ~store ~upto ~era ~app ~app_hash
 
 (* A one-off snapshot: the sealer with nothing cached. *)

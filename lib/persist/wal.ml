@@ -1,16 +1,4 @@
-(* Segmented append-only write-ahead log.
-
-   Records (block appends, recovery truncations, definiteness
-   watermarks) ride the same {!Fl_wire.Envelope} as network frames —
-   [u8 version | u8 tag | u32 crc32 | body] — behind a [u32 length]
-   outer prefix, and are appended to the active segment; a segment
-   seals once it exceeds [segment_bytes]. Durability is a frame-count
-   watermark advanced by {!sync} (which fsyncs the underlying
-   {!Disk}); a power failure keeps exactly the durable prefix,
-   optionally plus a torn fragment of the first non-durable frame —
-   which replay must detect (CRC or length underflow) and discard.
-
-   Truncation after a snapshot drops sealed segments whose records
+(* Truncation after a snapshot drops sealed segments whose records
    only concern rounds at or below the snapshot; segments are
    time-ordered, so the survivors still form a contiguous suffix. *)
 
@@ -19,13 +7,8 @@ open Fl_wire
 
 type record =
   | Append of { block : Block.t; signature : string }
-      (** a tentatively decided block, with the proposer's header
-          signature so a recovered node can serve pulls and versions *)
   | Truncate of { from : int }
-      (** recovery adopted a version: rounds >= [from] were replaced
-          by the Appends that follow this record *)
   | Definite of { upto : int; era : int }
-      (** definiteness watermark and completed-recovery count *)
 
 let round_of = function
   | Append { block; _ } -> block.Block.header.Header.round
@@ -88,7 +71,6 @@ type t = {
   mutable active : segment;
   mutable total_frames : int;
   mutable durable_frames : int;
-  mutable total_bytes : int;
   mutable appends : int;
   mutable truncated_segments : int;
   scratch : Codec.Writer.t;
@@ -107,7 +89,6 @@ let create ~segment_bytes =
     active = fresh_segment ();
     total_frames = 0;
     durable_frames = 0;
-    total_bytes = 0;
     appends = 0;
     truncated_segments = 0;
     scratch = Codec.Writer.create ~capacity:4096 () }
@@ -127,33 +108,29 @@ let build_frame_impl t record =
    the WAL's share of host time, with the nested envelope seal
    re-attributed to codec_encode by the frame stack. *)
 let build_frame t record =
-  if !Fl_prof.Prof.on then begin
-    Fl_prof.Prof.enter Fl_prof.Prof.wal;
-    match build_frame_impl t record with
-    | fr ->
-        Fl_prof.Prof.leave ();
-        fr
-    | exception e ->
-        Fl_prof.Prof.leave ();
-        raise e
-  end
+  if !Fl_prof.Prof.on then
+    Fl_prof.Prof.frame Fl_prof.Prof.wal (fun () -> build_frame_impl t record)
   else build_frame_impl t record
+
+(* Put one framed record into the active segment, sealing it once it
+   reaches [segment_bytes]. *)
+let push_frame t fr ~round =
+  let seg = t.active in
+  seg.frames <- fr :: seg.frames;
+  seg.bytes <- seg.bytes + String.length fr;
+  seg.max_round <- max seg.max_round round;
+  t.total_frames <- t.total_frames + 1;
+  if seg.bytes >= t.segment_bytes then begin
+    t.sealed <- seg :: t.sealed;
+    t.active <- fresh_segment ()
+  end
 
 (* Append one record; returns the framed byte count (the disk write
    the caller must account for). *)
 let append t record =
   let fr = build_frame t record in
-  let seg = t.active in
-  seg.frames <- fr :: seg.frames;
-  seg.bytes <- seg.bytes + String.length fr;
-  seg.max_round <- max seg.max_round (round_of record);
-  t.total_frames <- t.total_frames + 1;
-  t.total_bytes <- t.total_bytes + String.length fr;
+  push_frame t fr ~round:(round_of record);
   t.appends <- t.appends + 1;
-  if seg.bytes >= t.segment_bytes then begin
-    t.sealed <- seg :: t.sealed;
-    t.active <- fresh_segment ()
-  end;
   String.length fr
 
 let mark_durable t = t.durable_frames <- t.total_frames
@@ -165,9 +142,7 @@ let mark_durable_upto t n =
   t.durable_frames <- max t.durable_frames (min n t.total_frames)
 
 let pending_frames t = t.total_frames - t.durable_frames
-let durable_frames t = t.durable_frames
 let total_frames t = t.total_frames
-let total_bytes t = t.total_bytes
 let appends t = t.appends
 let segments t = List.length t.sealed + 1
 let truncated_segments t = t.truncated_segments
@@ -210,21 +185,7 @@ let reset_to_frames t frames =
   t.sealed <- [];
   t.active <- fresh_segment ();
   t.total_frames <- 0;
-  t.durable_frames <- 0;
-  t.total_bytes <- 0;
-  List.iter
-    (fun (fr, round) ->
-      let seg = t.active in
-      seg.frames <- fr :: seg.frames;
-      seg.bytes <- seg.bytes + String.length fr;
-      seg.max_round <- max seg.max_round round;
-      t.total_frames <- t.total_frames + 1;
-      t.total_bytes <- t.total_bytes + String.length fr;
-      if seg.bytes >= t.segment_bytes then begin
-        t.sealed <- seg :: t.sealed;
-        t.active <- fresh_segment ()
-      end)
-    frames;
+  List.iter (fun (fr, round) -> push_frame t fr ~round) frames;
   t.durable_frames <- t.total_frames
 
 (* Drop sealed segments that a snapshot at [upto] supersedes: every
@@ -237,8 +198,7 @@ let truncate t ~upto =
   List.iter
     (fun seg ->
       t.total_frames <- t.total_frames - List.length seg.frames;
-      t.durable_frames <- t.durable_frames - List.length seg.frames;
-      t.total_bytes <- t.total_bytes - seg.bytes)
+      t.durable_frames <- t.durable_frames - List.length seg.frames)
     dropped;
   t.sealed <- kept;
   t.truncated_segments <- t.truncated_segments + List.length dropped;
@@ -300,13 +260,8 @@ let replay_media_impl media =
   done;
   { records = List.rev !records; frames = List.rev !frames; torn = !torn }
 
-(* Self-profiling bracket: replay parsing is total (never raises), so
-   a plain leave suffices. *)
+(* Self-profiling bracket: replay parsing is attributed to the WAL. *)
 let replay_media media =
-  if !Fl_prof.Prof.on then begin
-    Fl_prof.Prof.enter Fl_prof.Prof.wal;
-    let r = replay_media_impl media in
-    Fl_prof.Prof.leave ();
-    r
-  end
+  if !Fl_prof.Prof.on then
+    Fl_prof.Prof.frame Fl_prof.Prof.wal (fun () -> replay_media_impl media)
   else replay_media_impl media

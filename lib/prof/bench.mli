@@ -25,7 +25,6 @@ type file = {
   f_kernels : kernel list;
 }
 
-val schema_name : string
 val schema_version : int
 
 val host_fingerprint : unit -> string
@@ -58,10 +57,7 @@ val of_json : string -> (file, string) result
     decoding {e is} schema validation. [of_json (to_json f)] succeeds
     and round-trips every field exactly. *)
 
-val filename : area:string -> string
-(** ["BENCH_<area>.json"]. *)
-
 val write_file : dir:string -> file -> string
-(** Write [to_json] under [dir]; returns the path. *)
+(** Write [to_json] to [dir/BENCH_<area>.json]; returns the path. *)
 
 val read_file : string -> (file, string) result

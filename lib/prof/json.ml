@@ -1,9 +1,3 @@
-(* Minimal JSON, just enough for the BENCH_<area>.json schema: no
-   external dependency, deterministic output (fields in the order
-   given), and a recursive-descent parser that reports the offset of
-   the first error. Numbers are floats; strings must be ASCII-clean
-   apart from the standard escapes (all the schema ever emits). *)
-
 type t =
   | Null
   | Bool of bool

@@ -32,9 +32,6 @@ let n_subs = 6
 let names =
   [| "engine"; "codec_encode"; "codec_decode"; "sha256"; "wal"; "obs" |]
 
-let name_of s =
-  if s < 0 || s >= n_subs then invalid_arg "Prof.name_of" else names.(s)
-
 let on = ref false
 
 (* Injectable clock so tests can drive the accounting with exact
@@ -81,6 +78,16 @@ let leave () =
   self_ns.(sub) <- Int64.add self_ns.(sub) (Int64.sub elapsed child_ns.(d));
   calls.(sub) <- calls.(sub) + 1;
   if d > 0 then child_ns.(d - 1) <- Int64.add child_ns.(d - 1) elapsed
+
+let frame sub f =
+  enter sub;
+  match f () with
+  | r ->
+      leave ();
+      r
+  | exception e ->
+      leave ();
+      raise e
 
 type stat = { p_sub : sub; p_name : string; p_self_ns : int; p_calls : int }
 

@@ -6,18 +6,17 @@
     enabling profiling never perturbs the simulation, so traces stay
     byte-identical (pinned-fingerprint tested).
 
-    Instrumented sites bracket a pure region with {!enter}/{!leave}
-    guarded on {!on}:
+    Instrumented sites bracket a region with {!frame}, guarded on
+    {!on} so that the closure is built only when profiling:
 
     {[
-      if !Fl_prof.Prof.on then begin
-        Fl_prof.Prof.enter Fl_prof.Prof.sha256;
-        let r = work () in
-        Fl_prof.Prof.leave ();
-        r
-      end
+      if !Fl_prof.Prof.on then Fl_prof.Prof.frame Fl_prof.Prof.sha256 work
       else work ()
     ]}
+
+    With profiling off a site costs one load-and-branch and allocates
+    nothing. With it on, the frame is balanced on every exit: a normal
+    return and an exception both close it.
 
     Frames nest; each subsystem is credited with {e self} time only
     (elapsed minus nested frames), so per-subsystem numbers sum to the
@@ -48,8 +47,6 @@ val wal : sub  (** durable-record framing and replay parsing *)
 
 val obs : sub  (** structured-span sink push *)
 
-val name_of : sub -> string
-
 val on : bool ref
 (** The master switch instrumented sites read. Use {!enable} /
     {!disable} rather than flipping it directly. *)
@@ -61,10 +58,15 @@ val disable : unit -> unit
 
 val reset : unit -> unit
 
+val frame : sub -> (unit -> 'a) -> 'a
+(** [frame sub f] runs [f] inside a frame of [sub]: {!enter}, [f ()],
+    {!leave}. The frame closes whether [f] returns or raises; an
+    exception is re-raised after the frame is closed. *)
+
 val enter : sub -> unit
 val leave : unit -> unit
-(** Close the innermost open frame. Call sites are responsible for
-    balancing (including on exceptions — re-raise after [leave]). *)
+(** Close the innermost open frame. {!frame} balances the pair on
+    every exit; a direct [enter]/[leave] caller must do so itself. *)
 
 type stat = { p_sub : sub; p_name : string; p_self_ns : int; p_calls : int }
 

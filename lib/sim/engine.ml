@@ -75,14 +75,7 @@ let processed t = t.processed
    perf observatory attributes a run's wall time. A suspending fiber
    simply returns from its action, so the frame always balances. *)
 let run_action action =
-  if !Fl_prof.Prof.on then begin
-    Fl_prof.Prof.enter Fl_prof.Prof.engine;
-    (match action () with
-    | () -> Fl_prof.Prof.leave ()
-    | exception e ->
-        Fl_prof.Prof.leave ();
-        raise e)
-  end
+  if !Fl_prof.Prof.on then Fl_prof.Prof.frame Fl_prof.Prof.engine action
   else action ()
 
 let fire t budget ev =

@@ -33,8 +33,6 @@ let probe =
               with --jobs 1 (or unset FL_JOBS)"
              (Printexc.to_string e)))
 
-let available () = Result.is_ok (Lazy.force probe)
-
 let ensure_available () =
   match Lazy.force probe with Ok () -> () | Error m -> failwith m
 

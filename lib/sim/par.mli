@@ -14,12 +14,9 @@ val map : jobs:int -> int -> (int -> 'a) -> 'a array
     Raises [Failure] with a clear message if [jobs > 1] on a runtime
     that cannot spawn domains. *)
 
-val available : unit -> bool
-(** Whether this runtime can actually spawn and join a domain. *)
-
 val ensure_available : unit -> unit
-(** Raises [Failure] with an actionable message when {!available} is
-    false. *)
+(** Raises [Failure] with an actionable message when this runtime
+    cannot spawn and join a domain. *)
 
 val resolve_jobs : ?cli:int -> unit -> int
 (** The [--jobs] / [FL_JOBS] knob: an explicit CLI value [>= 1] wins,

@@ -16,7 +16,6 @@ val of_float_s : float -> t
 (** Seconds (float) to simulated time, rounded to nearest ns. *)
 
 val to_float_s : t -> float
-val to_float_ms : t -> float
 
 val pp : Format.formatter -> t -> unit
 (** Human-readable rendering with an adaptive unit. *)

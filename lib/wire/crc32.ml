@@ -1,19 +1,11 @@
-(* CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) — the frame
-   checksum of the wire envelope and of the write-ahead log. On the
-   wire it is what turns a byte-level fault (bit flip, truncation)
-   into a detected, droppable frame instead of silently different
-   protocol state; on the WAL it is what lets replay detect and
-   discard a torn tail instead of applying garbage.
-
-   Implementation: slice-by-8 over plain OCaml [int]s (the CRC state
-   fits 32 bits, so a 63-bit int holds every intermediate). The
-   previous per-byte [Int32] loop cost ~6 ns/byte of boxed-int32
-   operations and dominated frame encode, decode and WAL sealing for
-   block-sized bodies; this form is pure unboxed arithmetic. The
-   eight 256-entry tables live in one flat array so each step is a
-   single bounds-free load. They are built eagerly at module
-   initialisation: a lazy table forced for the first time by two
-   sweep domains at once raises [CamlinternalLazy.Undefined]. *)
+(* Slice-by-8 over plain OCaml [int]s: the CRC state fits 32 bits, so
+   a 63-bit int holds every intermediate and no step boxes an [Int32]
+   (a boxed per-byte loop dominated frame encode, decode and WAL
+   sealing for block-sized bodies). The eight 256-entry tables live in
+   one flat array so each step is a single bounds-free load. They are
+   built eagerly at module initialisation: a lazy table forced for the
+   first time by two sweep domains at once raises
+   [CamlinternalLazy.Undefined]. *)
 
 let poly = 0xEDB88320
 
@@ -74,12 +66,11 @@ let run t s ~pos ~len crc =
   done;
   !crc
 
-let update_int_sub crc s ~pos ~len =
+let digest_int_sub s ~pos ~len =
   if pos < 0 || len < 0 || len > String.length s - pos then
-    invalid_arg "Crc32.update_sub";
-  run tables s ~pos ~len ((crc land 0xFFFFFFFF) lxor 0xFFFFFFFF) lxor 0xFFFFFFFF
+    invalid_arg "Crc32.digest_int_sub";
+  run tables s ~pos ~len 0xFFFFFFFF lxor 0xFFFFFFFF
 
-let digest_int_sub s ~pos ~len = update_int_sub 0 s ~pos ~len
 let digest_int s = digest_int_sub s ~pos:0 ~len:(String.length s)
 
 (* Digest over a [Bytes.t] region — the in-place sealing path, where
@@ -136,14 +127,3 @@ let x2nmodp n k =
 let combine crc1 crc2 len2 =
   if len2 < 0 then invalid_arg "Crc32.combine";
   multmodp (x2nmodp len2 3) (crc1 land 0xFFFFFFFF) lxor (crc2 land 0xFFFFFFFF)
-
-(* Int32-facing compatibility surface: same 32-bit patterns as the
-   historical interface (conversions wrap modulo 2^32). *)
-let to_int c = Int32.to_int (Int32.logand c 0xFFFFFFFFl) land 0xFFFFFFFF
-
-let update_sub crc s ~pos ~len =
-  Int32.of_int (update_int_sub (to_int crc) s ~pos ~len)
-
-let update crc s = update_sub crc s ~pos:0 ~len:(String.length s)
-let digest s = update 0l s
-let digest_sub s ~pos ~len = update_sub 0l s ~pos ~len

@@ -1,15 +1,3 @@
-(* The one frame format every wire message and every durable record
-   share:
-
-     [u8 version | u8 tag | u32 crc32(body) | body...]
-
-   The version byte gates format evolution; the tag names the
-   top-level message class (protocol constructor, WAL record kind);
-   the CRC turns byte-level faults — the explorer's bit flips and
-   truncations, the disk's torn tails — into detected [Malformed]
-   frames rather than silently different protocol state. [open_]
-   returns a zero-copy reader over the body. *)
-
 let version = 1
 let header_bytes = 6
 let max_tag = 0xff
@@ -34,51 +22,34 @@ let finish w ~tag ~start =
   in
   patch_header w ~start ~tag ~crc
 
-let seal_impl ~tag write =
-  if tag < 0 || tag > max_tag then invalid_arg "Envelope.seal: tag";
-  Pool.with_writer (fun w ->
-      let start = Codec.Writer.reserve w header_bytes in
-      write w;
-      finish w ~tag ~start;
-      Codec.Writer.contents w)
-
-(* Append one sealed frame to a caller-owned writer — the WAL's
-   per-record path, where the frame lands inside a reusable scratch
-   buffer behind a length prefix instead of becoming its own string. *)
+(* Append one sealed frame to a writer: the pooled writer of [seal],
+   or a caller-owned one — the WAL's per-record path, where the frame
+   lands inside a reusable scratch buffer behind a length prefix
+   instead of becoming its own string. *)
 let seal_into_impl w ~tag write =
-  if tag < 0 || tag > max_tag then invalid_arg "Envelope.seal_into: tag";
+  if tag < 0 || tag > max_tag then invalid_arg "Envelope.seal: tag";
   let start = Codec.Writer.reserve w header_bytes in
   write w;
   finish w ~tag ~start
 
+let seal_impl ~tag write =
+  Pool.with_writer (fun w ->
+      seal_into_impl w ~tag write;
+      Codec.Writer.contents w)
+
 (* Self-profiling bracket (Fl_prof): every wire message and durable
-   record is encoded through here, so this one site attributes the
-   whole encode path. Exception-safe: seal re-raises after closing
-   its frame. *)
+   record is encoded through [seal] or [seal_into], so one subsystem
+   attributes the whole encode path wherever the frame bytes end up. *)
 let seal ~tag write =
-  if !Fl_prof.Prof.on then begin
-    Fl_prof.Prof.enter Fl_prof.Prof.codec_encode;
-    match seal_impl ~tag write with
-    | r ->
-        Fl_prof.Prof.leave ();
-        r
-    | exception e ->
-        Fl_prof.Prof.leave ();
-        raise e
-  end
+  if !Fl_prof.Prof.on then
+    Fl_prof.Prof.frame Fl_prof.Prof.codec_encode (fun () ->
+        seal_impl ~tag write)
   else seal_impl ~tag write
 
-(* Same profiling bracket as [seal] — one subsystem attributes the
-   whole encode path wherever the frame bytes end up. *)
 let seal_into w ~tag write =
-  if !Fl_prof.Prof.on then begin
-    Fl_prof.Prof.enter Fl_prof.Prof.codec_encode;
-    match seal_into_impl w ~tag write with
-    | () -> Fl_prof.Prof.leave ()
-    | exception e ->
-        Fl_prof.Prof.leave ();
-        raise e
-  end
+  if !Fl_prof.Prof.on then
+    Fl_prof.Prof.frame Fl_prof.Prof.codec_encode (fun () ->
+        seal_into_impl w ~tag write)
   else seal_into_impl w ~tag write
 
 (* Open a sealed frame living at [pos, pos+len) of [s] — zero-copy:
@@ -102,18 +73,11 @@ let open_sub_impl s ~pos ~len =
 (* Self-profiling bracket: header check + CRC of the body — the fixed
    per-frame decode cost. The body parse that follows is attributed by
    {!Msg_codec.decode_frame}'s enclosing frame. Underflow/Malformed
-   are expected control flow here; re-raise after closing. *)
+   are expected control flow here; the frame closes on them too. *)
 let open_sub s ~pos ~len =
-  if !Fl_prof.Prof.on then begin
-    Fl_prof.Prof.enter Fl_prof.Prof.codec_decode;
-    match open_sub_impl s ~pos ~len with
-    | r ->
-        Fl_prof.Prof.leave ();
-        r
-    | exception e ->
-        Fl_prof.Prof.leave ();
-        raise e
-  end
+  if !Fl_prof.Prof.on then
+    Fl_prof.Prof.frame Fl_prof.Prof.codec_decode (fun () ->
+        open_sub_impl s ~pos ~len)
   else open_sub_impl s ~pos ~len
 
 let open_ s = open_sub s ~pos:0 ~len:(String.length s)

@@ -1,43 +1,10 @@
-(* The contract every top-level wire-message codec implements: one
-   message type, one [encode] that produces the exact framed bytes the
-   NIC is charged for, one total [decode] that never raises.
-
-   [decode (encode m) = m] for every message; on any other input
-   [decode] returns [None] (the dispatcher drops and counts the
-   frame). Decoders are written against {!Codec.Reader} bounds
-   checking and may only raise {!Codec.Reader.Underflow} or
-   {!Codec.Malformed} internally — both absorbed here; anything else
-   (an [Invalid_argument], an out-of-bounds) is a codec bug, surfaced
-   by the qcheck malformed-input properties. *)
-
-module type S = sig
-  type t
-
-  val encode : t -> string
-  val decode : string -> t option
-end
-
-(* Build a total [decode] from a sealed-frame body reader. [read tag
-   reader] parses one message class; the whole body must be consumed
-   (trailing bytes are malformed — they would be invisible to the
-   protocol yet still charged to the NIC). *)
-let decode_frame_impl read s =
-  match
-    let tag, r = Envelope.open_ s in
-    let m = read tag r in
-    if not (Codec.Reader.at_end r) then
-      raise (Codec.Malformed "trailing bytes");
-    m
-  with
-  | m -> Some m
-  | exception (Codec.Reader.Underflow | Codec.Malformed _) -> None
-
-(* Total decode of a frame living at [pos, pos+len) of an embedding
-   buffer (a receive buffer, a WAL segment) — the view path: the body
-   reader is a window over [s], nothing is copied out first. Exactly
-   [decode_frame read (String.sub s pos len)] observationally, which
-   the qcheck equivalence suite pins for every registered codec. *)
-let decode_frame_sub_impl read s ~pos ~len =
+(* Build a total [decode] from a sealed-frame body reader over the
+   frame at [pos, pos+len) of [s] — a whole string, a receive buffer
+   or a WAL segment; the body reader is a window over [s], nothing is
+   copied out first. [read tag reader] parses one message class; the
+   whole body must be consumed (trailing bytes are malformed — they
+   would be invisible to the protocol yet still charged to the NIC). *)
+let decode_impl read s ~pos ~len =
   match
     let tag, r = Envelope.open_sub s ~pos ~len in
     let m = read tag r in
@@ -48,23 +15,14 @@ let decode_frame_sub_impl read s ~pos ~len =
   | m -> Some m
   | exception (Codec.Reader.Underflow | Codec.Malformed _) -> None
 
-let decode_frame_sub read s ~pos ~len =
-  if !Fl_prof.Prof.on then begin
-    Fl_prof.Prof.enter Fl_prof.Prof.codec_decode;
-    let r = decode_frame_sub_impl read s ~pos ~len in
-    Fl_prof.Prof.leave ();
-    r
-  end
-  else decode_frame_sub_impl read s ~pos ~len
-
 (* Self-profiling bracket (Fl_prof): the whole frame decode — envelope
-   open (a nested frame of the same subsystem) plus body parse. Total
-   by construction, so a plain leave suffices. *)
-let decode_frame read s =
-  if !Fl_prof.Prof.on then begin
-    Fl_prof.Prof.enter Fl_prof.Prof.codec_decode;
-    let r = decode_frame_impl read s in
-    Fl_prof.Prof.leave ();
-    r
-  end
-  else decode_frame_impl read s
+   open (a nested frame of the same subsystem) plus body parse. A
+   [read] that raises anything but the two codec exceptions is a bug;
+   the frame still closes before it propagates. *)
+let decode_frame_sub read s ~pos ~len =
+  if !Fl_prof.Prof.on then
+    Fl_prof.Prof.frame Fl_prof.Prof.codec_decode (fun () ->
+        decode_impl read s ~pos ~len)
+  else decode_impl read s ~pos ~len
+
+let decode_frame read s = decode_frame_sub read s ~pos:0 ~len:(String.length s)

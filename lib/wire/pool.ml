@@ -1,16 +1,9 @@
-(* Pooled writers — the per-message encode fast path.
-
-   A naive fresh [Writer.create] per encode makes the allocator the
-   hot path at high message rates. [with_writer] hands out a cleared
-   writer from a small free list and returns it afterwards, so
-   steady-state encoding allocates only the final [contents] string.
-   A returned writer keeps the storage it grew, up to [retain_bytes]:
-   recovery versions (~210 KB frames) then reuse one buffer instead of
-   regrowing from 512 B on every encode. Deterministic (no RNG, a
-   pooled writer is always handed out cleared) and domain-safe: the
-   free list is domain-local state ([Domain.DLS]), so parallel sweep
-   shards never share a writer or contend on the pool. Nesting within
-   a domain is safe because the pool is a stack. *)
+(* A naive fresh [Writer.create] per encode makes the allocator the
+   hot path at high message rates. Deterministic (no RNG, a pooled
+   writer is always handed out cleared) and domain-safe: the free list
+   is domain-local state ([Domain.DLS]), so parallel sweep shards never
+   share a writer or contend on the pool. Nesting within a domain is
+   safe because the pool is a stack. *)
 
 type pool = { mutable free : Codec.Writer.t list; mutable count : int }
 

@@ -115,56 +115,8 @@ let test_rb_multiple_instances () =
         got)
     alive
 
-(* ---------- Atomic broadcast ---------- *)
-
-type ab_msg = string Fl_consensus.Pbft.msg
-
-let ab_key : ab_msg -> string = fun _ -> "ab"
-
-let ab_encode (m : ab_msg) =
-  Envelope.seal ~tag:0 (fun w ->
-      Fl_consensus.Pbft.write_msg Codec.Writer.bytes w m)
-
-let ab_decode s =
-  Msg_codec.decode_frame
-    (fun tag r ->
-      if tag <> 0 then
-        raise (Codec.Malformed (Printf.sprintf "ab-test: tag %d" tag));
-      Fl_consensus.Pbft.read_msg Codec.Reader.bytes r)
-    s
-
-let test_atomic_order () =
-  let n = 4 in
-  let w =
-    World.make ~seed:31 ~n ~key:ab_key ~encode:ab_encode ~decode:ab_decode ()
-  in
-  let delivered = Array.make n [] in
-  let endpoints =
-    Array.init n (fun i ->
-        Atomic.create w.World.engine ~recorder:w.World.recorder
-          ~channel:(World.channel w ~node:i ~key:"ab")
-          ~cpu:w.World.cpus.(i)
-          ~payload_digest:Fl_crypto.Sha256.digest
-          ~deliver:(fun p -> delivered.(i) <- p :: delivered.(i)))
-  in
-  Fiber.spawn w.World.engine (fun () ->
-      Atomic.broadcast endpoints.(3) "v3";
-      Atomic.broadcast endpoints.(1) "v1";
-      Fiber.sleep w.World.engine (Time.ms 2);
-      Atomic.broadcast endpoints.(2) "v2");
-  World.run ~until:(Time.s 10) w;
-  Array.iter Atomic.stop endpoints;
-  World.run ~until:(Time.s 11) w;
-  Alcotest.(check int) "three delivered" 3 (List.length delivered.(0));
-  for i = 1 to n - 1 do
-    Alcotest.(check (list string))
-      (Printf.sprintf "same order at %d" i)
-      delivered.(0) delivered.(i)
-  done
-
 let suite =
   [ Alcotest.test_case "rb basic" `Quick test_rb_basic;
     Alcotest.test_case "rb silent node" `Quick test_rb_with_silent_node;
     Alcotest.test_case "rb equivocation" `Quick test_rb_equivocating_origin;
-    Alcotest.test_case "rb multi instance" `Quick test_rb_multiple_instances;
-    Alcotest.test_case "atomic order" `Quick test_atomic_order ]
+    Alcotest.test_case "rb multi instance" `Quick test_rb_multiple_instances ]

@@ -57,29 +57,6 @@ let test_hex_roundtrip () =
   Alcotest.check_raises "odd length" (Invalid_argument "Hex.decode: odd length")
     (fun () -> ignore (Hex.decode "abc"))
 
-let test_merkle_basics () =
-  let leaves = [ "a"; "b"; "c"; "d"; "e" ] in
-  let root = Merkle.root leaves in
-  List.iteri
-    (fun i leaf ->
-      let proof = Merkle.proof leaves i in
-      Alcotest.(check bool)
-        (Printf.sprintf "proof %d verifies" i)
-        true
-        (Merkle.verify ~root ~leaf proof))
-    leaves;
-  (* A proof for one leaf must not verify another. *)
-  let p0 = Merkle.proof leaves 0 in
-  Alcotest.(check bool) "wrong leaf rejected" false
-    (Merkle.verify ~root ~leaf:"b" p0);
-  Alcotest.(check bool) "singleton root" true
-    (Merkle.verify ~root:(Merkle.root [ "x" ]) ~leaf:"x"
-       (Merkle.proof [ "x" ] 0))
-
-let test_merkle_order_sensitive () =
-  Alcotest.(check bool) "order matters" false
-    (String.equal (Merkle.root [ "a"; "b" ]) (Merkle.root [ "b"; "a" ]))
-
 let test_signature_scheme () =
   let reg = Signature.create_registry ~seed:"test" ~n:4 in
   let s = Signature.sign reg ~signer:2 "hello" in
@@ -107,15 +84,6 @@ let test_cost_model () =
   let sps4 = Cost_model.signatures_per_second m ~payload_bytes:5120 ~cores:4 in
   Alcotest.(check (float 1e-6)) "linear in cores" (4.0 *. sps1) sps4
 
-let prop_merkle_verify =
-  QCheck.Test.make ~name:"merkle: every proof verifies" ~count:100
-    QCheck.(pair (list_of_size Gen.(1 -- 20) string) small_nat)
-    (fun (leaves, i) ->
-      QCheck.assume (leaves <> []);
-      let i = i mod List.length leaves in
-      let root = Merkle.root leaves in
-      Merkle.verify ~root ~leaf:(List.nth leaves i) (Merkle.proof leaves i))
-
 let prop_hex_roundtrip =
   QCheck.Test.make ~name:"hex: decode . encode = id" ~count:200 QCheck.string
     (fun s -> String.equal (Hex.decode (Hex.encode s)) s)
@@ -137,10 +105,7 @@ let suite =
     Alcotest.test_case "hmac rfc4231" `Quick test_hmac_vector;
     Alcotest.test_case "hmac long key" `Quick test_hmac_long_key;
     Alcotest.test_case "hex roundtrip" `Quick test_hex_roundtrip;
-    Alcotest.test_case "merkle basics" `Quick test_merkle_basics;
-    Alcotest.test_case "merkle order" `Quick test_merkle_order_sensitive;
     Alcotest.test_case "signatures" `Quick test_signature_scheme;
     Alcotest.test_case "cost model" `Quick test_cost_model;
-    QCheck_alcotest.to_alcotest prop_merkle_verify;
     QCheck_alcotest.to_alcotest prop_hex_roundtrip;
     QCheck_alcotest.to_alcotest prop_sha_incremental ]

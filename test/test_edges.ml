@@ -29,14 +29,6 @@ let test_sha_feed_range_checks () =
   Alcotest.check_raises "bad range" (Invalid_argument "Sha256.feed_bytes")
     (fun () -> Fl_crypto.Sha256.feed_bytes ctx ~off:2 ~len:10 (Bytes.create 4))
 
-let test_merkle_empty_and_single () =
-  Alcotest.(check string) "empty root is hash of empty"
-    (Fl_crypto.Hex.encode (Fl_crypto.Sha256.digest ""))
-    (Fl_crypto.Hex.encode (Fl_crypto.Merkle.root []));
-  Alcotest.check_raises "proof out of bounds"
-    (Invalid_argument "Merkle.proof: index") (fun () ->
-      ignore (Fl_crypto.Merkle.proof [ "a" ] 1))
-
 let test_engine_stop_mid_run () =
   let e = Engine.create () in
   let fired = ref 0 in
@@ -211,7 +203,6 @@ let suite =
   [ Alcotest.test_case "sha padding boundaries" `Quick
       test_sha_padding_boundaries;
     Alcotest.test_case "sha feed ranges" `Quick test_sha_feed_range_checks;
-    Alcotest.test_case "merkle empty/single" `Quick test_merkle_empty_and_single;
     Alcotest.test_case "engine stop" `Quick test_engine_stop_mid_run;
     Alcotest.test_case "engine negative delay" `Quick
       test_engine_negative_delay_clamped;

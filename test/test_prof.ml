@@ -199,6 +199,47 @@ let test_prof_accounting_exact () =
   Alcotest.check_raises "unbalanced leave"
     (Invalid_argument "Prof.leave: no open frame") (fun () -> Prof.leave ())
 
+(* A frame closes on an exception too. A [read] that raises anything
+   but the two codec exceptions is a codec bug and propagates out of
+   [decode_frame]; its frame and the nested envelope open must both be
+   credited and popped, so later frames are accounted normally. *)
+let test_prof_frame_closes_on_exception () =
+  let frame =
+    Fl_wire.Envelope.seal ~tag:1 (fun w -> Fl_wire.Codec.Writer.varint w 7)
+  in
+  let now = ref 0L in
+  Prof.set_clock_for_tests (Some (fun () -> !now));
+  Prof.enable ();
+  Alcotest.check_raises "read's exception propagates" (Failure "codec bug")
+    (fun () ->
+      ignore
+        (Fl_wire.Msg_codec.decode_frame
+           (fun _tag _body -> failwith "codec bug")
+           frame));
+  now := 100L;
+  Prof.enter Prof.engine;
+  now := 130L;
+  Prof.leave ();
+  let stat name =
+    let st =
+      List.find (fun s -> String.equal s.Prof.p_name name) (Prof.stats ())
+    in
+    (st.Prof.p_self_ns, st.Prof.p_calls)
+  in
+  let decode = stat "codec_decode" and engine = stat "engine" in
+  let balanced =
+    match Prof.leave () with
+    | () -> false
+    | exception Invalid_argument _ -> true
+  in
+  Prof.disable ();
+  Prof.set_clock_for_tests None;
+  Alcotest.(check int) "decode frame and envelope open both closed" 2
+    (snd decode);
+  Alcotest.(check (pair int int)) "engine credited its own elapsed time"
+    (30, 1) engine;
+  Alcotest.(check bool) "no frame left open" true balanced
+
 (* ---------- profiling-on runs are byte-identical ---------- *)
 
 (* Same pinned run as test_obs.ml: seed 77, n=4, 300 simulated ms.
@@ -313,6 +354,8 @@ let suite =
       test_compare_bad_tolerance;
     Alcotest.test_case "prof: exact accounting" `Quick
       test_prof_accounting_exact;
+    Alcotest.test_case "prof: frame closes on exception" `Quick
+      test_prof_frame_closes_on_exception;
     Alcotest.test_case "prof: fingerprint unchanged" `Quick
       test_fingerprint_unchanged_with_prof;
     Alcotest.test_case "prof: coverage" `Quick test_prof_coverage;

@@ -68,7 +68,30 @@ let prop_crc32_combine =
     QCheck.(pair (string_of_size Gen.(0 -- 300)) small_nat)
     (fun (s, k) -> combine_holds s (k mod (String.length s + 1)))
 
+(* Published CRC-32/IEEE check values: the "123456789" check value of
+   the CRC catalogues, the empty string, and the pangram widely used as
+   a test vector. *)
+let crc32_vectors =
+  [ ("123456789", 0xCBF43926);
+    ("", 0);
+    ("The quick brown fox jumps over the lazy dog", 0x414FA339) ]
+
 let test_crc32_combine_edges () =
+  List.iter
+    (fun (s, crc) ->
+      Alcotest.(check int) (Printf.sprintf "digest %S" s) crc
+        (Crc32.digest_int s);
+      let padded = "xy" ^ s ^ "z" in
+      Alcotest.(check int) (Printf.sprintf "digest_int_sub %S" s) crc
+        (Crc32.digest_int_sub padded ~pos:2 ~len:(String.length s));
+      Alcotest.(check int) (Printf.sprintf "digest_int_bytes_sub %S" s) crc
+        (Crc32.digest_int_bytes_sub (Bytes.of_string padded) ~pos:2
+           ~len:(String.length s));
+      for k = 0 to String.length s do
+        Alcotest.(check bool) (Printf.sprintf "%S split %d" s k) true
+          (combine_holds s k)
+      done)
+    crc32_vectors;
   let s = String.init 4099 (fun i -> Char.chr ((i * 131) land 0xff)) in
   List.iter
     (fun (len, k) ->

@@ -38,12 +38,13 @@ let run_cmd =
              sweep order, so the output is byte-identical for any value.")
   in
   let run mode jobs id =
-    Fl_harness.Parsweep.set_default_jobs (Fl_sim.Par.resolve_jobs ?cli:jobs ());
+    let jobs = Fl_sim.Par.resolve_jobs ?cli:jobs () in
+    if jobs > 1 then Fl_sim.Par.ensure_available ();
     if String.equal id "all" then begin
-      Fl_harness.Experiments.run_all mode;
+      Fl_harness.Experiments.run_all ~jobs mode;
       `Ok ()
     end
-    else if Fl_harness.Experiments.run_by_id id mode then `Ok ()
+    else if Fl_harness.Experiments.run_by_id ~jobs id mode then `Ok ()
     else `Error (false, Printf.sprintf "unknown experiment %S" id)
   in
   Cmd.v

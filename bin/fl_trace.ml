@@ -157,12 +157,10 @@ let experiment_cmd =
   let full = value & flag & info [ "full" ] ~doc:"Full paper-scale sweep." in
   let run id full capacity out filt no_timeline =
     let sink = Fl_obs.Obs.create ~capacity () in
-    Fl_harness.Settings.set_default_obs (Some sink);
     let mode =
       if full then Fl_harness.Experiments.Full else Fl_harness.Experiments.Quick
     in
-    let known = Fl_harness.Experiments.run_by_id id mode in
-    Fl_harness.Settings.set_default_obs None;
+    let known = Fl_harness.Experiments.run_by_id ~obs:sink id mode in
     if not known then
       `Error (false, Printf.sprintf "unknown experiment %S" id)
     else begin

@@ -2,6 +2,8 @@ open Fl_sim
 
 type mode = Quick | Full
 
+type run = { mode : mode; jobs : int; obs : Fl_obs.Obs.t option }
+
 let warmup = Time.s 1
 let duration = function Quick -> Time.s 3 | Full -> Time.s 10
 
@@ -10,20 +12,21 @@ let sizes = [ 512; 1024; 4096 ]
 let batches = [ 10; 100; 1000 ]
 let clusters = [ 4; 7; 10 ]
 
-let base mode ~n ~workers ~batch ~tx_size =
+let base ex ~n ~workers ~batch ~tx_size =
   { (Settings.flo ~n ~workers ~batch ~tx_size) with
     Settings.warmup;
-    duration = duration mode }
+    duration = duration ex.mode;
+    obs = ex.obs }
 
 let ktps r = r.Settings.tps /. 1000.0
 
 (* ---------- Table 1: per-mode protocol costs ---------- *)
 
-let table1 mode =
+let table1 ex =
   let n = 4 in
   let run faults tweaks =
     Settings.run_flo
-      { (base mode ~n ~workers:1 ~batch:100 ~tx_size:512) with
+      { (base ex ~n ~workers:1 ~batch:100 ~tx_size:512) with
         Settings.faults;
         config_tweaks = tweaks }
   in
@@ -69,7 +72,7 @@ let table1 mode =
 
 (* ---------- Figure 5: signature generation rate ---------- *)
 
-let fig5 _mode =
+let fig5 _ex =
   let t =
     Table.create
       ~title:
@@ -102,7 +105,7 @@ let fig5 _mode =
 
 (* ---------- Figure 6: single-DC blocks/s ---------- *)
 
-let fig6 mode =
+let fig6 ex =
   let t =
     Table.create ~title:"Figure 6: FLO blocks/s, single DC (header-only load)"
       ~columns:[ "workers"; "n=4"; "n=7"; "n=10" ]
@@ -110,16 +113,19 @@ let fig6 mode =
   (* Build the whole grid up front and run it through the parallel
      sweep; rows are filled from the results array in sweep order, so
      the table is identical for any job count. *)
-  let ws = omega_sweep mode in
+  let ws = omega_sweep ex.mode in
   let ns = [ 4; 7; 10 ] in
   let settings =
     Array.of_list
       (List.concat_map
          (fun w ->
-           List.map (fun n -> base mode ~n ~workers:w ~batch:1 ~tx_size:1) ns)
+           List.map (fun n -> base ex ~n ~workers:w ~batch:1 ~tx_size:1) ns)
          ws)
   in
-  let results = Parsweep.run_settings settings in
+  let results =
+    Par.map ~jobs:ex.jobs (Array.length settings) (fun i ->
+        Settings.run_flo settings.(i))
+  in
   List.iteri
     (fun i w ->
       let cell j = Table.cell_f results.((i * 3) + j).Settings.bps in
@@ -129,7 +135,7 @@ let fig6 mode =
 
 (* ---------- Figure 7: single-DC tps grid ---------- *)
 
-let tps_grid mode ~title ~net =
+let tps_grid ex ~title ~net =
   let sigmas = [ 512; 1024; 4096 ] in
   List.iter
     (fun n ->
@@ -142,20 +148,23 @@ let tps_grid mode ~title ~net =
           in
           (* One parallel sweep per table; rows filled from the results
              array in sweep order (identical for any job count). *)
-          let ws = omega_sweep mode in
+          let ws = omega_sweep ex.mode in
           let settings =
             Array.of_list
               (List.concat_map
                  (fun w ->
                    List.map
                      (fun sigma ->
-                       { (base mode ~n ~workers:w ~batch:beta
+                       { (base ex ~n ~workers:w ~batch:beta
                             ~tx_size:sigma)
                          with Settings.net })
                      sigmas)
                  ws)
           in
-          let results = Parsweep.run_settings settings in
+          let results =
+            Par.map ~jobs:ex.jobs (Array.length settings) (fun i ->
+                Settings.run_flo settings.(i))
+          in
           List.iteri
             (fun i w ->
               let cell j = Table.cell_f (ktps results.((i * 3) + j)) in
@@ -166,12 +175,12 @@ let tps_grid mode ~title ~net =
         batches)
     clusters
 
-let fig7 mode =
-  tps_grid mode ~title:"Figure 7: FLO ktps, single DC" ~net:Settings.Single_dc
+let fig7 ex =
+  tps_grid ex ~title:"Figure 7: FLO ktps, single DC" ~net:Settings.Single_dc
 
 (* ---------- Figure 8: latency CDFs ---------- *)
 
-let fig8 mode =
+let fig8 ex =
   let omegas = [ 1; 5; 10 ] in
   List.iter
     (fun n ->
@@ -188,7 +197,7 @@ let fig8 mode =
           List.iter
             (fun beta ->
               let r =
-                Settings.run_flo (base mode ~n ~workers:w ~batch:beta ~tx_size:512)
+                Settings.run_flo (base ex ~n ~workers:w ~batch:beta ~tx_size:512)
               in
               let q p =
                 match
@@ -204,14 +213,14 @@ let fig8 mode =
               Table.add_row t
                 [ Printf.sprintf "w=%d b=%d" w beta;
                   q 0.10; q 0.25; q 0.50; q 0.75; q 0.90; q 0.99 ])
-            (match mode with Quick -> [ 100; 1000 ] | Full -> batches))
-        (match mode with Quick -> [ 1; 10 ] | Full -> omegas);
+            (match ex.mode with Quick -> [ 100; 1000 ] | Full -> batches))
+        (match ex.mode with Quick -> [ 1; 10 ] | Full -> omegas);
       Table.print t)
-    (match mode with Quick -> [ 4; 10 ] | Full -> clusters)
+    (match ex.mode with Quick -> [ 4; 10 ] | Full -> clusters)
 
 (* ---------- Figure 9: event breakdown heatmap ---------- *)
 
-let fig9 mode =
+let fig9 ex =
   let t =
     Table.create
       ~title:
@@ -226,7 +235,7 @@ let fig9 mode =
           List.iter
             (fun beta ->
               let r =
-                Settings.run_flo (base mode ~n ~workers:w ~batch:beta ~tx_size:512)
+                Settings.run_flo (base ex ~n ~workers:w ~batch:beta ~tx_size:512)
               in
               let total =
                 r.Settings.ev_ab_ms +. r.Settings.ev_bc_ms
@@ -242,26 +251,28 @@ let fig9 mode =
                   pct r.Settings.ev_bc_ms;
                   pct r.Settings.ev_cd_ms;
                   pct r.Settings.ev_de_ms ])
-            (match mode with Quick -> [ 1000 ] | Full -> batches))
-        (match mode with Quick -> [ 1; 10 ] | Full -> [ 1; 5; 10 ]))
-    (match mode with Quick -> [ 4; 10 ] | Full -> clusters);
+            (match ex.mode with Quick -> [ 1000 ] | Full -> batches))
+        (match ex.mode with Quick -> [ 1; 10 ] | Full -> [ 1; 5; 10 ]))
+    (match ex.mode with Quick -> [ 4; 10 ] | Full -> clusters);
   Table.print t
 
 (* ---------- Figure 10: scalability, n = 100 ---------- *)
 
-let fig10 mode =
+let fig10 ex =
   let t =
     Table.create ~title:"Figure 10: FLO ktps with n=100, sigma=512, single DC"
       ~columns:[ "workers"; "beta=10"; "beta=100"; "beta=1000" ]
   in
-  let dur = match mode with Quick -> Time.s 2 | Full -> Time.s 5 in
-  let omegas = match mode with Quick -> [ 1; 3 ] | Full -> [ 1; 2; 3; 4; 5 ] in
+  let dur = match ex.mode with Quick -> Time.s 2 | Full -> Time.s 5 in
+  let omegas =
+    match ex.mode with Quick -> [ 1; 3 ] | Full -> [ 1; 2; 3; 4; 5 ]
+  in
   List.iter
     (fun w ->
       let cell beta =
         let r =
           Settings.run_flo
-            { (base mode ~n:100 ~workers:w ~batch:beta ~tx_size:512) with
+            { (base ex ~n:100 ~workers:w ~batch:beta ~tx_size:512) with
               Settings.duration = dur }
         in
         Table.cell_f (ktps r)
@@ -273,7 +284,7 @@ let fig10 mode =
 
 (* ---------- Figure 11: crash failures ---------- *)
 
-let fig11 mode =
+let fig11 ex =
   let t =
     Table.create
       ~title:
@@ -290,7 +301,7 @@ let fig11 mode =
             let crash_list = List.init f (fun i -> (2 * i) + 1) in
             let r =
               Settings.run_flo
-                { (base mode ~n ~workers:w ~batch:beta ~tx_size:512) with
+                { (base ex ~n ~workers:w ~batch:beta ~tx_size:512) with
                   Settings.faults =
                     { Settings.no_faults with
                       Settings.crash_at = Some (warmup / 2, crash_list) } }
@@ -301,13 +312,13 @@ let fig11 mode =
             [ Printf.sprintf "%d(%d)" n f;
               Table.cell_i w;
               cell 10; cell 100; cell 1000 ])
-        (match mode with Quick -> [ 1; 5 ] | Full -> [ 1; 3; 5; 8; 10 ]))
+        (match ex.mode with Quick -> [ 1; 5 ] | Full -> [ 1; 3; 5; 8; 10 ]))
     clusters;
   Table.print t
 
 (* ---------- Figure 12: Byzantine failures ---------- *)
 
-let fig12 mode =
+let fig12 ex =
   let t =
     Table.create
       ~title:
@@ -325,7 +336,7 @@ let fig12 mode =
               let byz = List.init f (fun i -> (3 * i) + 1) in
               let r =
                 Settings.run_flo
-                  { (base mode ~n ~workers:w ~batch:beta ~tx_size:512) with
+                  { (base ex ~n ~workers:w ~batch:beta ~tx_size:512) with
                     Settings.faults =
                       { Settings.no_faults with Settings.byzantine = byz } }
               in
@@ -335,14 +346,14 @@ let fig12 mode =
                   Table.cell_i beta;
                   Table.cell_f (ktps r);
                   Table.cell_f ~dec:2 r.Settings.rps ])
-            (match mode with Quick -> [ 100; 1000 ] | Full -> batches))
-        (match mode with Quick -> [ 1; 3 ] | Full -> [ 1; 2; 3; 4; 5 ]))
+            (match ex.mode with Quick -> [ 100; 1000 ] | Full -> batches))
+        (match ex.mode with Quick -> [ 1; 3 ] | Full -> [ 1; 2; 3; 4; 5 ]))
     clusters;
   Table.print t
 
 (* ---------- Figures 13-15: multi data-center ---------- *)
 
-let fig13 mode =
+let fig13 ex =
   let t =
     Table.create ~title:"Figure 13: FLO blocks/s, multi DC (header-only load)"
       ~columns:[ "workers"; "n=4"; "n=7"; "n=10" ]
@@ -352,16 +363,16 @@ let fig13 mode =
       let cell n =
         let r =
           Settings.run_flo
-            { (base mode ~n ~workers:w ~batch:1 ~tx_size:1) with
+            { (base ex ~n ~workers:w ~batch:1 ~tx_size:1) with
               Settings.net = Settings.Geo }
         in
         Table.cell_f r.Settings.bps
       in
       Table.add_row t [ Table.cell_i w; cell 4; cell 7; cell 10 ])
-    (omega_sweep mode);
+    (omega_sweep ex.mode);
   Table.print t
 
-let fig14 mode =
+let fig14 ex =
   let t =
     Table.create ~title:"Figure 14: FLO ktps, multi DC, sigma=512"
       ~columns:[ "workers"; "config"; "beta=10"; "beta=100"; "beta=1000" ]
@@ -373,10 +384,10 @@ let fig14 mode =
           let cell beta =
             let r =
               Settings.run_flo
-                { (base mode ~n ~workers:w ~batch:beta ~tx_size:512) with
+                { (base ex ~n ~workers:w ~batch:beta ~tx_size:512) with
                   Settings.net = Settings.Geo;
                   duration =
-                    (match mode with Quick -> Time.s 6 | Full -> Time.s 15) }
+                    (match ex.mode with Quick -> Time.s 6 | Full -> Time.s 15) }
             in
             Table.cell_f (ktps r)
           in
@@ -384,11 +395,11 @@ let fig14 mode =
             [ Table.cell_i w;
               Printf.sprintf "n=%d" n;
               cell 10; cell 100; cell 1000 ])
-        (omega_sweep mode))
+        (omega_sweep ex.mode))
     clusters;
   Table.print t
 
-let fig15 mode =
+let fig15 ex =
   let t =
     Table.create
       ~title:
@@ -403,30 +414,30 @@ let fig15 mode =
           let cell beta =
             let r =
               Settings.run_flo
-                { (base mode ~n ~workers:w ~batch:beta ~tx_size:512) with
+                { (base ex ~n ~workers:w ~batch:beta ~tx_size:512) with
                   Settings.net = Settings.Geo;
                   duration =
-                    (match mode with Quick -> Time.s 6 | Full -> Time.s 15) }
+                    (match ex.mode with Quick -> Time.s 6 | Full -> Time.s 15) }
             in
             Table.cell_f r.Settings.lat_trimmed_ms
           in
           Table.add_row t
             [ Printf.sprintf "n=%d w=%d" n w; cell 10; cell 100; cell 1000 ])
-        (match mode with Quick -> [ 1; 10 ] | Full -> [ 1; 5; 10 ]))
+        (match ex.mode with Quick -> [ 1; 10 ] | Full -> [ 1; 5; 10 ]))
     clusters;
   Table.print t
 
 (* ---------- Figures 16-17: FLO vs HotStuff / BFT-SMaRt ---------- *)
 
-let comparison mode ~title ~rival ~run_rival =
+let comparison ex ~title ~rival ~run_rival =
   let t =
     Table.create ~title
       ~columns:
         [ "n"; "sigma"; "FLO ktps"; rival ^ " ktps"; "FLO lat ms";
           rival ^ " lat ms" ]
   in
-  let ns = match mode with Quick -> [ 4; 10 ] | Full -> [ 4; 10; 16; 31 ] in
-  let ss = match mode with Quick -> [ 512 ] | Full -> [ 128; 512; 1024 ] in
+  let ns = match ex.mode with Quick -> [ 4; 10 ] | Full -> [ 4; 10; 16; 31 ] in
+  let ss = match ex.mode with Quick -> [ 512 ] | Full -> [ 128; 512; 1024 ] in
   List.iter
     (fun n ->
       let f = max 0 ((n / 3) - 1) in
@@ -434,7 +445,7 @@ let comparison mode ~title ~rival ~run_rival =
         (fun sigma ->
           let flo_r =
             Settings.run_flo
-              { (base mode ~n ~workers:8 ~batch:1000 ~tx_size:sigma) with
+              { (base ex ~n ~workers:8 ~batch:1000 ~tx_size:sigma) with
                 Settings.f = Some f;
                 machine = Settings.c5_4xlarge }
           in
@@ -452,15 +463,15 @@ let comparison mode ~title ~rival ~run_rival =
     ns;
   Table.print t
 
-let fig16 mode =
-  comparison mode
+let fig16 ex =
+  comparison ex
     ~title:
       "Figure 16: FLO vs HotStuff (c5.4xlarge profile, beta=1000, w=8, \
        f=floor(n/3)-1)"
     ~rival:"HotStuff" ~run_rival:Settings.run_hotstuff
 
-let fig17 mode =
-  comparison mode
+let fig17 ex =
+  comparison ex
     ~title:
       "Figure 17: FLO vs BFT-SMaRt/PBFT (c5.4xlarge profile, beta=1000, w=8, \
        f=floor(n/3)-1)"
@@ -468,7 +479,7 @@ let fig17 mode =
 
 (* ---------- Ablations (DESIGN.md §4) ---------- *)
 
-let ablations mode =
+let ablations ex =
   let t =
     Table.create
       ~title:
@@ -478,7 +489,7 @@ let ablations mode =
   in
   let run ?(faults = Settings.no_faults) tweaks =
     Settings.run_flo
-      { (base mode ~n:4 ~workers:4 ~batch:1000 ~tx_size:512) with
+      { (base ex ~n:4 ~workers:4 ~batch:1000 ~tx_size:512) with
         Settings.config_tweaks = tweaks;
         faults }
   in
@@ -518,11 +529,11 @@ let ablations mode =
    the whole chain from peers. Throughput (all nodes pay the WAL
    write + fsync path) against recovery time is the trade-off the sync
    policy dials. *)
-let restart_durable mode =
+let restart_durable ex =
   let open Fl_fireledger in
   let n = 4 in
   let victim = 1 in
-  let total = match mode with Quick -> Time.s 6 | Full -> Time.s 10 in
+  let total = match ex.mode with Quick -> Time.s 6 | Full -> Time.s 10 in
   let crash_at = total / 6 in
   let restart_at = total / 4 in
   let t =
@@ -614,7 +625,7 @@ let restart_durable mode =
   run "wal, sync=never" (p Fl_persist.Node.Never);
   run "wal, group_commit 2ms" (p (Fl_persist.Node.Group_commit (Time.ms 2)));
   run "wal, every_block" (p Fl_persist.Node.Every_block);
-  (match mode with
+  (match ex.mode with
   | Quick -> ()
   | Full ->
       run "wal, group_commit 2ms, hdd"
@@ -637,15 +648,15 @@ let restart_durable mode =
    completions fed from the node's FLO merge output and the mempool's
    eviction signal. Returns the harness result plus the source's
    conservation ledger. *)
-let run_traffic mode ~rate_per_s ~pool_cap ~read_ratio ~consistency ?(surges = [])
+let run_traffic ex ~rate_per_s ~pool_cap ~read_ratio ~consistency ?(surges = [])
     ?(seed = 42) ~n ~workers ~batch ~tx_size () =
   let open Fl_load in
   let src_ref = ref None in
   let s =
-    { (base mode ~n ~workers ~batch ~tx_size) with
+    { (base ex ~n ~workers ~batch ~tx_size) with
       Settings.seed;
       warmup = Time.ms 500;
-      duration = (match mode with Quick -> Time.s 2 | Full -> Time.s 6);
+      duration = (match ex.mode with Quick -> Time.s 2 | Full -> Time.s 6);
       config_tweaks =
         (fun c ->
           { c with
@@ -692,14 +703,14 @@ let run_traffic mode ~rate_per_s ~pool_cap ~read_ratio ~consistency ?(surges = [
   Source.stop src;
   (r, Source.stats src, s)
 
-let saturation mode =
+let saturation ex =
   let n = 4 and workers = 2 and batch = 100 and tx_size = 128 in
   (* Calibrate the drain capacity once with the paper's full-load mode
      (proposers pad blocks to β themselves), then sweep the offered
      client load as multiples of it. *)
   let cal =
     Settings.run_flo
-      { (base mode ~n ~workers ~batch ~tx_size) with
+      { (base ex ~n ~workers ~batch ~tx_size) with
         Settings.warmup = Time.ms 500;
         duration = Time.s 2 }
   in
@@ -722,7 +733,7 @@ let saturation mode =
           "admit p50 ms"; "e2e p50 ms"; "e2e p99 ms"; "backpressure" ]
   in
   let mults =
-    match mode with
+    match ex.mode with
     | Quick -> [ 0.3; 0.9; 1.8; 2.7 ]
     | Full -> [ 0.2; 0.4; 0.6; 0.8; 1.0; 1.3; 1.8; 2.5; 3.5 ]
   in
@@ -731,7 +742,7 @@ let saturation mode =
       (fun m ->
         let rate = capacity *. m in
         let r, st, s =
-          run_traffic mode ~rate_per_s:rate ~pool_cap:(4 * batch)
+          run_traffic ex ~rate_per_s:rate ~pool_cap:(4 * batch)
             ~read_ratio:0. ~consistency:Fl_load.Source.Session ~n ~workers
             ~batch ~tx_size ()
         in
@@ -783,7 +794,7 @@ let saturation mode =
   List.iter
     (fun (name, c) ->
       let r, st, _ =
-        run_traffic mode ~rate_per_s:(capacity *. 0.9) ~pool_cap:(4 * batch)
+        run_traffic ex ~rate_per_s:(capacity *. 0.9) ~pool_cap:(4 * batch)
           ~read_ratio:0.5 ~consistency:c ~n ~workers ~batch ~tx_size ()
       in
       let stale_pct =
@@ -804,7 +815,7 @@ let saturation mode =
       ("bounded 500ms", Fl_load.Source.Bounded_staleness (Time.ms 500)) ];
   Table.print rt;
   (* flash crowd: a 4x surge window mid-measurement *)
-  match mode with
+  match ex.mode with
   | Quick -> ()
   | Full ->
       let surge =
@@ -820,7 +831,7 @@ let saturation mode =
       List.iter
         (fun (name, surges) ->
           let r, st, s =
-            run_traffic mode ~rate_per_s:(capacity *. 0.8)
+            run_traffic ex ~rate_per_s:(capacity *. 0.8)
               ~pool_cap:(4 * batch) ~read_ratio:0.
               ~consistency:Fl_load.Source.Session ~surges ~n ~workers ~batch
               ~tx_size ()
@@ -872,26 +883,35 @@ let sim_rate_delta before =
       rs_events = a.rs_events - before.rs_events;
       rs_runs = a.rs_runs - before.rs_runs }
 
-let timed id run mode =
+let timed id driver ex =
   let t0 = Fl_prof.Clock.now_ns_int () in
   let stats0 = Settings.run_stats () in
-  run mode;
+  driver ex;
   let wall_s = float_of_int (Fl_prof.Clock.now_ns_int () - t0) /. 1e9 in
   match Settings.sim_rate_line (sim_rate_delta stats0) with
   | Some line ->
       Printf.printf "(%s finished in %.1fs wall; %s)\n%!" id wall_s line
   | None -> Printf.printf "(%s finished in %.1fs wall)\n%!" id wall_s
 
-let run_by_id id mode =
+(* One sink is shared by every run it is given to and is not
+   domain-safe, so a traced invocation must be sequential. *)
+let make_run ?(jobs = 1) ?obs mode =
+  if Option.is_some obs && jobs > 1 then
+    invalid_arg "Experiments: an obs sink needs jobs = 1";
+  { mode; jobs; obs }
+
+let run_by_id ?jobs ?obs id mode =
+  let ex = make_run ?jobs ?obs mode in
   match List.find_opt (fun (i, _, _) -> String.equal i id) all with
-  | Some (_, _, run) ->
-      timed id run mode;
+  | Some (_, _, driver) ->
+      timed id driver ex;
       true
   | None -> false
 
-let run_all mode =
+let run_all ?jobs ?obs mode =
+  let ex = make_run ?jobs ?obs mode in
   List.iter
-    (fun (id, desc, run) ->
+    (fun (id, desc, driver) ->
       Printf.printf "\n###### %s — %s ######\n%!" id desc;
-      timed id run mode)
+      timed id driver ex)
     all

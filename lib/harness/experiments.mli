@@ -7,17 +7,28 @@
 
 type mode = Quick | Full
 
-val all : (string * string * (mode -> unit)) list
+type run = { mode : mode; jobs : int; obs : Fl_obs.Obs.t option }
+(** What a driver runs with: the sweep size, the number of domains a
+    grid may shard its runs over ({!Fl_sim.Par.map}; results merge in
+    sweep order, so tables are identical for any [jobs]), and the sink
+    every FLO run of the driver feeds ([None] = off). *)
+
+val all : (string * string * (run -> unit)) list
 (** [(id, description, run)] for every reproduced artifact, in paper
     order: table1, fig5..fig17, plus the DESIGN.md ablations. *)
 
-val run_by_id : string -> mode -> bool
-(** Run one experiment; [false] if the id is unknown. *)
+val run_by_id : ?jobs:int -> ?obs:Fl_obs.Obs.t -> string -> mode -> bool
+(** Run one experiment with [jobs] (default 1) and [obs] (default
+    none); [false] if the id is unknown. A sink is not domain-safe, so
+    both [obs] and [jobs > 1] raise [Invalid_argument] before anything
+    runs. *)
 
-val run_all : mode -> unit
+val run_all : ?jobs:int -> ?obs:Fl_obs.Obs.t -> mode -> unit
+(** Every experiment in [all] order; [jobs] and [obs] as for
+    [run_by_id]. *)
 
 val run_traffic :
-  mode ->
+  run ->
   rate_per_s:float ->
   pool_cap:int ->
   read_ratio:float ->

@@ -116,10 +116,6 @@ type result = {
   recorder : Fl_metrics.Recorder.t;
 }
 
-let default_obs : Fl_obs.Obs.t option ref = ref None
-let set_default_obs o = default_obs := o
-let default_obs_installed () = !default_obs <> None
-
 (* ---------- sim-rate accounting ----------
 
    Every driver below funnels its simulation through [account], which
@@ -137,7 +133,7 @@ type run_stats = {
 }
 
 (* Kept as independent atomic counters, not a record behind a ref:
-   [account] runs concurrently on sweep domains (Parsweep), and a
+   [account] runs concurrently on sweep domains ({!Fl_sim.Par}), and a
    read-modify-write of a shared record would silently drop counts. *)
 let acc_host_ns = Atomic.make 0
 let acc_sim_ns = Atomic.make 0
@@ -177,9 +173,6 @@ let sim_rate_line delta =
          (float_of_int delta.rs_sim_ns /. float_of_int delta.rs_host_ns)
          (float_of_int delta.rs_events /. host_ms /. 1e3)
          delta.rs_runs)
-
-let effective_obs s =
-  match s.obs with Some _ as o -> o | None -> !default_obs
 
 let latency_of ~net ~n =
   match net with
@@ -270,7 +263,7 @@ let build_flo s =
       ~latency:(latency_of ~net:s.net ~n:s.n)
       ~cost:s.machine.cost ~cores:s.machine.cores
       ~bandwidth_bps:s.machine.bandwidth_bps ~behavior ~config
-      ?obs:(effective_obs s) ?persist:s.persist ?on_deliver:s.on_deliver
+      ?obs:s.obs ?persist:s.persist ?on_deliver:s.on_deliver
       ~workers:s.workers ()
   in
   Fl_metrics.Recorder.set_window cluster.Fl_flo.Cluster.recorder
@@ -319,7 +312,7 @@ let run_cluster s cluster =
   (* Per-run rollup on the cluster-wide track: the measurement window
      with its headline numbers, so an exported trace is
      self-describing. *)
-  Fl_obs.Obs.span (effective_obs s) ~cat:"harness" ~name:"measurement_window"
+  Fl_obs.Obs.span s.obs ~cat:"harness" ~name:"measurement_window"
     ~args:
       [ ("n", string_of_int s.n);
         ("workers", string_of_int s.workers);

@@ -96,16 +96,6 @@ type result = {
   recorder : Fl_metrics.Recorder.t;
 }
 
-val set_default_obs : Fl_obs.Obs.t option -> unit
-(** Process-wide fallback sink, used by [run_flo] whenever a setting's
-    own [obs] is [None] — how [fl_trace] captures experiment drivers
-    that build their settings internally. Pass [None] to clear. *)
-
-val default_obs_installed : unit -> bool
-(** Whether a process-wide fallback sink is currently installed —
-    {!Parsweep} clamps to sequential while one is (the sink is shared
-    and unsynchronised). *)
-
 type run_stats = {
   rs_host_ns : int;  (** monotonic host wall time spent simulating *)
   rs_sim_ns : int;  (** simulated time advanced *)

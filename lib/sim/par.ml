@@ -11,12 +11,11 @@
    cluster and explorer state are all per-run; the codec writer pool
    is domain-local).
 
-   Two global subsystems are *not* domain-safe and force the
-   sequential path: the self-profiler (Fl_prof's frame stack and
-   accumulation arrays are plain globals, and a profiled sweep wants
-   stable attribution anyway) — guarded here — and an installed
-   default observatory, guarded by the harness ({!Fl_harness.Parsweep})
-   which is the layer that knows about it. *)
+   One global subsystem is *not* domain-safe and forces the sequential
+   path here: the self-profiler (Fl_prof's frame stack and accumulation
+   arrays are plain globals, and a profiled sweep wants stable
+   attribution anyway). A trace sink is per-run state passed by the
+   caller, which must not hand one sink to several domains. *)
 
 (* A runtime without working domain support (or a build where spawn is
    unavailable) should fail loudly when parallelism was explicitly

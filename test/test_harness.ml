@@ -89,6 +89,24 @@ let test_experiment_registry () =
   Alcotest.(check bool) "unknown id rejected" false
     (Experiments.run_by_id "nope" Experiments.Quick)
 
+(* One sink shared across domains would interleave unsynchronised, so
+   the drivers refuse [~obs] with [~jobs > 1] up front instead of
+   quietly running sequentially. *)
+let test_experiments_fail_closed () =
+  let sink = Fl_obs.Obs.create () in
+  let runs0 = (Settings.run_stats ()).Settings.rs_runs in
+  let refused = Invalid_argument "Experiments: an obs sink needs jobs = 1" in
+  Alcotest.check_raises "run_by_id" refused (fun () ->
+      ignore
+        (Experiments.run_by_id ~obs:sink ~jobs:2 "table1" Experiments.Quick));
+  Alcotest.check_raises "run_all" refused (fun () ->
+      Experiments.run_all ~obs:sink ~jobs:2 Experiments.Quick);
+  Alcotest.(check int) "nothing ran" runs0
+    (Settings.run_stats ()).Settings.rs_runs;
+  Alcotest.(check int) "sink untouched" 0 (Fl_obs.Obs.count sink);
+  Alcotest.(check bool) "unknown id with obs rejected" false
+    (Experiments.run_by_id ~obs:sink "nope" Experiments.Quick)
+
 let suite =
   [ Alcotest.test_case "table formatting" `Quick test_table_formatting;
     Alcotest.test_case "run_flo metrics" `Quick test_run_flo_produces_metrics;
@@ -99,4 +117,6 @@ let suite =
       test_byzantine_fault_injection;
     Alcotest.test_case "loss injection" `Quick test_loss_fault_injection;
     Alcotest.test_case "latency cdf" `Quick test_latency_cdf;
-    Alcotest.test_case "experiment registry" `Quick test_experiment_registry ]
+    Alcotest.test_case "experiment registry" `Quick test_experiment_registry;
+    Alcotest.test_case "experiments fail closed" `Quick
+      test_experiments_fail_closed ]

@@ -225,7 +225,9 @@ let test_source_telescoping_and_conservation () =
 let test_saturation_knee () =
   let open Fl_harness in
   let run rate =
-    Experiments.run_traffic Experiments.Quick ~rate_per_s:rate ~pool_cap:400
+    Experiments.run_traffic
+      { Experiments.mode = Quick; jobs = 1; obs = None }
+      ~rate_per_s:rate ~pool_cap:400
       ~read_ratio:0.0 ~consistency:Fl_load.Source.Session ~n:4 ~workers:2
       ~batch:100 ~tx_size:128 ()
   in

@@ -1,29 +1,57 @@
 open Fl_sim
 
-let test_heap_orders () =
-  let h = Heap.create ~cmp:compare in
-  List.iter (Heap.push h) [ 5; 1; 4; 1; 3; 9; 2 ];
-  let out = ref [] in
-  let rec drain () =
-    match Heap.pop h with
-    | Some x ->
-        out := x :: !out;
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  Alcotest.(check (list int)) "sorted" [ 1; 1; 2; 3; 4; 5; 9 ] (List.rev !out)
+let test_engine_queue_orders () =
+  let e = Engine.create () in
+  let log = ref [] in
+  List.iteri
+    (fun i delay ->
+      ignore (Engine.schedule e ~delay (fun () -> log := (delay, i) :: !log)))
+    [ 5; 1; 4; 1; 3; 9; 2 ];
+  Engine.run e;
+  Alcotest.(check (list (pair int int)))
+    "sorted by time, ties in schedule order"
+    [ (1, 1); (1, 3); (2, 6); (3, 4); (4, 2); (5, 0); (9, 5) ]
+    (List.rev !log)
 
-let prop_heap_sorts =
-  QCheck.Test.make ~name:"heap: pop order is sorted" ~count:200
-    QCheck.(list int)
-    (fun xs ->
-      let h = Heap.create ~cmp:compare in
-      List.iter (Heap.push h) xs;
-      let rec drain acc =
-        match Heap.pop h with Some x -> drain (x :: acc) | None -> List.rev acc
+let prop_engine_order =
+  QCheck.Test.make ~name:"engine: events run in (time, schedule) order"
+    ~count:200
+    QCheck.(list (pair (int_bound 20) bool))
+    (fun evs ->
+      let e = Engine.create () in
+      let log = ref [] in
+      List.iteri
+        (fun i (delay, cancel) ->
+          let h = Engine.schedule e ~delay (fun () -> log := i :: !log) in
+          if cancel then Engine.cancel h)
+        evs;
+      Engine.run e;
+      let expected =
+        List.mapi (fun i (delay, cancel) -> (delay, i, cancel)) evs
+        |> List.filter (fun (_, _, cancel) -> not cancel)
+        |> List.stable_sort (fun (a, _, _) (b, _, _) -> compare a b)
+        |> List.map (fun (_, i, _) -> i)
       in
-      drain [] = List.sort compare xs)
+      List.rev !log = expected)
+
+(* The queue must not keep an executed event reachable: its closure
+   may capture arbitrarily large state. *)
+let[@inline never] schedule_capturing e weak ran =
+  let payload = Bytes.make 64 'x' in
+  Weak.set weak 0 (Some payload);
+  ignore
+    (Engine.schedule e ~delay:10 (fun () -> ran := Bytes.length payload))
+
+let test_engine_releases_fired () =
+  let e = Engine.create () in
+  let weak = Weak.create 1 in
+  let ran = ref 0 in
+  schedule_capturing e weak ran;
+  Engine.run e;
+  Gc.full_major ();
+  Alcotest.(check int) "event ran" 64 !ran;
+  Alcotest.(check bool) "captured value collected" false (Weak.check weak 0);
+  Alcotest.(check int) "engine still live, queue empty" 0 (Engine.pending e)
 
 let test_engine_order () =
   let e = Engine.create () in
@@ -366,8 +394,10 @@ let test_par_resolve_jobs () =
       Alcotest.(check int) "default 1" 1 (Fl_sim.Par.resolve_jobs ())
 
 let suite =
-  [ Alcotest.test_case "heap orders" `Quick test_heap_orders;
-    QCheck_alcotest.to_alcotest prop_heap_sorts;
+  [ Alcotest.test_case "engine queue orders" `Quick test_engine_queue_orders;
+    QCheck_alcotest.to_alcotest prop_engine_order;
+    Alcotest.test_case "engine releases fired events" `Quick
+      test_engine_releases_fired;
     Alcotest.test_case "engine order" `Quick test_engine_order;
     Alcotest.test_case "engine cancel" `Quick test_engine_cancel;
     Alcotest.test_case "engine until" `Quick test_engine_until;

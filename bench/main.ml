@@ -98,6 +98,11 @@ let codec_msg =
 
 let codec_msg_bytes = Fl_fireledger.Msg.encode codec_msg
 
+(* The frame checksum on its own, over a buffer the size of a large
+   body, so checksum speed is gated apart from the frame kernels that
+   also run it. *)
+let crc_payload_64k = String.init 65536 (fun i -> Char.chr ((i * 131) land 0xff))
+
 (* The same frame embedded mid-buffer: the view-decode kernel reads it
    in place ([Msg.decode_sub]) where the copy path would first
    [String.sub] it out. *)
@@ -263,9 +268,12 @@ let kernels : (string * string * (unit -> unit)) list =
         ignore
           (Fl_crypto.Sha256.hmac ~key:"k" "calibration-message-64-bytes....")
     );
-    (* Codec kernels: encode/decode of a 100-tx block body frame, its
-       receive path through a 16-node broadcast, and the per-dispatch
-       channel-key builders. *)
+    (* Codec kernels: the frame checksum, encode/decode of a 100-tx
+       block body frame, its receive path through a 16-node broadcast,
+       and the per-dispatch channel-key builders. *)
+    ( "codec",
+      "codec/crc32-64KiB",
+      fun () -> ignore (Fl_wire.Crc32.digest_int crc_payload_64k) );
     ( "codec",
       "codec/encode-body-100tx",
       fun () -> ignore (Fl_fireledger.Msg.encode codec_msg) );

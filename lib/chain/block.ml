@@ -19,12 +19,8 @@ let body_hash txs =
 let create ~round ~proposer ~prev_hash txs =
   let body_size = Array.fold_left (fun acc tx -> acc + tx.Tx.size) 0 txs in
   { header =
-      { Header.round;
-        proposer;
-        prev_hash;
-        body_hash = body_hash txs;
-        tx_count = Array.length txs;
-        body_size };
+      Header.make ~round ~proposer ~prev_hash ~body_hash:(body_hash txs)
+        ~tx_count:(Array.length txs) ~body_size;
     txs }
 
 let hash t = Header.hash t.header

@@ -7,19 +7,24 @@ type t = {
   body_hash : string;
   tx_count : int;
   body_size : int;
+  enc : string;
+  hash : string;
 }
 
-let encode t =
+let make ~round ~proposer ~prev_hash ~body_hash ~tx_count ~body_size =
   let w = Codec.Writer.create ~capacity:96 () in
-  Codec.Writer.u64 w t.round;
-  Codec.Writer.u32 w t.proposer;
-  Codec.Writer.raw w t.prev_hash;
-  Codec.Writer.raw w t.body_hash;
-  Codec.Writer.u32 w t.tx_count;
-  Codec.Writer.u64 w t.body_size;
-  Codec.Writer.contents w
+  Codec.Writer.u64 w round;
+  Codec.Writer.u32 w proposer;
+  Codec.Writer.raw w prev_hash;
+  Codec.Writer.raw w body_hash;
+  Codec.Writer.u32 w tx_count;
+  Codec.Writer.u64 w body_size;
+  let enc = Codec.Writer.contents w in
+  { round; proposer; prev_hash; body_hash; tx_count; body_size; enc;
+    hash = Fl_crypto.Sha256.digest enc }
 
-let hash t = Fl_crypto.Sha256.digest (encode t)
+let encode t = t.enc
+let hash t = t.hash
 
 let equal a b =
   a.round = b.round && a.proposer = b.proposer

@@ -33,13 +33,7 @@ let decode_tx r =
   | 1 -> Tx.create_payload ~id (Codec.Reader.raw r size)
   | f -> raise (Codec.Malformed (Printf.sprintf "tx: flag %d" f))
 
-let encode_header w (h : Header.t) =
-  Codec.Writer.u64 w h.Header.round;
-  Codec.Writer.u32 w h.Header.proposer;
-  Codec.Writer.raw w h.Header.prev_hash;
-  Codec.Writer.raw w h.Header.body_hash;
-  Codec.Writer.u32 w h.Header.tx_count;
-  Codec.Writer.u64 w h.Header.body_size
+let encode_header w (h : Header.t) = Codec.Writer.raw w (Header.encode h)
 
 let decode_header r =
   let round = Codec.Reader.u64 r in
@@ -48,7 +42,7 @@ let decode_header r =
   let body_hash = Codec.Reader.raw r 32 in
   let tx_count = Codec.Reader.u32 r in
   let body_size = Codec.Reader.u64 r in
-  { Header.round; proposer; prev_hash; body_hash; tx_count; body_size }
+  Header.make ~round ~proposer ~prev_hash ~body_hash ~tx_count ~body_size
 
 let encode_txs w txs =
   Codec.Writer.varint w (Array.length txs);

@@ -45,12 +45,13 @@ let forked_output n inner =
         let block =
           if round < 3 then block
           else
+            let h = block.Fl_chain.Block.header in
             { block with
               Fl_chain.Block.header =
-                { block.Fl_chain.Block.header with
-                  Fl_chain.Header.proposer =
-                    (block.Fl_chain.Block.header.Fl_chain.Header.proposer + 1)
-                    mod n } }
+                Fl_chain.Header.make ~round:h.round
+                  ~proposer:((h.proposer + 1) mod n)
+                  ~prev_hash:h.prev_hash ~body_hash:h.body_hash
+                  ~tx_count:h.tx_count ~body_size:h.body_size }
         in
         inner.Instance.on_definite ~round block ~times) }
 

@@ -1,9 +1,14 @@
-(** Pure-OCaml SHA-256 (FIPS 180-4).
+(** SHA-256 (FIPS 180-4).
 
     Used for block hashes and as the PRF underlying the
     simulated signature scheme. Incremental ([init]/[feed]/[finalize])
     and one-shot ([digest]) interfaces are provided. Digests are
-    32-byte [string] values. *)
+    32-byte [string] values.
+
+    The compression rounds run in a portable C kernel that absorbs
+    every whole 64-byte block of a feed in one call; staging, padding
+    and HMAC are OCaml. There is one implementation and no CPU
+    dispatch. *)
 
 type t
 (** Mutable hashing context. *)

@@ -13,7 +13,8 @@ let signed_header_valid registry sh =
     ~msg:(Header.encode sh.header) sh.signature
 
 (* The signed header travels as [bytes(Header.encode h)] — the exact
-   string that was signed — so signature checking never re-encodes. *)
+   string that was signed. Signing, checking and writing all read the
+   header's derived [enc] field, so none of them re-encodes. *)
 let write_signed_header w sh =
   Codec.Writer.bytes w (Header.encode sh.header);
   Codec.Writer.bytes w sh.signature
@@ -22,17 +23,9 @@ let read_signed_header r =
   (* Bind sequentially: record-field evaluation order is unspecified
      and must not drive the read order. *)
   let henc = Codec.Reader.sub_bytes r in
-  let round = Codec.Reader.u64 henc in
-  let proposer = Codec.Reader.u32 henc in
-  let prev_hash = Codec.Reader.raw henc 32 in
-  let body_hash = Codec.Reader.raw henc 32 in
-  let tx_count = Codec.Reader.u32 henc in
-  let body_size = Codec.Reader.u64 henc in
+  let header = Serial.decode_header henc in
   if not (Codec.Reader.at_end henc) then
     raise (Codec.Malformed "signed_header: trailing header bytes");
-  let header =
-    { Header.round; proposer; prev_hash; body_hash; tx_count; body_size }
-  in
   let signature = Codec.Reader.bytes r in
   { header; signature }
 

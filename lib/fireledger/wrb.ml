@@ -118,12 +118,8 @@ let make_proposal t ~round ~prev_hash =
   let rec pick tries =
     let txs, bh, at = take_prepared t in
     let header =
-      { Header.round;
-        proposer = me t;
-        prev_hash;
-        body_hash = bh;
-        tx_count = Array.length txs;
-        body_size = body_bytes txs }
+      Header.make ~round ~proposer:(me t) ~prev_hash ~body_hash:bh
+        ~tx_count:(Array.length txs) ~body_size:(body_bytes txs)
     in
     if tries > 0 && not (t.valid { Block.header = header; txs }) then begin
       incr_c t "own_invalid_bodies_discarded";
@@ -199,12 +195,8 @@ let equivocate_push t =
     in
     Queue.clear t.prepared;
     let header =
-      { Header.round = r;
-        proposer = me t;
-        prev_hash;
-        body_hash = bh;
-        tx_count = Array.length txs;
-        body_size = body_bytes txs }
+      Header.make ~round:r ~proposer:(me t) ~prev_hash ~body_hash:bh
+        ~tx_count:(Array.length txs) ~body_size:(body_bytes txs)
     in
     charge_sign t;
     let sh = Types.sign_header t.env.Env.registry ~signer:(me t) header in

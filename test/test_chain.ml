@@ -35,6 +35,43 @@ let test_header_hash_distinct () =
   Alcotest.(check bool) "proposer affects hash" false
     (String.equal (Block.hash b1) (Block.hash b2))
 
+(* The derived fields are what {!Header.make} says they are: [enc] is
+   the canonical encoding, written here field by field, and [hash] its
+   SHA-256. Decoding rebuilds them, and content changes move them. *)
+let test_header_derived_fields () =
+  let b = Block.create ~round:5 ~proposer:2 ~prev_hash:Block.genesis_hash (mk_txs 3) in
+  let h = b.Block.header in
+  let w = Fl_wire.Codec.Writer.create () in
+  Fl_wire.Codec.Writer.u64 w h.Header.round;
+  Fl_wire.Codec.Writer.u32 w h.Header.proposer;
+  Fl_wire.Codec.Writer.raw w h.Header.prev_hash;
+  Fl_wire.Codec.Writer.raw w h.Header.body_hash;
+  Fl_wire.Codec.Writer.u32 w h.Header.tx_count;
+  Fl_wire.Codec.Writer.u64 w h.Header.body_size;
+  let fields = Fl_wire.Codec.Writer.contents w in
+  Alcotest.(check string) "encode is the field encoding" fields
+    (Header.encode h);
+  let w = Fl_wire.Codec.Writer.create () in
+  Serial.encode_header w h;
+  Alcotest.(check string) "encode = Serial.encode_header" (Header.encode h)
+    (Fl_wire.Codec.Writer.contents w);
+  Alcotest.(check string) "hash = digest of encode"
+    (Fl_crypto.Hex.encode (Fl_crypto.Sha256.digest (Header.encode h)))
+    (Fl_crypto.Hex.encode (Header.hash h));
+  let d = Serial.decode_header (Fl_wire.Codec.Reader.of_string fields) in
+  Alcotest.(check bool) "decoded = original, derived fields included" true
+    (d = h && Header.equal d h);
+  let h' =
+    Header.make ~round:h.round ~proposer:(h.proposer + 1)
+      ~prev_hash:h.prev_hash ~body_hash:h.body_hash ~tx_count:h.tx_count
+      ~body_size:h.body_size
+  in
+  Alcotest.(check bool) "other proposer, other hash" false
+    (String.equal (Header.hash h) (Header.hash h'));
+  Alcotest.(check string) "rebuilt hash = digest of its encode"
+    (Fl_crypto.Sha256.digest (Header.encode h'))
+    (Header.hash h')
+
 let test_store_append_and_links () =
   let store = chain_of_blocks [ 0; 1; 2; 3 ] in
   Alcotest.(check int) "length" 4 (Store.length store);
@@ -283,6 +320,7 @@ let prop_store_roundtrip =
 let suite =
   [ Alcotest.test_case "block commitment" `Quick test_block_commitment;
     Alcotest.test_case "header hash distinct" `Quick test_header_hash_distinct;
+    Alcotest.test_case "header derived fields" `Quick test_header_derived_fields;
     Alcotest.test_case "store append/links" `Quick test_store_append_and_links;
     Alcotest.test_case "store replace_suffix" `Quick test_store_replace_suffix;
     Alcotest.test_case "store replace rejects broken" `Quick

@@ -99,13 +99,63 @@ let prop_sha_incremental =
       Sha256.feed_string ctx ~off:split ~len:(String.length s - split) s;
       String.equal (Sha256.finalize ctx) (Sha256.digest s))
 
+(* Feed [s] in chunks whose sizes cycle through [sizes]: one-byte
+   feeds, feeds that stop on either side of the 56-byte padding limit
+   and of the 64-byte block edge, and feeds of three or more whole
+   blocks, which the kernel absorbs in one call. *)
+let feed_in_chunks s sizes =
+  let ctx = Sha256.init () in
+  let n = String.length s in
+  let rec go pos = function
+    | [] -> go pos sizes
+    | k :: rest ->
+        if pos < n then begin
+          let len = min k (n - pos) in
+          Sha256.feed_string ctx ~off:pos ~len s;
+          go (pos + len) rest
+        end
+  in
+  go 0 sizes;
+  Sha256.finalize ctx
+
+let chunk_size =
+  QCheck.Gen.(
+    frequency
+      [ (3, oneofl [ 1; 55; 56; 63; 64; 65 ]);
+        (2, int_range 1 130);
+        (2, int_range 192 700) ])
+
+let prop_sha_chunked =
+  QCheck.Test.make ~name:"sha256: chunked feeding agrees with one-shot"
+    ~count:300
+    QCheck.(
+      pair (string_of_size Gen.(0 -- 1500))
+        (make Gen.(list_size (1 -- 6) chunk_size)))
+    (fun (s, sizes) ->
+      String.equal (feed_in_chunks s sizes) (Sha256.digest s)
+      && String.equal (feed_in_chunks s [ 1 ]) (Sha256.digest s))
+
+let test_sha256_boundaries () =
+  for n = 0 to 200 do
+    let s = String.init n (fun i -> Char.chr ((i * 31 + n) land 0xff)) in
+    List.iter
+      (fun sizes ->
+        Alcotest.(check string)
+          (Printf.sprintf "len %d" n)
+          (Hex.encode (Sha256.digest s))
+          (Hex.encode (feed_in_chunks s sizes)))
+      [ [ 1 ]; [ 55 ]; [ 56 ]; [ 63 ]; [ 64 ]; [ 65 ]; [ 192 ] ]
+  done
+
 let suite =
   [ Alcotest.test_case "sha256 NIST vectors" `Quick test_sha256_vectors;
     Alcotest.test_case "sha256 incremental" `Quick test_sha256_incremental;
+    Alcotest.test_case "sha256 feed boundaries" `Quick test_sha256_boundaries;
     Alcotest.test_case "hmac rfc4231" `Quick test_hmac_vector;
     Alcotest.test_case "hmac long key" `Quick test_hmac_long_key;
     Alcotest.test_case "hex roundtrip" `Quick test_hex_roundtrip;
     Alcotest.test_case "signatures" `Quick test_signature_scheme;
     Alcotest.test_case "cost model" `Quick test_cost_model;
     QCheck_alcotest.to_alcotest prop_hex_roundtrip;
-    QCheck_alcotest.to_alcotest prop_sha_incremental ]
+    QCheck_alcotest.to_alcotest prop_sha_incremental;
+    QCheck_alcotest.to_alcotest prop_sha_chunked ]

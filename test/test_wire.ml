@@ -104,11 +104,55 @@ let test_crc32_combine_edges () =
   Alcotest.(check int) "empty b is the identity" (Crc32.digest_int "abc")
     (Crc32.combine (Crc32.digest_int "abc") (Crc32.digest_int "") 0)
 
+(* Bit-at-a-time CRC-32, straight from the definition: the reference
+   the slice-by-16 kernel must agree with. *)
+let crc32_bitwise s ~pos ~len =
+  let c = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    c := !c lxor Char.code s.[i];
+    for _ = 1 to 8 do
+      c := if !c land 1 = 1 then (!c lsr 1) lxor 0xEDB88320 else !c lsr 1
+    done
+  done;
+  !c lxor 0xFFFFFFFF
+
+(* Every start offset mod 16 against every tail length: the kernel
+   takes 16 bytes a step, then finishes byte by byte. *)
+let test_crc32_offsets_and_tails () =
+  let s = String.init 80 (fun i -> Char.chr ((i * 197 + 11) land 0xff)) in
+  for pos = 0 to 15 do
+    for len = 0 to 48 do
+      Alcotest.(check int)
+        (Printf.sprintf "pos %d len %d" pos len)
+        (crc32_bitwise s ~pos ~len)
+        (Crc32.digest_int_sub s ~pos ~len)
+    done
+  done
+
+let prop_crc32_bitwise =
+  QCheck.Test.make ~name:"crc32: kernel = bit-at-a-time CRC at every offset"
+    ~count:200
+    QCheck.(pair (string_of_size Gen.(0 -- 2048)) small_nat)
+    (fun (s, k) ->
+      let n = String.length s in
+      List.for_all
+        (fun pos ->
+          pos > n
+          ||
+          let len = (n - pos) - (k mod (min 16 (n - pos) + 1)) in
+          Crc32.digest_int_sub s ~pos ~len = crc32_bitwise s ~pos ~len
+          && Crc32.digest_int_bytes_sub (Bytes.of_string s) ~pos ~len
+             = crc32_bitwise s ~pos ~len)
+        (List.init 16 Fun.id))
+
 let suite =
   [ Alcotest.test_case "scalar roundtrip" `Quick test_roundtrip_scalars;
     Alcotest.test_case "underflow" `Quick test_underflow;
     Alcotest.test_case "varint size" `Quick test_varint_size;
     Alcotest.test_case "crc32 combine edges" `Quick test_crc32_combine_edges;
+    Alcotest.test_case "crc32 offsets and tails" `Quick
+      test_crc32_offsets_and_tails;
     QCheck_alcotest.to_alcotest prop_varint_roundtrip;
     QCheck_alcotest.to_alcotest prop_bytes_roundtrip;
-    QCheck_alcotest.to_alcotest prop_crc32_combine ]
+    QCheck_alcotest.to_alcotest prop_crc32_combine;
+    QCheck_alcotest.to_alcotest prop_crc32_bitwise ]

@@ -215,7 +215,8 @@ let reconfig_genesis =
    segments, as a node holds them after sealing every 64 definite
    rounds); the kernel seals through round 1023, which encodes only
    the 64 new rounds. Sealing the whole chain again instead is 16×
-   the bytes. *)
+   the bytes. Without a WAL every new round is encoded (the miss
+   path); with one, the rounds are slices of its Append frames. *)
 let persist_store =
   let store = Fl_chain.Store.create () in
   for r = 0 to 1023 do
@@ -235,10 +236,24 @@ let persist_store =
 let persist_sealed_960 =
   List.fold_left
     (fun prev upto ->
-      Fl_persist.Snapshot.seal ~prev ~store:persist_store ~upto ~era:1 ~app:""
-        ~app_hash:"")
+      Fl_persist.Snapshot.seal ~prev ~wal:None ~store:persist_store ~upto
+        ~era:1 ~app:"" ~app_hash:"")
     None
     (List.init 15 (fun k -> (64 * (k + 1)) - 1))
+
+(* The same 64 new rounds as a node holds them: appended to its WAL
+   first, so the seal takes their bytes from the Append frames. *)
+let persist_wal_960 =
+  let wal = Fl_persist.Wal.create ~segment_bytes:(1 lsl 16) in
+  for r = 960 to 1023 do
+    match Fl_chain.Store.get persist_store r with
+    | Some block ->
+        ignore
+          (Fl_persist.Wal.append wal
+             (Fl_persist.Wal.Append { block; signature = String.make 32 's' }))
+    | None -> failwith "bench: persist wal build"
+  done;
+  wal
 
 (* The explicit, ordered kernel registry: areas in fixed order, kernels
    in fixed order within each area, so text and JSON output are
@@ -385,8 +400,15 @@ let kernels : (string * string * (unit -> unit)) list =
       "persist/snapshot-seal-next-64",
       fun () ->
         ignore
+          (Fl_persist.Snapshot.seal ~prev:persist_sealed_960 ~wal:None
+             ~store:persist_store ~upto:1023 ~era:1 ~app:"" ~app_hash:"") );
+    ( "persist",
+      "persist/snapshot-seal-next-64-wal",
+      fun () ->
+        ignore
           (Fl_persist.Snapshot.seal ~prev:persist_sealed_960
-             ~store:persist_store ~upto:1023 ~era:1 ~app:"" ~app_hash:"") ) ]
+             ~wal:(Some persist_wal_960) ~store:persist_store ~upto:1023 ~era:1
+             ~app:"" ~app_hash:"") ) ]
 
 (* ---------- measurement and reporting ---------- *)
 
@@ -531,60 +553,119 @@ let run_check ~tolerance ~baseline_path measured =
 
 (* ---------- host-work ledger ---------- *)
 
-(* A smoke-size Figure 12 cell: n = 7 with equivocators 1 and 4, ~1
-   sim-s, so blocks are adopted through recovery — versions over PBFT,
-   panic proofs and fork evidence over Bracha. The simulator is
-   deterministic, so the host work this cell does is exact: it pins
-   the events run and the SHA-256, envelope-encode and envelope-decode
-   call counts at equality. Allocated words are not pinned; they
-   differ between OCaml versions. `--json` writes the pin next to the
-   BENCH files; `--check DIR` compares against DIR's pin. *)
-let work_file = "WORK_byzantine.json"
+(* Smoke-size cells whose host work is pinned. The simulator is
+   deterministic, so the work a cell does is exact: each pins the
+   events run and the call counts of the profiling subsystems it names
+   at equality. Allocated words are not pinned; they differ between
+   OCaml versions. `--json` writes each pin next to the BENCH files;
+   `--check DIR` compares against DIR's pins. *)
+type work_cell = {
+  file : string;
+  cell : string;  (* what the pin describes *)
+  subs : (string * Fl_prof.Prof.sub) list;  (* pinned call counts *)
+  build : unit -> Fl_sim.Engine.t * (unit -> unit);
+      (* the cell's engine and its run *)
+}
 
-let work_byzantine () =
+(* A Figure 12 cell: n = 7 with equivocators 1 and 4, ~1 sim-s, so
+   blocks are adopted through recovery — versions over PBFT, panic
+   proofs and fork evidence over Bracha. *)
+let work_byzantine =
   let module S = Fl_harness.Settings in
+  { file = "WORK_byzantine.json";
+    cell = "byzantine n=7 eq={1,4} seed=1 warmup=200ms run=800ms";
+    subs =
+      [ ("sha256_calls", Fl_prof.Prof.sha256);
+        ("codec_encode_calls", Fl_prof.Prof.codec_encode);
+        ("codec_decode_calls", Fl_prof.Prof.codec_decode) ];
+    build =
+      (fun () ->
+        let s =
+          { (S.flo ~n:7 ~workers:1 ~batch:100 ~tx_size:512) with
+            S.seed = 1;
+            warmup = Fl_sim.Time.ms 200;
+            duration = Fl_sim.Time.ms 800;
+            faults = { S.no_faults with S.byzantine = [ 1; 4 ] } }
+        in
+        let c = S.build_flo s in
+        ( c.Fl_flo.Cluster.engine,
+          fun () ->
+            if (S.run_cluster s c).S.rps <= 0. then
+              failwith "work cell: no recovery ran" )) }
+
+(* The durable shape: FireLedger n = 4 with the default persistence
+   (WAL, 2 ms group commit, a snapshot every 64 definite rounds); node
+   1 crashes and cold-restarts from its media, so the cell covers WAL
+   appends, snapshot sealing, truncation and replay. *)
+let work_durable =
+  let open Fl_fireledger in
+  { file = "WORK_durable.json";
+    cell = "durable n=4 seed=1 crash node 1 at 300ms restart 500ms run=1s";
+    subs =
+      [ ("sha256_calls", Fl_prof.Prof.sha256);
+        ("codec_encode_calls", Fl_prof.Prof.codec_encode);
+        ("codec_decode_calls", Fl_prof.Prof.codec_decode);
+        ("wal_calls", Fl_prof.Prof.wal) ];
+    build =
+      (fun () ->
+        let config =
+          { (Config.default ~n:4) with Config.batch_size = 100; tx_size = 512 }
+        in
+        let c =
+          Cluster.create ~seed:1 ~persist:Fl_persist.Node.default_config
+            ~config ()
+        in
+        let engine = c.Cluster.engine in
+        let at ms f =
+          ignore (Fl_sim.Engine.schedule engine ~delay:(Fl_sim.Time.ms ms) f)
+        in
+        at 300 (fun () -> Cluster.crash c 1);
+        at 500 (fun () -> Cluster.restart c 1);
+        ( engine,
+          fun () ->
+            Cluster.start c;
+            Cluster.run ~until:(Fl_sim.Time.ms 1000) c;
+            let snapshots =
+              Option.fold ~none:0
+                ~some:(fun p ->
+                  (Fl_persist.Node.stats p).Fl_persist.Node.s_snapshots)
+                (Cluster.persist_node c 1)
+            in
+            if snapshots = 0 then failwith "work cell: no snapshot sealed" )) }
+
+let work_cells = [ work_byzantine; work_durable ]
+
+let work cell =
   let module Prof = Fl_prof.Prof in
-  let s =
-    { (S.flo ~n:7 ~workers:1 ~batch:100 ~tx_size:512) with
-      S.seed = 1;
-      warmup = Fl_sim.Time.ms 200;
-      duration = Fl_sim.Time.ms 800;
-      faults = { S.no_faults with S.byzantine = [ 1; 4 ] } }
-  in
-  let c = S.build_flo s in
-  let engine = c.Fl_flo.Cluster.engine in
+  let engine, run = cell.build () in
   let ev0 = Fl_sim.Engine.processed engine in
   Prof.enable ();
-  let r =
-    Fun.protect ~finally:Prof.disable (fun () -> S.run_cluster s c)
-  in
+  Fun.protect ~finally:Prof.disable run;
   let calls sub =
     (List.find (fun st -> st.Prof.p_sub = sub) (Prof.stats ())).Prof.p_calls
   in
-  if r.S.rps <= 0. then failwith "work cell: no recovery ran";
-  [ ("sim.events", Fl_sim.Engine.processed engine - ev0);
-    ("sha256_calls", calls Prof.sha256);
-    ("codec_encode_calls", calls Prof.codec_encode);
-    ("codec_decode_calls", calls Prof.codec_decode) ]
+  ("sim.events", Fl_sim.Engine.processed engine - ev0)
+  :: List.map (fun (k, sub) -> (k, calls sub)) cell.subs
 
-let work_json counts =
+let work_json cell counts =
   let module J = Fl_prof.Json in
   J.to_string
     (J.Obj
-       [ ("cell", J.Str "byzantine n=7 eq={1,4} seed=1 warmup=200ms run=800ms");
+       [ ("cell", J.Str cell.cell);
          ( "counts",
            J.Obj
              (List.map (fun (k, v) -> (k, J.Num (float_of_int v))) counts) ) ])
 
-let write_work ~dir counts =
-  let path = Filename.concat dir work_file in
-  Out_channel.with_open_text path (fun oc ->
-      output_string oc (work_json counts));
+let write_work ~dir cell =
+  let path = Filename.concat dir cell.file in
+  let json = work_json cell (work cell) in
+  Out_channel.with_open_text path (fun oc -> output_string oc json);
   Printf.printf "wrote %s\n%!" path
 
 (* Every pinned count must be reproduced exactly. *)
-let check_work path =
+let check_work ~dir cell =
   let module J = Fl_prof.Json in
+  let path = Filename.concat dir cell.file in
   let text = In_channel.with_open_text path In_channel.input_all in
   let pinned =
     match J.of_string text with
@@ -603,7 +684,7 @@ let check_work path =
     Printf.eprintf "bench: %s pins no counts\n" path;
     exit 2
   end;
-  let current = work_byzantine () in
+  let current = work cell in
   Printf.printf "host-work ledger %s:\n" path;
   List.fold_left
     (fun ok (k, want) ->
@@ -688,7 +769,7 @@ let () =
   if not !skip_micro then print_micro measured;
   if !json then begin
     write_json ~dir:!out_dir ~mode_name measured;
-    write_work ~dir:!out_dir (work_byzantine ())
+    List.iter (write_work ~dir:!out_dir) work_cells
   end;
   let check_ok =
     match !check_path with
@@ -697,10 +778,14 @@ let () =
   in
   let work_ok =
     match !check_path with
-    | Some p
-      when Sys.is_directory p
-           && Sys.file_exists (Filename.concat p work_file) ->
-        check_work (Filename.concat p work_file)
+    | Some dir when Sys.is_directory dir ->
+        List.for_all Fun.id
+          (List.filter_map
+             (fun cell ->
+               if Sys.file_exists (Filename.concat dir cell.file) then
+                 Some (check_work ~dir cell)
+               else None)
+             work_cells)
     | _ -> true
   in
   (* `--json` / `--check` invocations are CI bench runs: skip the (much

@@ -59,6 +59,13 @@ let encode_block w (b : Block.t) =
   encode_header w b.Block.header;
   encode_txs w b.Block.txs
 
+let encoded_length (b : Block.t) =
+  Array.fold_left
+    (fun n (tx : Tx.t) -> n + 13 + tx.Tx.size)
+    (String.length (Header.encode b.Block.header)
+    + Codec.varint_size (Array.length b.Block.txs))
+    b.Block.txs
+
 (* Structural parse only — commitment checks stay with the protocol
    layer (recovery versions must *observe* a mismatched body to count
    it as Byzantine rather than never seeing the message). *)
@@ -87,12 +94,17 @@ let block_to_string b =
   encode_block w b;
   Codec.Writer.contents w
 
+(* A standalone block is never pruned: only a chain or snapshot image
+   carries header-only rounds, so a header claiming transactions with
+   none behind it is rejected here rather than read as pruned. *)
 let block_of_string s =
   let r = Codec.Reader.of_string s in
   match decode_block r with
-  | Ok b when Codec.Reader.at_end r -> Ok b
-  | Ok _ -> Error "trailing bytes"
-  | Error e -> Error e
+  | Ok _ when not (Codec.Reader.at_end r) -> Error "trailing bytes"
+  | Ok b
+    when Array.length b.Block.txs = 0 && b.Block.header.Header.tx_count > 0 ->
+      Error "header-only block"
+  | result -> result
 
 let write_chain_header w ~length ~pruned_below =
   Codec.Writer.raw w magic;

@@ -24,6 +24,9 @@ val decode_header : Fl_wire.Codec.Reader.t -> Header.t
 
 val encode_block : Fl_wire.Codec.Writer.t -> Block.t -> unit
 
+val encoded_length : Block.t -> int
+(** The byte length {!encode_block} writes, without writing it. *)
+
 val read_block : Fl_wire.Codec.Reader.t -> Block.t
 (** Structural parse only (raises {!Fl_wire.Codec.Reader.Underflow} /
     {!Fl_wire.Codec.Malformed} on bad input); commitment checks are
@@ -36,6 +39,10 @@ val decode_block : Fl_wire.Codec.Reader.t -> (Block.t, string) result
 
 val block_to_string : Block.t -> string
 val block_of_string : string -> (Block.t, string) result
+(** Inverse of {!block_to_string}. A standalone block is never pruned,
+    so a header-only encoding ([tx_count > 0], no transactions) is an
+    [Error] here; {!decode_block} accepts it inside chains and
+    snapshots. *)
 
 val encode_chain : Store.t -> string
 (** The whole store (pruned bodies encode as empty; their headers are

@@ -120,7 +120,7 @@ let take_snapshot t ~store ~upto ~era =
     | Some a -> (a.Recovery.app_snapshot (), a.Recovery.app_hash ())
     | None -> ("", "")
   in
-  match Snapshot.seal ~prev:t.sealed ~store ~upto ~era ~app ~app_hash with
+  match Snapshot.seal ~prev:t.sealed ~wal:(Some t.wal) ~store ~upto ~era ~app ~app_hash with
   | None -> ()
   | Some image ->
       t.last_snapshot_upto <- upto;

@@ -5,13 +5,17 @@
 
    Everything ahead of the first block is the small [head]; the blocks
    follow as immutable [segment]s, one per sealing interval, each
-   holding its encoded bytes and their CRC-32.
+   holding the byte slices it is made of and their CRC-32. A round the
+   node's WAL logged is a slice of its Append frame (the WAL encoded
+   and checksummed it once already); the rounds it did not log — pruned
+   header-only rounds, rounds replayed after a restart, a donor's
+   one-off build — are encoded, a run of them into one piece.
 
    Sealing is incremental: {!seal} is handed the previous image and
-   keeps each of its segments whose bytes cannot have changed, encoding
-   only the rounds after them and any segment that went stale. Both
-   frame CRCs are assembled from the segment CRCs with
-   {!Fl_wire.Crc32.combine}, so a kept segment is never re-read. The
+   keeps each of its segments whose bytes cannot have changed, building
+   only the rounds after them and any segment that went stale. Segment
+   and frame CRCs are assembled from the piece CRCs with
+   {!Fl_wire.Crc32.combine}, so no byte is checksummed twice. The
    cache key is content, not history: a segment is kept iff the store
    still holds the same block at its last round (the header hash
    commits to every block before it, bodies included) and the same
@@ -40,59 +44,87 @@ type segment = {
   last : int;
   pruned : int;  (* leading rounds encoded header-only *)
   tip : string;  (* header hash of round [last] *)
-  bytes : string;
+  pieces : Codec.Slice.t list;  (* the encoded rounds, in order *)
+  length : int;
   crc : int;
 }
 
 type image = { head : string; segments : segment list; length : int }
 
 let length i = i.length
-let segments i = List.map (fun s -> (s.first, s.last, s.bytes)) i.segments
+let segments i = List.map (fun s -> (s.first, s.last, s.pieces)) i.segments
 
 let pruned_in ~pruned_below ~first ~last =
   max 0 (min pruned_below (last + 1) - first)
 
-(* Rounds below the prune boundary encode header-only — what
-   [Store.prune] of the truncated copy would have left — even where
-   the live store still holds a body (a [replace_suffix] below its
-   boundary re-appends bodies there). *)
-let encode_segment store ~pruned_below ~first ~last =
+(* A round's bytes come from the WAL when it logged the very block
+   value the image holds there; a run of rounds it did not is encoded
+   into one piece and checksummed once. Rounds below the prune boundary
+   are header-only — what [Store.prune] of the truncated copy would
+   have left — even where the live store still holds a body (a
+   [replace_suffix] below its boundary re-appends bodies there); that
+   header-only copy is a value of its own, so it misses. *)
+let encode_segment ~wal store ~pruned_below ~first ~last =
   let block r =
     match Store.get store r with
+    | Some b when r < pruned_below && Array.length b.Block.txs > 0 ->
+        { b with Block.txs = [||] }
     | Some b -> b
     | None -> invalid_arg "Snapshot.encode_segment"
   in
-  let capacity = ref 0 in
-  for r = first to last do
-    let h = (block r).Block.header in
-    capacity :=
-      !capacity + 128
-      + if r < pruned_below then 0
-        else h.Header.body_size + (16 * h.Header.tx_count)
-  done;
-  let w = Codec.Writer.create ~capacity:!capacity () in
-  for r = first to last do
-    let b = block r in
-    if r < pruned_below then begin
-      Serial.encode_header w b.Block.header;
-      Serial.encode_txs w [||]
-    end
-    else Serial.encode_block w b
-  done;
-  let bytes = Codec.Writer.contents w in
+  let logged b = Option.bind wal (fun wal -> Wal.encoded_block wal b) in
+  let pieces = ref [] and length = ref 0 and crc = ref 0 in
+  let add piece piece_crc =
+    pieces := piece :: !pieces;
+    length := !length + Codec.Slice.length piece;
+    crc := Crc32.combine !crc piece_crc (Codec.Slice.length piece)
+  in
+  (* The run of rounds from [r] up to the next one the WAL holds, and
+     its encoded length. *)
+  let rec run_end r len =
+    if r > last then (r, len)
+    else
+      let b = block r in
+      match logged b with
+      | Some _ -> (r, len)
+      | None -> run_end (r + 1) (len + Serial.encoded_length b)
+  in
+  let rec go r =
+    if r <= last then
+      match logged (block r) with
+      | Some (slice, slice_crc) ->
+          add slice slice_crc;
+          go (r + 1)
+      | None ->
+          (* one piece, in a writer of exactly its size *)
+          let next, len = run_end r 0 in
+          let w = Codec.Writer.create ~capacity:len () in
+          for k = r to next - 1 do
+            Serial.encode_block w (block k)
+          done;
+          add
+            (Codec.Slice.of_string (Codec.Writer.contents w))
+            (Crc32.digest_int_bytes_sub (Codec.Writer.unsafe_bytes w) ~pos:0
+               ~len);
+          go next
+  in
+  go first;
   { first;
     last;
     pruned = pruned_in ~pruned_below ~first ~last;
     tip = Option.get (Store.hash store last);
-    bytes;
-    crc = Crc32.digest_int bytes }
+    pieces = List.rev !pieces;
+    length = !length;
+    crc = !crc }
 
 (* Keep or re-encode each cached range in order (a cache is always
    contiguous from round 0), then encode the rounds after the last one
    as a new segment. A cached range reaching past [upto] (the chain got
    shorter) ends the reuse. *)
-let collect_segments store ~pruned_below ~upto cached =
-  let fresh first last = encode_segment store ~pruned_below ~first ~last in
+let collect_segments ~wal store ~pruned_below ~upto cached =
+  let fresh first last =
+    encode_segment ~wal store ~pruned_below ~first ~last
+  in
   let rec go next acc = function
     | s :: rest when s.last <= upto ->
         let s =
@@ -109,20 +141,18 @@ let collect_segments store ~pruned_below ~upto cached =
   go 0 [] cached
 
 let crc_over crc segments =
-  List.fold_left
-    (fun crc s -> Crc32.combine crc s.crc (String.length s.bytes))
-    crc segments
+  List.fold_left (fun crc s -> Crc32.combine crc s.crc s.length) crc segments
 
-let seal_impl ~prev ~store ~upto ~era ~app ~app_hash =
+let seal_impl ~prev ~wal ~store ~upto ~era ~app ~app_hash =
   if upto >= Store.length store then None
   else begin
     let pruned_below = max 0 (min (Store.pruned_below store) (upto + 1)) in
     let segments =
-      collect_segments store ~pruned_below ~upto
+      collect_segments ~wal store ~pruned_below ~upto
         (match prev with Some i -> i.segments | None -> [])
     in
     let seg_bytes =
-      List.fold_left (fun n s -> n + String.length s.bytes) 0 segments
+      List.fold_left (fun n (s : segment) -> n + s.length) 0 segments
     in
     let chain_fields =
       Pool.with_writer (fun w ->
@@ -158,14 +188,14 @@ let seal_impl ~prev ~store ~upto ~era ~app ~app_hash =
 
 (* Self-profiling bracket (Fl_prof): sealing is snapshot encode, so it
    is attributed to codec_encode like every other frame. *)
-let seal ~prev ~store ~upto ~era ~app ~app_hash =
+let seal ~prev ~wal ~store ~upto ~era ~app ~app_hash =
   if !Fl_prof.Prof.on then
     Fl_prof.Prof.frame Fl_prof.Prof.codec_encode (fun () ->
-        seal_impl ~prev ~store ~upto ~era ~app ~app_hash)
-  else seal_impl ~prev ~store ~upto ~era ~app ~app_hash
+        seal_impl ~prev ~wal ~store ~upto ~era ~app ~app_hash)
+  else seal_impl ~prev ~wal ~store ~upto ~era ~app ~app_hash
 
 (* A one-off snapshot: the sealer with nothing cached. *)
-let build = seal ~prev:None
+let build = seal ~prev:None ~wal:None
 
 (* The image as one contiguous string — only where its bytes are
    actually read (recovery at restart, a state-transfer donor). *)
@@ -175,8 +205,11 @@ let encode i =
   ignore
     (List.fold_left
        (fun off s ->
-         Bytes.blit_string s.bytes 0 b off (String.length s.bytes);
-         off + String.length s.bytes)
+         List.fold_left
+           (fun off (p : Codec.Slice.t) ->
+             Bytes.blit_string p.base p.off b off p.len;
+             off + p.len)
+           off s.pieces)
        (String.length i.head) i.segments);
   Bytes.unsafe_to_string b
 

@@ -10,10 +10,12 @@
     truncated to [upto] and pruned to the store's boundary.
 
     Sealing is incremental: {!seal} keeps each per-interval segment of
-    the previous image whose bytes cannot have changed and encodes only
-    the rest; both frame CRCs are assembled with
-    {!Fl_wire.Crc32.combine}. The result is byte-identical to a
-    from-scratch {!build}. *)
+    the previous image whose bytes cannot have changed and builds only
+    the rest. A segment is a run of byte slices, not a string of its
+    own: a round the node's {!Wal} logged takes the bytes of its
+    Append frame, and only the other rounds are encoded. Segment and
+    frame CRCs are assembled with {!Fl_wire.Crc32.combine}. The result
+    is byte-identical to a from-scratch {!build}. *)
 
 type t = private {
   upto : int;  (** definite rounds 0..upto are contained *)
@@ -28,21 +30,25 @@ type image
 (** A sealed snapshot: immutable, encoded in segments. *)
 
 val seal :
-  prev:image option -> store:Fl_chain.Store.t -> upto:int -> era:int ->
-  app:string -> app_hash:string -> image option
+  prev:image option -> wal:Wal.t option -> store:Fl_chain.Store.t ->
+  upto:int -> era:int -> app:string -> app_hash:string -> image option
 (** The image of [store]'s rounds [0..upto], reusing the still-valid
-    segments of [prev]. [None] when the store does not reach [upto]. *)
+    segments of [prev] and the block encodings [wal] holds
+    ({!Wal.encoded_block}). [None] when the store does not reach
+    [upto]. *)
 
 val build :
   store:Fl_chain.Store.t -> upto:int -> era:int -> app:string ->
   app_hash:string -> image option
-(** [seal ~prev:None]: a one-off snapshot. *)
+(** [seal ~prev:None ~wal:None]: a one-off snapshot. *)
 
 val length : image -> int
 (** Encoded byte length, without encoding. *)
 
-val segments : image -> (int * int * string) list
-(** Each segment's first round, last round and encoded bytes. *)
+val segments : image -> (int * int * Fl_wire.Codec.Slice.t list) list
+(** Each segment's first round, last round and the pieces its bytes
+    are made of, in order. A segment kept from the previous image
+    returns the very same list. *)
 
 val encode : image -> string
 val decode : string -> (t, string) result

@@ -59,6 +59,12 @@ let decode_record s =
   | exception Codec.Reader.Underflow -> Error "truncated WAL record"
   | exception Codec.Malformed e -> Error e
 
+(* Where an appended block's bytes sit: [slice] is the block's
+   encoding inside the Append frame that logged [block], [crc] that
+   encoding's CRC-32. The snapshot sealer takes these bytes instead of
+   encoding the block again. *)
+type encoded = { block : Block.t; slice : Codec.Slice.t; crc : int }
+
 type segment = {
   mutable frames : string list;  (* newest first *)
   mutable bytes : int;
@@ -78,6 +84,10 @@ type t = {
          assembled here in place — length prefix reserved, envelope
          sealed directly behind it, length patched — so an append
          allocates only the final frame string *)
+  encoded : (int, encoded) Hashtbl.t;
+      (* by round: the last block appended there, until a snapshot
+         supersedes the round ([truncate]) or recovery rebuilds the
+         log ([reset_to_frames]) *)
 }
 
 let fresh_segment () = { frames = []; bytes = 0; max_round = -1 }
@@ -91,26 +101,63 @@ let create ~segment_bytes =
     durable_frames = 0;
     appends = 0;
     truncated_segments = 0;
-    scratch = Codec.Writer.create ~capacity:4096 () }
+    scratch = Codec.Writer.create ~capacity:4096 ();
+    encoded = Hashtbl.create 16 }
+
+(* An Append envelope sealed by hand: its body is [signature | block],
+   and the two pieces are checksummed apart, the frame CRC combined
+   from them — still one pass over the bytes, and the block's own CRC
+   falls out of it. Returns the block's offset and CRC. *)
+let seal_append_impl w record ~signature =
+  let start = Codec.Writer.reserve w Envelope.header_bytes in
+  write_record w record;
+  let body = start + Envelope.header_bytes in
+  let off =
+    body + Codec.varint_size (String.length signature) + String.length signature
+  in
+  let len = Codec.Writer.length w - off in
+  let buf = Codec.Writer.unsafe_bytes w in
+  let crc = Crc32.digest_int_bytes_sub buf ~pos:off ~len in
+  let sig_crc = Crc32.digest_int_bytes_sub buf ~pos:body ~len:(off - body) in
+  Envelope.patch_header w ~start ~tag:(record_tag record)
+    ~crc:(Crc32.combine sig_crc crc len);
+  (off, crc)
+
+(* Attributed to codec_encode like every other envelope seal. *)
+let seal_append w record ~signature =
+  if !Fl_prof.Prof.on then
+    Fl_prof.Prof.frame Fl_prof.Prof.codec_encode (fun () ->
+        seal_append_impl w record ~signature)
+  else seal_append_impl w record ~signature
 
 (* Build one record's framed bytes — [u32 length | sealed envelope] —
-   in the log's scratch buffer, one pass, no intermediate strings. *)
+   in the log's scratch buffer, one pass, no intermediate strings.
+   For an Append, also where the block's encoding sits in the frame
+   and its CRC; [(0, 0)] otherwise. *)
 let build_frame_impl t record =
   let w = t.scratch in
   Codec.Writer.clear w;
   let len_off = Codec.Writer.reserve w 4 in
-  Envelope.seal_into w ~tag:(record_tag record) (fun w ->
-      write_record w record);
+  let block_at =
+    match record with
+    | Append { signature; _ } -> seal_append w record ~signature
+    | Truncate _ | Definite _ ->
+        Envelope.seal_into w ~tag:(record_tag record) (fun w ->
+            write_record w record);
+        (0, 0)
+  in
   Codec.Writer.patch_u32 w len_off (Codec.Writer.length w - 4);
-  Codec.Writer.contents w
+  (Codec.Writer.contents w, block_at)
 
 (* Self-profiling bracket (Fl_prof): record encode + length framing —
    the WAL's share of host time, with the nested envelope seal
    re-attributed to codec_encode by the frame stack. *)
-let build_frame t record =
+let build_frame_at t record =
   if !Fl_prof.Prof.on then
     Fl_prof.Prof.frame Fl_prof.Prof.wal (fun () -> build_frame_impl t record)
   else build_frame_impl t record
+
+let build_frame t record = fst (build_frame_at t record)
 
 (* Put one framed record into the active segment, sealing it once it
    reaches [segment_bytes]. *)
@@ -128,10 +175,26 @@ let push_frame t fr ~round =
 (* Append one record; returns the framed byte count (the disk write
    the caller must account for). *)
 let append t record =
-  let fr = build_frame t record in
-  push_frame t fr ~round:(round_of record);
+  let fr, (off, crc) = build_frame_at t record in
+  let round = round_of record in
+  (match record with
+  | Append { block; _ } ->
+      let slice =
+        Codec.Slice.of_sub fr ~pos:off ~len:(String.length fr - off)
+      in
+      Hashtbl.replace t.encoded round { block; slice; crc }
+  | Truncate _ | Definite _ -> ());
+  push_frame t fr ~round;
   t.appends <- t.appends + 1;
   String.length fr
+
+(* A hit only for the very value that was appended: its bytes are then
+   that value's encoding by construction, whatever another block at
+   the same round (an adopted version, a forged body) may hold. *)
+let encoded_block t (block : Block.t) =
+  match Hashtbl.find_opt t.encoded block.Block.header.Header.round with
+  | Some e when e.block == block -> Some (e.slice, e.crc)
+  | Some _ | None -> None
 
 let mark_durable t = t.durable_frames <- t.total_frames
 
@@ -182,6 +245,7 @@ let power_fail_image t ~torn =
 (* Replace the log's contents with a recovered media image: every
    frame on it is durable by construction. *)
 let reset_to_frames t frames =
+  Hashtbl.reset t.encoded;
   t.sealed <- [];
   t.active <- fresh_segment ();
   t.total_frames <- 0;
@@ -192,6 +256,9 @@ let reset_to_frames t frames =
    record in them concerns a round <= [upto]. Segments are
    chronological, so the kept ones are a contiguous suffix. *)
 let truncate t ~upto =
+  Hashtbl.filter_map_inplace
+    (fun round e -> if round <= upto then None else Some e)
+    t.encoded;
   let kept, dropped =
     List.partition (fun seg -> seg.max_round > upto) t.sealed
   in

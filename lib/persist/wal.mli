@@ -34,7 +34,14 @@ val create : segment_bytes:int -> t
 
 val append : t -> record -> int
 (** Append one record; returns the framed byte count — the disk write
-    the caller accounts for. *)
+    the caller accounts for. An Append also records where its block's
+    encoding sits in the frame, for {!encoded_block}. *)
+
+val encoded_block : t -> Fl_chain.Block.t -> (Fl_wire.Codec.Slice.t * int) option
+(** The encoding of [block] and its CRC-32, as a view into the Append
+    frame that logged it — when the log still holds that very value
+    (physically equal) at its round. Entries for a round [<= upto] go
+    with {!truncate}, all of them with {!reset_to_frames}. *)
 
 val build_frame : t -> record -> string
 (** One record's framed bytes — [u32 length | sealed envelope] — built
@@ -60,11 +67,13 @@ val power_fail_image : t -> torn:bool -> string
 
 val reset_to_frames : t -> (string * int) list -> unit
 (** Replace the log's contents with recovered frames (each with its
-    record's round, as {!replay} gives them), all durable. *)
+    record's round, as {!replay} gives them), all durable. No block
+    encoding is recorded for them. *)
 
 val truncate : t -> upto:int -> int
 (** Drop the sealed segments whose records all concern rounds
-    [<= upto] (superseded by a snapshot); returns how many. *)
+    [<= upto] (superseded by a snapshot), and the block encodings of
+    those rounds; returns how many segments. *)
 
 type replay = {
   records : record list;  (** oldest first, valid prefix only *)

@@ -476,6 +476,20 @@ let prop_wal_record_roundtrip =
       Fl_persist.Wal.decode_record (Fl_persist.Wal.encode_record rec_)
       = Ok rec_)
 
+(* The WAL seals Append frames by hand (signature and block checksummed
+   apart, the CRC combined); every record's frame must still be the
+   length-prefixed [encode_record] bytes. One log for all cases: its
+   scratch buffer is reused across frames of every size. *)
+let prop_wal_frame_is_prefixed_record =
+  let wal = Fl_persist.Wal.create ~segment_bytes:(1 lsl 16) in
+  QCheck.Test.make ~name:"codecs: WAL frame = u32 length | record" ~count:200
+    (arb_of gen_wal_record) (fun rec_ ->
+      let record = Fl_persist.Wal.encode_record rec_ in
+      let w = Codec.Writer.create () in
+      Codec.Writer.u32 w (String.length record);
+      Codec.Writer.raw w record;
+      String.equal (Fl_persist.Wal.build_frame wal rec_) (Codec.Writer.contents w))
+
 (* ---------- malformed inputs ---------- *)
 
 (* Every [decode] is total over strings: random bytes and adversarial
@@ -513,6 +527,23 @@ let test_overflowing_count_rejected () =
   match Serial.block_of_string s with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "overflowed tx count decoded"
+
+(* Regression: 88 bytes parse as a header claiming transactions, and a
+   zero count makes the block header-only — a pruned round, which only
+   a chain or snapshot image may hold. The standalone block decoder
+   used to accept it, so about 1% of random-bytes runs failed. *)
+let test_header_only_block_rejected () =
+  (match Serial.block_of_string (String.make 88 'a' ^ "\000") with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "header-only standalone block decoded");
+  let b =
+    Block.create ~round:3 ~proposer:1 ~prev_hash:Block.genesis_hash
+      [| Tx.create ~id:1 ~size:16 |]
+  in
+  let pruned = Serial.block_to_string { b with Block.txs = [||] } in
+  match Serial.block_of_string pruned with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "pruned block decoded standalone"
 
 let prop_bitflip_rejected =
   (* A flipped byte anywhere in the CRC-covered body must be caught;
@@ -676,9 +707,12 @@ let suite =
     Alcotest.test_case "writer reuse detaches taken contents" `Quick
       test_writer_reuse_detached;
     QCheck_alcotest.to_alcotest prop_wal_record_roundtrip;
+    QCheck_alcotest.to_alcotest prop_wal_frame_is_prefixed_record;
     QCheck_alcotest.to_alcotest prop_random_bytes_rejected;
     Alcotest.test_case "overflowing sequence count rejected" `Quick
       test_overflowing_count_rejected;
+    Alcotest.test_case "header-only standalone block rejected" `Quick
+      test_header_only_block_rejected;
     QCheck_alcotest.to_alcotest prop_bitflip_rejected;
     QCheck_alcotest.to_alcotest prop_truncation_rejected;
     QCheck_alcotest.to_alcotest prop_wal_record_mutation;

@@ -229,8 +229,9 @@ let reference_image store ~upto ~era ~app ~app_hash =
 
 (* Extend [store] to [len] rounds; [salt] picks the transactions, so
    two salts give two different chains. One synthetic and one
-   real-payload transaction per block exercise both tx encodings. *)
-let grow ~salt store len =
+   real-payload transaction per block exercise both tx encodings.
+   [log] sees each appended block, as a node's WAL would. *)
+let grow ?(log = ignore) ~salt store len =
   while Store.length store < len do
     let round = Store.length store in
     let txs =
@@ -243,27 +244,41 @@ let grow ~salt store len =
       Block.create ~round ~proposer:(round mod 4)
         ~prev_hash:(Store.last_hash store) txs
     in
-    match Store.append store b with
+    (match Store.append store b with
     | Ok () -> ()
-    | Error e -> Alcotest.failf "grow %d: %a" round Store.pp_error e
+    | Error e -> Alcotest.failf "grow %d: %a" round Store.pp_error e);
+    log b
   done
 
 (* Replace rounds [from..] with a differently salted suffix of the
    same length. *)
-let rewrite ~salt store ~from =
+let rewrite ?log ~salt store ~from =
   let len = Store.length store in
   (match Store.replace_suffix store ~from [] with
   | Ok () -> ()
   | Error e -> Alcotest.failf "truncate: %a" Store.pp_error e);
-  grow ~salt store len
+  grow ?log ~salt store len
 
-let test_snapshot_incremental_equals_whole () =
+let slices_contents pieces =
+  String.concat "" (List.map Fl_wire.Codec.Slice.to_string pieces)
+
+(* The incremental-sealing scenario. Each step seals at the next
+   64-round mark after an optional chain change and states how many
+   segments must be built afresh; all other segments must be the
+   previous image's, physically. With [wal], a log is fed the same
+   appends (and truncated after each seal, as a node does): every
+   image must still be the reference bytes, rounds the log holds must
+   come from its frames, and none at or below a truncation may. *)
+let incremental_scenario ~wal =
   let interval = 64 in
   let store = ref (Store.create ()) in
   let prev = ref None in
-  (* Each step seals at the next 64-round mark after an optional chain
-     change and states how many segments must be encoded afresh; all
-     other segments must be the previous image's, physically. *)
+  let log =
+    Option.map
+      (fun wal b ->
+        ignore (Wal.append wal (Wal.Append { block = b; signature = sig_of 0 })))
+      wal
+  in
   let steps =
     [ (1, `Extend, 1);
       (2, `Extend, 1);
@@ -300,11 +315,24 @@ let test_snapshot_incremental_equals_whole () =
       (match change with
       | `Extend -> ()
       | `Prune keep_from -> Store.prune !store ~keep_from
-      | `Rewrite from -> rewrite ~salt:k !store ~from
+      | `Rewrite from ->
+          Option.iter
+            (fun wal -> ignore (Wal.append wal (Wal.Truncate { from })))
+            wal;
+          rewrite ?log ~salt:k !store ~from
       | `Recover -> (
           let img =
             match !prev with Some i -> Snapshot.encode i | None -> assert false
           in
+          (* a restarted node's log holds only replayed frames, and
+             no block encoding *)
+          Option.iter
+            (fun wal ->
+              Wal.reset_to_frames wal [];
+              Store.iter !store (fun b ->
+                  if Wal.encoded_block wal b <> None then
+                    Alcotest.failf "step %d: hit after reset" k))
+            wal;
           match Result.bind (Snapshot.decode img) Snapshot.restore_chain with
           | Error e -> Alcotest.failf "recover: %s" e
           | Ok recovered ->
@@ -316,15 +344,16 @@ let test_snapshot_incremental_equals_whole () =
               store := recovered)
       | `Adopt ->
           let other = Store.create () in
-          grow ~salt:k other chain_len;
+          grow ?log ~salt:k other chain_len;
           Store.prune other ~keep_from:(Store.pruned_below !store);
           store := other);
-      grow ~salt:0 !store (upto + 2);
+      grow ?log ~salt:0 !store (upto + 2);
       let era = k and app = Printf.sprintf "app-%d" k in
       let app_hash = Fl_crypto.Sha256.digest app in
       let image =
         match
-          Snapshot.seal ~prev:!prev ~store:!store ~upto ~era ~app ~app_hash
+          Snapshot.seal ~prev:!prev ~wal ~store:!store ~upto ~era ~app
+            ~app_hash
         with
         | Some i -> i
         | None -> Alcotest.failf "step %d: seal failed" k
@@ -343,21 +372,120 @@ let test_snapshot_incremental_equals_whole () =
       in
       let fresh = ref 0 in
       List.iter
-        (fun (first, last, bytes) ->
+        (fun (first, last, pieces) ->
           match
             List.find_opt (fun (f, l, _) -> f = first && l = last) old
           with
-          | Some (_, _, kept) when kept == bytes -> ()
-          | Some (_, _, kept) when String.equal kept bytes ->
+          | Some (_, _, kept) when kept == pieces -> ()
+          | Some (_, _, kept)
+            when String.equal (slices_contents kept) (slices_contents pieces)
+            ->
               Alcotest.failf "step %d: unchanged [%d..%d] re-encoded" k first
                 last
-          | _ -> incr fresh)
+          | _ ->
+              incr fresh;
+              (* every round the log holds is a piece of its frame;
+                 after a plain extension that is every new round *)
+              Option.iter
+                (fun wal ->
+                  let from_wal = ref 0 in
+                  for r = first to last do
+                    match
+                      Option.bind (Store.get !store r) (Wal.encoded_block wal)
+                    with
+                    | Some (bytes, _)
+                      when r >= Store.pruned_below !store ->
+                        if not (List.memq bytes pieces) then
+                          Alcotest.failf "step %d: round %d re-encoded" k r;
+                        incr from_wal
+                    | Some _ | None -> ()
+                  done;
+                  if change = `Extend then
+                    Alcotest.(check int)
+                      (Printf.sprintf "step %d: [%d..%d] from the WAL" k
+                         first last)
+                      (last - first + 1) !from_wal)
+                wal)
         (Snapshot.segments image);
       Alcotest.(check int)
         (Printf.sprintf "step %d: segments encoded" k)
         fresh_expected !fresh;
+      Option.iter
+        (fun wal ->
+          ignore (Wal.truncate wal ~upto);
+          for r = 0 to upto do
+            match Option.bind (Store.get !store r) (Wal.encoded_block wal) with
+            | Some _ -> Alcotest.failf "step %d: round %d hit after truncate" k r
+            | None -> ()
+          done)
+        wal;
       prev := Some image)
     steps
+
+let test_snapshot_incremental_equals_whole () = incremental_scenario ~wal:None
+
+let test_snapshot_incremental_from_wal () =
+  incremental_scenario ~wal:(Some (Wal.create ~segment_bytes:(1 lsl 16)))
+
+(* The log holds round 5's block, the store another value there: a
+   structurally equal copy, then a different block. Both must miss —
+   no piece from round 5's frame — and the image must be the store's
+   own bytes. *)
+let test_snapshot_other_value_misses () =
+  let store = Store.create () in
+  let wal = Wal.create ~segment_bytes:(1 lsl 16) in
+  let log b =
+    ignore (Wal.append wal (Wal.Append { block = b; signature = sig_of 0 }))
+  in
+  grow ~log ~salt:1 store 10;
+  let logged =
+    match Store.get store 5 with Some b -> b | None -> assert false
+  in
+  let check what ~hits =
+    match
+      Snapshot.seal ~prev:None ~wal:(Some wal) ~store ~upto:8 ~era:0 ~app:""
+        ~app_hash:""
+    with
+    | None -> Alcotest.fail "seal failed"
+    | Some image ->
+        if
+          not
+            (String.equal (Snapshot.encode image)
+               (reference_image store ~upto:8 ~era:0 ~app:"" ~app_hash:""))
+        then Alcotest.failf "%s: image differs from the whole-chain encode" what;
+        let pieces =
+          List.concat_map (fun (_, _, p) -> p) (Snapshot.segments image)
+        in
+        (match Wal.encoded_block wal logged with
+        | Some (bytes, _) ->
+            Alcotest.(check bool) (what ^ ": round 5 not from the WAL") false
+              (List.memq bytes pieces)
+        | None -> Alcotest.fail "the logged value must still hit");
+        (* rounds that still hold the logged values come from the log *)
+        List.iter
+          (fun r ->
+            match Option.bind (Store.get store r) (Wal.encoded_block wal) with
+            | Some (bytes, _) ->
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s: round %d from the WAL" what r)
+                  true (List.memq bytes pieces)
+            | None -> Alcotest.failf "%s: round %d missed" what r)
+          hits
+  in
+  let replace_5 b =
+    let rest = Store.sub store ~from:6 in
+    match Store.replace_suffix store ~from:5 (b :: rest) with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "replace: %a" Store.pp_error e
+  in
+  replace_5 { logged with Block.txs = Array.copy logged.Block.txs };
+  check "equal copy" ~hits:[ 0; 4; 6; 8 ];
+  (* a different block at round 5 (the rest of the chain re-linked) *)
+  (match Store.replace_suffix store ~from:5 [] with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "truncate: %a" Store.pp_error e);
+  grow ~salt:2 store 10;
+  check "different block" ~hits:[ 0; 4 ]
 
 (* ---- Recovery ---- *)
 
@@ -614,6 +742,10 @@ let suite =
     Alcotest.test_case "snapshot roundtrip" `Quick test_snapshot_roundtrip;
     Alcotest.test_case "snapshot incremental = whole-chain encode" `Quick
       test_snapshot_incremental_equals_whole;
+    Alcotest.test_case "snapshot incremental from wal = whole-chain" `Quick
+      test_snapshot_incremental_from_wal;
+    Alcotest.test_case "snapshot: another block value misses the wal" `Quick
+      test_snapshot_other_value_misses;
     Alcotest.test_case "recovery snapshot+suffix" `Quick
       test_recovery_snapshot_plus_suffix;
     Alcotest.test_case "recovery truncate replay" `Quick

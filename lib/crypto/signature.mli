@@ -19,7 +19,11 @@ type registry
 (** The simulated PKI: one keypair per node identity. *)
 
 type signature = string
-(** 32 bytes. *)
+(** [length] bytes. *)
+
+val length : int
+(** 32: every signature [sign] makes is this long, so a decoder can
+    reject any other length at the wire boundary. *)
 
 val create_registry : seed:string -> n:int -> registry
 (** PKI for node identities [0..n-1]. Deterministic in [seed]. *)

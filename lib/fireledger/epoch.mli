@@ -33,16 +33,14 @@ val succeed : universe:int -> t -> change list -> activation:int -> t option
     invalid ones) and build the successor epoch, or [None] if the
     membership is unchanged. *)
 
-val encode_change : change -> string
-(** Payload framing: magic + version + kind + varint node id. *)
-
 val change_of_payload : string -> change option
 (** O(1) rejection of ordinary payloads (magic prefix check);
     fail-closed on malformed reconfiguration frames. *)
 
 val reconfig_tx : change -> Fl_chain.Tx.t
 (** Wrap a change as an ordinary transaction (deterministic id in a
-    reserved range, payload = {!encode_change}). *)
+    reserved range; the payload is magic + version + kind + varint
+    node id). *)
 
 val changes_of_block : Fl_chain.Block.t -> change list
 (** All reconfiguration changes carried by a block, in tx order. *)

@@ -27,6 +27,8 @@ let read_signed_header r =
   if not (Codec.Reader.at_end henc) then
     raise (Codec.Malformed "signed_header: trailing header bytes");
   let signature = Codec.Reader.bytes r in
+  if String.length signature <> Fl_crypto.Signature.length then
+    raise (Codec.Malformed "signed_header: signature length");
   { header; signature }
 
 let encode_signed_header sh =

@@ -4,10 +4,56 @@ type mode = Quick | Full
 
 type run = { mode : mode; jobs : int; obs : Fl_obs.Obs.t option }
 
-let warmup = Time.s 1
-let duration = function Quick -> Time.s 3 | Full -> Time.s 10
+let pick ex ~quick ~full = match ex.mode with Quick -> quick | Full -> full
 
-let omega_sweep = function Quick -> [ 1; 4; 10 ] | Full -> [ 1; 2; 4; 6; 8; 10 ]
+(* Every run of every driver goes through this one sweep. Results merge
+   in list order, and with [jobs = 1] the runs execute in that order,
+   so neither a table nor a traced run's sink depends on [jobs]. *)
+let sweep ex runs =
+  let runs = Array.of_list runs in
+  Array.to_list
+    (Par.map ~jobs:ex.jobs (Array.length runs) (fun i -> runs.(i) ()))
+
+let table ~title ~columns rows =
+  let t = Table.create ~title ~columns in
+  List.iter (Table.add_row t) rows;
+  t
+
+(* Grid-shaped tables. A row lists the FLO settings it runs and builds
+   its cells from their results, in the same order; the runs of every
+   row of every table form one sweep, in row order. *)
+let grids ex tables =
+  let settings =
+    List.concat_map (fun (_, _, rows) -> List.concat_map fst rows) tables
+  in
+  let results =
+    Array.of_list
+      (sweep ex (List.map (fun s () -> Settings.run_flo s) settings))
+  in
+  let fill off (settings, cells) =
+    let k = List.length settings in
+    (off + k, cells (Array.to_list (Array.sub results off k)))
+  in
+  snd
+    (List.fold_left_map
+       (fun off (title, columns, rows) ->
+         let off, rows = List.fold_left_map fill off rows in
+         (off, table ~title ~columns rows))
+       0 tables)
+
+let grid ex ~title ~columns rows = grids ex [ (title, columns, rows) ]
+
+(* A row of one run, whose cells all come from its result. *)
+let single s cells = ([ s ], List.concat_map cells)
+
+(* A row of one cell per run, after its label cells. *)
+let per_run label cell settings = (settings, fun rs -> label @ List.map cell rs)
+
+let cross xs ys = List.concat_map (fun x -> List.map (fun y -> (x, y)) ys) xs
+
+let warmup = Time.s 1
+
+let omega_sweep ex = pick ex ~quick:[ 1; 4; 10 ] ~full:[ 1; 2; 4; 6; 8; 10 ]
 let sizes = [ 512; 1024; 4096 ]
 let batches = [ 10; 100; 1000 ]
 let clusters = [ 4; 7; 10 ]
@@ -15,32 +61,24 @@ let clusters = [ 4; 7; 10 ]
 let base ex ~n ~workers ~batch ~tx_size =
   { (Settings.flo ~n ~workers ~batch ~tx_size) with
     Settings.warmup;
-    duration = duration ex.mode;
+    duration = pick ex ~quick:(Time.s 3) ~full:(Time.s 10);
     obs = ex.obs }
 
-let ktps r = r.Settings.tps /. 1000.0
+let ktps_cell r = Table.cell_f (r.Settings.tps /. 1000.0)
 
 (* ---------- Table 1: per-mode protocol costs ---------- *)
 
 let table1 ex =
   let n = 4 in
-  let run faults tweaks =
+  let run faults () =
     Settings.run_flo
-      { (base ex ~n ~workers:1 ~batch:100 ~tx_size:512) with
-        Settings.faults;
-        config_tweaks = tweaks }
+      { (base ex ~n ~workers:1 ~batch:100 ~tx_size:512) with Settings.faults }
   in
-  let fault_free = run Settings.no_faults Fun.id in
-  let omission =
-    run { Settings.no_faults with Settings.loss = Some (1, 0.6) } Fun.id
-  in
-  let byz =
-    run { Settings.no_faults with Settings.byzantine = [ 2 ] } Fun.id
-  in
-  let t =
-    Table.create ~title:"Table 1: FireLedger cost per decided block"
-      ~columns:
-        [ "metric"; "fault-free"; "timing/omission"; "byzantine" ]
+  let results =
+    sweep ex
+      [ run Settings.no_faults;
+        run { Settings.no_faults with Settings.loss = Some (1, 0.6) };
+        run { Settings.no_faults with Settings.byzantine = [ 2 ] } ]
   in
   (* "blocks_delivered" marks fire at every node, so the distinct
      block count is the windowed count divided by n. *)
@@ -52,416 +90,285 @@ let table1 ex =
   in
   let per_block r c = float_of_int c /. float_of_int (blocks r) in
   let row name f =
-    Table.add_row t
-      [ name;
-        Table.cell_f ~dec:2 (f fault_free);
-        Table.cell_f ~dec:2 (f omission);
-        Table.cell_f ~dec:2 (f byz) ]
+    name :: List.map (fun r -> Table.cell_f ~dec:2 (f r)) results
   in
-  row "messages / block / node" (fun r ->
-      per_block r r.Settings.messages /. float_of_int n);
-  row "signatures / block" (fun r -> per_block r r.Settings.signatures);
-  row "verifications / block" (fun r ->
-      per_block r
-        (Fl_metrics.Recorder.counter r.Settings.recorder "verifications"));
-  row "OBBC slow paths / block" (fun r ->
-      per_block r r.Settings.slow_paths);
-  row "recoveries / s" (fun r -> r.Settings.rps);
-  row "finality latency (rounds)" (fun _ -> float_of_int (((n - 1) / 3) + 2));
-  Table.print t
+  [ table ~title:"Table 1: FireLedger cost per decided block"
+      ~columns:[ "metric"; "fault-free"; "timing/omission"; "byzantine" ]
+      [ row "messages / block / node" (fun r ->
+            per_block r r.Settings.messages /. float_of_int n);
+        row "signatures / block" (fun r -> per_block r r.Settings.signatures);
+        row "verifications / block" (fun r ->
+            per_block r
+              (Fl_metrics.Recorder.counter r.Settings.recorder
+                 "verifications"));
+        row "OBBC slow paths / block" (fun r ->
+            per_block r r.Settings.slow_paths);
+        row "recoveries / s" (fun r -> r.Settings.rps);
+        row "finality latency (rounds)" (fun _ ->
+            float_of_int (((n - 1) / 3) + 2)) ] ]
 
 (* ---------- Figure 5: signature generation rate ---------- *)
 
 let fig5 _ex =
-  let t =
-    Table.create
+  let cost = Settings.m5_xlarge.Settings.cost in
+  let sps ~beta ~sigma w =
+    (* ω worker threads on 4 vCPUs: parallelism caps at the core
+       count *)
+    Table.cell_f
+      (Fl_crypto.Cost_model.signatures_per_second cost
+         ~payload_bytes:(beta * sigma)
+         ~cores:(min w Settings.m5_xlarge.Settings.cores))
+  in
+  [ table
       ~title:
         "Figure 5: signatures/s on one VM (cost model; see bench for the \
          measured-hardware calibration)"
       ~columns:[ "beta"; "sigma"; "w=1"; "w=2"; "w=4"; "w=8" ]
-  in
-  let cost = Settings.m5_xlarge.Settings.cost in
-  List.iter
-    (fun beta ->
-      List.iter
-        (fun sigma ->
-          let sps w =
-            (* ω worker threads on 4 vCPUs: parallelism caps at the
-               core count *)
-            Fl_crypto.Cost_model.signatures_per_second cost
-              ~payload_bytes:(beta * sigma)
-              ~cores:(min w Settings.m5_xlarge.Settings.cores)
-          in
-          Table.add_row t
-            [ Table.cell_i beta;
-              Table.cell_i sigma;
-              Table.cell_f (sps 1);
-              Table.cell_f (sps 2);
-              Table.cell_f (sps 4);
-              Table.cell_f (sps 8) ])
-        sizes)
-    batches;
-  Table.print t
+      (List.map
+         (fun (beta, sigma) ->
+           Table.cell_i beta :: Table.cell_i sigma
+           :: List.map (sps ~beta ~sigma) [ 1; 2; 4; 8 ])
+         (cross batches sizes)) ]
 
-(* ---------- Figure 6: single-DC blocks/s ---------- *)
+(* ---------- Figures 6 and 13: blocks/s, header-only load ---------- *)
+
+let blocks_grid ex ~title net =
+  grid ex ~title ~columns:[ "workers"; "n=4"; "n=7"; "n=10" ]
+    (List.map
+       (fun w ->
+         per_run [ Table.cell_i w ]
+           (fun r -> Table.cell_f r.Settings.bps)
+           (List.map
+              (fun n ->
+                { (base ex ~n ~workers:w ~batch:1 ~tx_size:1) with
+                  Settings.net })
+              clusters))
+       (omega_sweep ex))
 
 let fig6 ex =
-  let t =
-    Table.create ~title:"Figure 6: FLO blocks/s, single DC (header-only load)"
-      ~columns:[ "workers"; "n=4"; "n=7"; "n=10" ]
-  in
-  (* Build the whole grid up front and run it through the parallel
-     sweep; rows are filled from the results array in sweep order, so
-     the table is identical for any job count. *)
-  let ws = omega_sweep ex.mode in
-  let ns = [ 4; 7; 10 ] in
-  let settings =
-    Array.of_list
-      (List.concat_map
-         (fun w ->
-           List.map (fun n -> base ex ~n ~workers:w ~batch:1 ~tx_size:1) ns)
-         ws)
-  in
-  let results =
-    Par.map ~jobs:ex.jobs (Array.length settings) (fun i ->
-        Settings.run_flo settings.(i))
-  in
-  List.iteri
-    (fun i w ->
-      let cell j = Table.cell_f results.((i * 3) + j).Settings.bps in
-      Table.add_row t [ Table.cell_i w; cell 0; cell 1; cell 2 ])
-    ws;
-  Table.print t
+  blocks_grid ex ~title:"Figure 6: FLO blocks/s, single DC (header-only load)"
+    Settings.Single_dc
+
+let fig13 ex =
+  blocks_grid ex ~title:"Figure 13: FLO blocks/s, multi DC (header-only load)"
+    Settings.Geo
 
 (* ---------- Figure 7: single-DC tps grid ---------- *)
 
-let tps_grid ex ~title ~net =
-  let sigmas = [ 512; 1024; 4096 ] in
-  List.iter
-    (fun n ->
-      List.iter
-        (fun beta ->
-          let t =
-            Table.create
-              ~title:(Printf.sprintf "%s  n=%d beta=%d" title n beta)
-              ~columns:[ "workers"; "sigma=512"; "sigma=1K"; "sigma=4K" ]
-          in
-          (* One parallel sweep per table; rows filled from the results
-             array in sweep order (identical for any job count). *)
-          let ws = omega_sweep ex.mode in
-          let settings =
-            Array.of_list
-              (List.concat_map
-                 (fun w ->
-                   List.map
-                     (fun sigma ->
-                       { (base ex ~n ~workers:w ~batch:beta
-                            ~tx_size:sigma)
-                         with Settings.net })
-                     sigmas)
-                 ws)
-          in
-          let results =
-            Par.map ~jobs:ex.jobs (Array.length settings) (fun i ->
-                Settings.run_flo settings.(i))
-          in
-          List.iteri
-            (fun i w ->
-              let cell j = Table.cell_f (ktps results.((i * 3) + j)) in
-              Table.add_row t
-                [ Table.cell_i w; cell 0; cell 1; cell 2 ])
-            ws;
-          Table.print t)
-        batches)
-    clusters
-
 let fig7 ex =
-  tps_grid ex ~title:"Figure 7: FLO ktps, single DC" ~net:Settings.Single_dc
+  grids ex
+    (List.map
+       (fun (n, beta) ->
+         ( Printf.sprintf "Figure 7: FLO ktps, single DC  n=%d beta=%d" n beta,
+           [ "workers"; "sigma=512"; "sigma=1K"; "sigma=4K" ],
+           List.map
+             (fun w ->
+               per_run [ Table.cell_i w ] ktps_cell
+                 (List.map
+                    (fun sigma ->
+                      base ex ~n ~workers:w ~batch:beta ~tx_size:sigma)
+                    sizes))
+             (omega_sweep ex) ))
+       (cross clusters batches))
 
 (* ---------- Figure 8: latency CDFs ---------- *)
 
 let fig8 ex =
-  let omegas = [ 1; 5; 10 ] in
-  List.iter
-    (fun n ->
-      let t =
-        Table.create
-          ~title:
-            (Printf.sprintf
-               "Figure 8: block delivery latency CDF (ms), sigma=512, n=%d" n)
-          ~columns:
-            [ "config"; "p10"; "p25"; "p50"; "p75"; "p90"; "p99" ]
-      in
-      List.iter
-        (fun w ->
-          List.iter
-            (fun beta ->
-              let r =
-                Settings.run_flo (base ex ~n ~workers:w ~batch:beta ~tx_size:512)
-              in
-              let q p =
-                match
-                  Fl_metrics.Recorder.histogram r.Settings.recorder
-                    "latency_e2e"
-                with
-                | Some h ->
-                    Table.cell_f
-                      (float_of_int (Fl_metrics.Histogram.quantile h p)
-                      /. 1e6)
-                | None -> "-"
-              in
-              Table.add_row t
-                [ Printf.sprintf "w=%d b=%d" w beta;
-                  q 0.10; q 0.25; q 0.50; q 0.75; q 0.90; q 0.99 ])
-            (match ex.mode with Quick -> [ 100; 1000 ] | Full -> batches))
-        (match ex.mode with Quick -> [ 1; 10 ] | Full -> omegas);
-      Table.print t)
-    (match ex.mode with Quick -> [ 4; 10 ] | Full -> clusters)
+  grids ex
+    (List.map
+       (fun n ->
+         ( Printf.sprintf
+             "Figure 8: block delivery latency CDF (ms), sigma=512, n=%d" n,
+           [ "config"; "p10"; "p25"; "p50"; "p75"; "p90"; "p99" ],
+           List.map
+             (fun (w, beta) ->
+               single (base ex ~n ~workers:w ~batch:beta ~tx_size:512)
+                 (fun r ->
+                   let q p =
+                     match
+                       Fl_metrics.Recorder.histogram r.Settings.recorder
+                         "latency_e2e"
+                     with
+                     | Some h ->
+                         Table.cell_f
+                           (float_of_int (Fl_metrics.Histogram.quantile h p)
+                           /. 1e6)
+                     | None -> "-"
+                   in
+                   Printf.sprintf "w=%d b=%d" w beta
+                   :: List.map q [ 0.10; 0.25; 0.50; 0.75; 0.90; 0.99 ]))
+             (cross
+                (pick ex ~quick:[ 1; 10 ] ~full:[ 1; 5; 10 ])
+                (pick ex ~quick:[ 100; 1000 ] ~full:batches)) ))
+       (pick ex ~quick:[ 4; 10 ] ~full:clusters))
 
 (* ---------- Figure 9: event breakdown heatmap ---------- *)
 
 let fig9 ex =
-  let t =
-    Table.create
-      ~title:
-        "Figure 9: relative time between events A-E (percent of A->E), \
-         sigma=512"
-      ~columns:[ "config"; "A->B"; "B->C"; "C->D"; "D->E" ]
-  in
-  List.iter
-    (fun n ->
-      List.iter
-        (fun w ->
-          List.iter
-            (fun beta ->
-              let r =
-                Settings.run_flo (base ex ~n ~workers:w ~batch:beta ~tx_size:512)
-              in
-              let total =
-                r.Settings.ev_ab_ms +. r.Settings.ev_bc_ms
-                +. r.Settings.ev_cd_ms +. r.Settings.ev_de_ms
-              in
-              let pct v =
-                if total <= 0.0 then "-"
-                else Table.cell_f (100.0 *. v /. total) ^ "%"
-              in
-              Table.add_row t
-                [ Printf.sprintf "n=%d w=%d b=%d" n w beta;
-                  pct r.Settings.ev_ab_ms;
-                  pct r.Settings.ev_bc_ms;
-                  pct r.Settings.ev_cd_ms;
-                  pct r.Settings.ev_de_ms ])
-            (match ex.mode with Quick -> [ 1000 ] | Full -> batches))
-        (match ex.mode with Quick -> [ 1; 10 ] | Full -> [ 1; 5; 10 ]))
-    (match ex.mode with Quick -> [ 4; 10 ] | Full -> clusters);
-  Table.print t
+  grid ex
+    ~title:
+      "Figure 9: relative time between events A-E (percent of A->E), \
+       sigma=512"
+    ~columns:[ "config"; "A->B"; "B->C"; "C->D"; "D->E" ]
+    (List.map
+       (fun ((n, w), beta) ->
+         single (base ex ~n ~workers:w ~batch:beta ~tx_size:512) (fun r ->
+             let gaps =
+               Settings.
+                 [ r.ev_ab_ms; r.ev_bc_ms; r.ev_cd_ms; r.ev_de_ms ]
+             in
+             let total = List.fold_left ( +. ) 0.0 gaps in
+             let pct v =
+               if total <= 0.0 then "-"
+               else Table.cell_f (100.0 *. v /. total) ^ "%"
+             in
+             Printf.sprintf "n=%d w=%d b=%d" n w beta :: List.map pct gaps))
+       (cross
+          (cross
+             (pick ex ~quick:[ 4; 10 ] ~full:clusters)
+             (pick ex ~quick:[ 1; 10 ] ~full:[ 1; 5; 10 ]))
+          (pick ex ~quick:[ 1000 ] ~full:batches)))
 
 (* ---------- Figure 10: scalability, n = 100 ---------- *)
 
 let fig10 ex =
-  let t =
-    Table.create ~title:"Figure 10: FLO ktps with n=100, sigma=512, single DC"
-      ~columns:[ "workers"; "beta=10"; "beta=100"; "beta=1000" ]
-  in
-  let dur = match ex.mode with Quick -> Time.s 2 | Full -> Time.s 5 in
-  let omegas =
-    match ex.mode with Quick -> [ 1; 3 ] | Full -> [ 1; 2; 3; 4; 5 ]
-  in
-  List.iter
-    (fun w ->
-      let cell beta =
-        let r =
-          Settings.run_flo
-            { (base ex ~n:100 ~workers:w ~batch:beta ~tx_size:512) with
-              Settings.duration = dur }
-        in
-        Table.cell_f (ktps r)
-      in
-      Table.add_row t
-        [ Table.cell_i w; cell 10; cell 100; cell 1000 ])
-    omegas;
-  Table.print t
+  grid ex ~title:"Figure 10: FLO ktps with n=100, sigma=512, single DC"
+    ~columns:[ "workers"; "beta=10"; "beta=100"; "beta=1000" ]
+    (List.map
+       (fun w ->
+         per_run [ Table.cell_i w ] ktps_cell
+           (List.map
+              (fun beta ->
+                { (base ex ~n:100 ~workers:w ~batch:beta ~tx_size:512) with
+                  Settings.duration =
+                    pick ex ~quick:(Time.s 2) ~full:(Time.s 5) })
+              batches))
+       (pick ex ~quick:[ 1; 3 ] ~full:[ 1; 2; 3; 4; 5 ]))
 
 (* ---------- Figure 11: crash failures ---------- *)
 
 let fig11 ex =
-  let t =
-    Table.create
-      ~title:
-        "Figure 11: FLO ktps with f crashed nodes (crash at measurement \
-         start), sigma=512"
-      ~columns:[ "n(f)"; "workers"; "beta=10"; "beta=100"; "beta=1000" ]
-  in
-  List.iter
-    (fun n ->
-      let f = (n - 1) / 3 in
-      List.iter
-        (fun w ->
-          let cell beta =
-            let crash_list = List.init f (fun i -> (2 * i) + 1) in
-            let r =
-              Settings.run_flo
+  grid ex
+    ~title:
+      "Figure 11: FLO ktps with f crashed nodes (crash at measurement \
+       start), sigma=512"
+    ~columns:[ "n(f)"; "workers"; "beta=10"; "beta=100"; "beta=1000" ]
+    (List.map
+       (fun (n, w) ->
+         let f = (n - 1) / 3 in
+         let faults =
+           { Settings.no_faults with
+             Settings.crash_at =
+               Some (warmup / 2, List.init f (fun i -> (2 * i) + 1)) }
+         in
+         per_run
+           [ Printf.sprintf "%d(%d)" n f; Table.cell_i w ]
+           ktps_cell
+           (List.map
+              (fun beta ->
                 { (base ex ~n ~workers:w ~batch:beta ~tx_size:512) with
-                  Settings.faults =
-                    { Settings.no_faults with
-                      Settings.crash_at = Some (warmup / 2, crash_list) } }
-            in
-            Table.cell_f (ktps r)
-          in
-          Table.add_row t
-            [ Printf.sprintf "%d(%d)" n f;
-              Table.cell_i w;
-              cell 10; cell 100; cell 1000 ])
-        (match ex.mode with Quick -> [ 1; 5 ] | Full -> [ 1; 3; 5; 8; 10 ]))
-    clusters;
-  Table.print t
+                  Settings.faults })
+              batches))
+       (cross clusters (pick ex ~quick:[ 1; 5 ] ~full:[ 1; 3; 5; 8; 10 ])))
 
 (* ---------- Figure 12: Byzantine failures ---------- *)
 
 let fig12 ex =
-  let t =
-    Table.create
-      ~title:
-        "Figure 12: FLO under Byzantine equivocation, sigma=512 (ktps and \
-         recoveries/s)"
-      ~columns:[ "n(f)"; "workers"; "beta"; "ktps"; "recoveries/s" ]
-  in
-  List.iter
-    (fun n ->
-      let f = (n - 1) / 3 in
-      List.iter
-        (fun w ->
-          List.iter
-            (fun beta ->
-              let byz = List.init f (fun i -> (3 * i) + 1) in
-              let r =
-                Settings.run_flo
-                  { (base ex ~n ~workers:w ~batch:beta ~tx_size:512) with
-                    Settings.faults =
-                      { Settings.no_faults with Settings.byzantine = byz } }
-              in
-              Table.add_row t
-                [ Printf.sprintf "%d(%d)" n f;
-                  Table.cell_i w;
-                  Table.cell_i beta;
-                  Table.cell_f (ktps r);
-                  Table.cell_f ~dec:2 r.Settings.rps ])
-            (match ex.mode with Quick -> [ 100; 1000 ] | Full -> batches))
-        (match ex.mode with Quick -> [ 1; 3 ] | Full -> [ 1; 2; 3; 4; 5 ]))
-    clusters;
-  Table.print t
+  grid ex
+    ~title:
+      "Figure 12: FLO under Byzantine equivocation, sigma=512 (ktps and \
+       recoveries/s)"
+    ~columns:[ "n(f)"; "workers"; "beta"; "ktps"; "recoveries/s" ]
+    (List.map
+       (fun ((n, w), beta) ->
+         let f = (n - 1) / 3 in
+         single
+           { (base ex ~n ~workers:w ~batch:beta ~tx_size:512) with
+             Settings.faults =
+               { Settings.no_faults with
+                 Settings.byzantine = List.init f (fun i -> (3 * i) + 1) } }
+           (fun r ->
+             [ Printf.sprintf "%d(%d)" n f;
+               Table.cell_i w;
+               Table.cell_i beta;
+               ktps_cell r;
+               Table.cell_f ~dec:2 r.Settings.rps ]))
+       (cross
+          (cross clusters (pick ex ~quick:[ 1; 3 ] ~full:[ 1; 2; 3; 4; 5 ]))
+          (pick ex ~quick:[ 100; 1000 ] ~full:batches)))
 
-(* ---------- Figures 13-15: multi data-center ---------- *)
+(* ---------- Figures 14-15: multi data-center ---------- *)
 
-let fig13 ex =
-  let t =
-    Table.create ~title:"Figure 13: FLO blocks/s, multi DC (header-only load)"
-      ~columns:[ "workers"; "n=4"; "n=7"; "n=10" ]
-  in
-  List.iter
-    (fun w ->
-      let cell n =
-        let r =
-          Settings.run_flo
-            { (base ex ~n ~workers:w ~batch:1 ~tx_size:1) with
-              Settings.net = Settings.Geo }
-        in
-        Table.cell_f r.Settings.bps
-      in
-      Table.add_row t [ Table.cell_i w; cell 4; cell 7; cell 10 ])
-    (omega_sweep ex.mode);
-  Table.print t
+(* One Figure 14/15 row: (n, w) over every β, multi DC. *)
+let geo_row ex label cell (n, w) =
+  per_run (label n w) cell
+    (List.map
+       (fun beta ->
+         { (base ex ~n ~workers:w ~batch:beta ~tx_size:512) with
+           Settings.net = Settings.Geo;
+           duration = pick ex ~quick:(Time.s 6) ~full:(Time.s 15) })
+       batches)
 
 let fig14 ex =
-  let t =
-    Table.create ~title:"Figure 14: FLO ktps, multi DC, sigma=512"
-      ~columns:[ "workers"; "config"; "beta=10"; "beta=100"; "beta=1000" ]
-  in
-  List.iter
-    (fun n ->
-      List.iter
-        (fun w ->
-          let cell beta =
-            let r =
-              Settings.run_flo
-                { (base ex ~n ~workers:w ~batch:beta ~tx_size:512) with
-                  Settings.net = Settings.Geo;
-                  duration =
-                    (match ex.mode with Quick -> Time.s 6 | Full -> Time.s 15) }
-            in
-            Table.cell_f (ktps r)
-          in
-          Table.add_row t
-            [ Table.cell_i w;
-              Printf.sprintf "n=%d" n;
-              cell 10; cell 100; cell 1000 ])
-        (omega_sweep ex.mode))
-    clusters;
-  Table.print t
+  grid ex ~title:"Figure 14: FLO ktps, multi DC, sigma=512"
+    ~columns:[ "workers"; "config"; "beta=10"; "beta=100"; "beta=1000" ]
+    (List.map
+       (geo_row ex
+          (fun n w -> [ Table.cell_i w; Printf.sprintf "n=%d" n ])
+          ktps_cell)
+       (cross clusters (omega_sweep ex)))
 
 let fig15 ex =
-  let t =
-    Table.create
-      ~title:
-        "Figure 15: FLO latency (ms), multi DC, sigma=512 (mean with top 5% \
-         trimmed)"
-      ~columns:[ "config"; "beta=10"; "beta=100"; "beta=1000" ]
-  in
-  List.iter
-    (fun n ->
-      List.iter
-        (fun w ->
-          let cell beta =
-            let r =
-              Settings.run_flo
-                { (base ex ~n ~workers:w ~batch:beta ~tx_size:512) with
-                  Settings.net = Settings.Geo;
-                  duration =
-                    (match ex.mode with Quick -> Time.s 6 | Full -> Time.s 15) }
-            in
-            Table.cell_f r.Settings.lat_trimmed_ms
-          in
-          Table.add_row t
-            [ Printf.sprintf "n=%d w=%d" n w; cell 10; cell 100; cell 1000 ])
-        (match ex.mode with Quick -> [ 1; 10 ] | Full -> [ 1; 5; 10 ]))
-    clusters;
-  Table.print t
+  grid ex
+    ~title:
+      "Figure 15: FLO latency (ms), multi DC, sigma=512 (mean with top 5% \
+       trimmed)"
+    ~columns:[ "config"; "beta=10"; "beta=100"; "beta=1000" ]
+    (List.map
+       (geo_row ex
+          (fun n w -> [ Printf.sprintf "n=%d w=%d" n w ])
+          (fun r -> Table.cell_f r.Settings.lat_trimmed_ms))
+       (cross clusters (pick ex ~quick:[ 1; 10 ] ~full:[ 1; 5; 10 ])))
 
 (* ---------- Figures 16-17: FLO vs HotStuff / BFT-SMaRt ---------- *)
 
+let rec pairs = function a :: b :: rest -> (a, b) :: pairs rest | _ -> []
+
 let comparison ex ~title ~rival ~run_rival =
-  let t =
-    Table.create ~title
+  let points =
+    cross
+      (pick ex ~quick:[ 4; 10 ] ~full:[ 4; 10; 16; 31 ])
+      (pick ex ~quick:[ 512 ] ~full:[ 128; 512; 1024 ])
+  in
+  (* The FLO run and the rival's alternate per point. *)
+  let results =
+    sweep ex
+      (List.concat_map
+         (fun (n, sigma) ->
+           let f = max 0 ((n / 3) - 1) in
+           [ (fun () ->
+               Settings.run_flo
+                 { (base ex ~n ~workers:8 ~batch:1000 ~tx_size:sigma) with
+                   Settings.f = Some f;
+                   machine = Settings.c5_4xlarge });
+             (fun () ->
+               run_rival (Settings.baseline ~n ~f ~batch:1000 ~tx_size:sigma))
+           ])
+         points)
+  in
+  [ table ~title
       ~columns:
         [ "n"; "sigma"; "FLO ktps"; rival ^ " ktps"; "FLO lat ms";
           rival ^ " lat ms" ]
-  in
-  let ns = match ex.mode with Quick -> [ 4; 10 ] | Full -> [ 4; 10; 16; 31 ] in
-  let ss = match ex.mode with Quick -> [ 512 ] | Full -> [ 128; 512; 1024 ] in
-  List.iter
-    (fun n ->
-      let f = max 0 ((n / 3) - 1) in
-      List.iter
-        (fun sigma ->
-          let flo_r =
-            Settings.run_flo
-              { (base ex ~n ~workers:8 ~batch:1000 ~tx_size:sigma) with
-                Settings.f = Some f;
-                machine = Settings.c5_4xlarge }
-          in
-          let rival_r =
-            run_rival (Settings.baseline ~n ~f ~batch:1000 ~tx_size:sigma)
-          in
-          Table.add_row t
-            [ Table.cell_i n;
-              Table.cell_i sigma;
-              Table.cell_f (ktps flo_r);
-              Table.cell_f (ktps rival_r);
-              Table.cell_f flo_r.Settings.lat_mean_ms;
-              Table.cell_f rival_r.Settings.lat_mean_ms ])
-        ss)
-    ns;
-  Table.print t
+      (List.map2
+         (fun (n, sigma) (flo_r, rival_r) ->
+           [ Table.cell_i n;
+             Table.cell_i sigma;
+             ktps_cell flo_r;
+             ktps_cell rival_r;
+             Table.cell_f flo_r.Settings.lat_mean_ms;
+             Table.cell_f rival_r.Settings.lat_mean_ms ])
+         points (pairs results)) ]
 
 let fig16 ex =
   comparison ex
@@ -480,45 +387,44 @@ let fig17 ex =
 (* ---------- Ablations (DESIGN.md §4) ---------- *)
 
 let ablations ex =
-  let t =
-    Table.create
-      ~title:
-        "Ablations: design-choice contributions (n=4, beta=1000, sigma=512, \
-         w=4)"
-      ~columns:[ "variant"; "ktps"; "latency ms"; "notes" ]
-  in
-  let run ?(faults = Settings.no_faults) tweaks =
-    Settings.run_flo
+  let variant ?(notes = "") ?(faults = Settings.no_faults) name config_tweaks
+      =
+    single
       { (base ex ~n:4 ~workers:4 ~batch:1000 ~tx_size:512) with
-        Settings.config_tweaks = tweaks;
+        Settings.config_tweaks;
         faults }
+      (fun r ->
+        [ name; ktps_cell r; Table.cell_f r.Settings.lat_mean_ms; notes ])
   in
-  let add name ?(notes = "") r =
-    Table.add_row t
-      [ name; Table.cell_f (ktps r); Table.cell_f r.Settings.lat_mean_ms;
-        notes ]
+  let crash =
+    { Settings.no_faults with Settings.crash_at = Some (warmup / 2, [ 1 ]) }
   in
-  add "full FireLedger" (run Fun.id);
-  add "no piggyback (extra push step)"
-    (run (fun c -> { c with Fl_fireledger.Config.piggyback = false }));
-  add "no header/body separation"
-    (run (fun c -> { c with Fl_fireledger.Config.separate_bodies = false }));
-  let crash = { Settings.no_faults with Settings.crash_at = Some (warmup / 2, [ 1 ]) } in
-  add "crash f=1, FD on" ~notes:"vs paper 6.1.1"
-    (run ~faults:crash Fun.id);
-  add "crash f=1, FD off" ~notes:"each rotation hit pays a timeout"
-    (run ~faults:crash (fun c -> { c with Fl_fireledger.Config.fd_enabled = false }));
-  add "permuted rotation"
-    (run (fun c -> { c with Fl_fireledger.Config.permute_proposers = true }));
-  add "gossip dissemination (fanout 3)" ~notes:"redundant traffic, softer bursts"
-    (run (fun c ->
-         { c with Fl_fireledger.Config.dissemination = Fl_fireledger.Config.Gossip 3 }));
-  add "body pipeline depth 4" ~notes:"ships bodies ahead of turn"
-    (run (fun c ->
-         { c with
-           Fl_fireledger.Config.pipeline_depth = 4;
-           max_outstanding = 16 }));
-  Table.print t
+  grid ex
+    ~title:
+      "Ablations: design-choice contributions (n=4, beta=1000, sigma=512, \
+       w=4)"
+    ~columns:[ "variant"; "ktps"; "latency ms"; "notes" ]
+    [ variant "full FireLedger" Fun.id;
+      variant "no piggyback (extra push step)" (fun c ->
+          { c with Fl_fireledger.Config.piggyback = false });
+      variant "no header/body separation" (fun c ->
+          { c with Fl_fireledger.Config.separate_bodies = false });
+      variant "crash f=1, FD on" ~notes:"vs paper 6.1.1" ~faults:crash Fun.id;
+      variant "crash f=1, FD off" ~notes:"each rotation hit pays a timeout"
+        ~faults:crash (fun c ->
+          { c with Fl_fireledger.Config.fd_enabled = false });
+      variant "permuted rotation" (fun c ->
+          { c with Fl_fireledger.Config.permute_proposers = true });
+      variant "gossip dissemination (fanout 3)"
+        ~notes:"redundant traffic, softer bursts" (fun c ->
+          { c with
+            Fl_fireledger.Config.dissemination = Fl_fireledger.Config.Gossip 3
+          });
+      variant "body pipeline depth 4" ~notes:"ships bodies ahead of turn"
+        (fun c ->
+          { c with
+            Fl_fireledger.Config.pipeline_depth = 4;
+            max_outstanding = 16 }) ]
 
 (* ---------- Durable restarts (fl_persist) ---------- *)
 
@@ -533,21 +439,10 @@ let restart_durable ex =
   let open Fl_fireledger in
   let n = 4 in
   let victim = 1 in
-  let total = match ex.mode with Quick -> Time.s 6 | Full -> Time.s 10 in
+  let total = pick ex ~quick:(Time.s 6) ~full:(Time.s 10) in
   let crash_at = total / 6 in
   let restart_at = total / 4 in
-  let t =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Durable restarts: cold vs WAL sync policies (n=%d, beta=100, \
-            sigma=512; victim crashes at %dms, restarts at %dms)"
-           n (crash_at / 1_000_000) (restart_at / 1_000_000))
-      ~columns:
-        [ "variant"; "ktps"; "boot definite"; "recover ms"; "fsyncs";
-          "wal MB" ]
-  in
-  let run name persist =
+  let run name persist () =
     let config =
       { (Config.default ~n) with Config.batch_size = 100; tx_size = 512 }
     in
@@ -558,14 +453,11 @@ let restart_durable ex =
     let boot_definite = ref 0 in
     let caught_up_at = ref None in
     let target = ref max_int in
+    let definite i = Instance.definite_upto cluster.Cluster.instances.(i) in
     let best_other () =
-      let best = ref 0 in
-      for i = 0 to n - 1 do
-        if i <> victim then
-          best :=
-            max !best (Instance.definite_upto cluster.Cluster.instances.(i))
-      done;
-      !best
+      List.fold_left
+        (fun best i -> if i = victim then best else max best (definite i))
+        0 (List.init n Fun.id)
     in
     (* Recovery time = restart → the victim's definite prefix reaches
        the tip as it stood at the restart instant (a fixed target: the
@@ -576,10 +468,8 @@ let restart_durable ex =
       ignore
         (Engine.schedule engine ~delay:(Time.ms 5) (fun () ->
              if !caught_up_at = None then begin
-               let v =
-                 Instance.definite_upto cluster.Cluster.instances.(victim)
-               in
-               if v >= !target then caught_up_at := Some (Engine.now engine)
+               if definite victim >= !target then
+                 caught_up_at := Some (Engine.now engine)
                else poll ()
              end))
     in
@@ -590,8 +480,7 @@ let restart_durable ex =
       (Engine.schedule engine ~delay:restart_at (fun () ->
            target := best_other ();
            Cluster.restart cluster victim;
-           boot_definite :=
-             Instance.definite_upto cluster.Cluster.instances.(victim);
+           boot_definite := definite victim;
            poll ()));
     Cluster.start cluster;
     Cluster.run ~until:total cluster;
@@ -599,46 +488,49 @@ let restart_durable ex =
       Fl_metrics.Recorder.rate_per_s cluster.Cluster.recorder "txs_definite"
       /. float_of_int n
     in
-    let fsyncs = ref 0 and bytes = ref 0 in
-    for i = 0 to n - 1 do
-      match Cluster.persist_node cluster i with
-      | Some p ->
-          let s = Fl_persist.Node.stats p in
-          fsyncs := !fsyncs + s.Fl_persist.Node.s_fsyncs;
-          bytes := !bytes + s.Fl_persist.Node.s_bytes
-      | None -> ()
-    done;
-    Table.add_row t
-      [ name;
-        Table.cell_f (tps /. 1000.0);
-        Table.cell_i !boot_definite;
-        (match !caught_up_at with
-        | Some at -> Table.cell_f ~dec:1 (float_of_int (at - restart_at) /. 1e6)
-        | None -> "never");
-        Table.cell_i !fsyncs;
-        Table.cell_f ~dec:2 (float_of_int !bytes /. 1e6) ]
+    let stats =
+      List.filter_map
+        (fun i ->
+          Option.map Fl_persist.Node.stats (Cluster.persist_node cluster i))
+        (List.init n Fun.id)
+    in
+    let sum f = List.fold_left (fun acc s -> acc + f s) 0 stats in
+    [ name;
+      Table.cell_f (tps /. 1000.0);
+      Table.cell_i !boot_definite;
+      (match !caught_up_at with
+      | Some at -> Table.cell_f ~dec:1 (float_of_int (at - restart_at) /. 1e6)
+      | None -> "never");
+      Table.cell_i (sum (fun s -> s.Fl_persist.Node.s_fsyncs));
+      Table.cell_f ~dec:2
+        (float_of_int (sum (fun s -> s.Fl_persist.Node.s_bytes)) /. 1e6) ]
   in
-  let p sync =
-    Some { Fl_persist.Node.default_config with Fl_persist.Node.sync }
+  let wal ?(profile = Fl_persist.Node.default_config.Fl_persist.Node.profile)
+      sync =
+    Some { Fl_persist.Node.default_config with Fl_persist.Node.sync; profile }
   in
-  run "cold (no persistence)" None;
-  run "wal, sync=never" (p Fl_persist.Node.Never);
-  run "wal, group_commit 2ms" (p (Fl_persist.Node.Group_commit (Time.ms 2)));
-  run "wal, every_block" (p Fl_persist.Node.Every_block);
-  (match ex.mode with
-  | Quick -> ()
-  | Full ->
-      run "wal, group_commit 2ms, hdd"
-        (Some
-           { Fl_persist.Node.default_config with
-             Fl_persist.Node.profile = Fl_persist.Disk.hdd;
-             sync = Fl_persist.Node.Group_commit (Time.ms 2) });
-      run "wal, every_block, hdd"
-        (Some
-           { Fl_persist.Node.default_config with
-             Fl_persist.Node.profile = Fl_persist.Disk.hdd;
-             sync = Fl_persist.Node.Every_block }));
-  Table.print t
+  let group_commit = Fl_persist.Node.Group_commit (Time.ms 2) in
+  let hdd = Fl_persist.Disk.hdd in
+  [ table
+      ~title:
+        (Printf.sprintf
+           "Durable restarts: cold vs WAL sync policies (n=%d, beta=100, \
+            sigma=512; victim crashes at %dms, restarts at %dms)"
+           n (crash_at / 1_000_000) (restart_at / 1_000_000))
+      ~columns:
+        [ "variant"; "ktps"; "boot definite"; "recover ms"; "fsyncs";
+          "wal MB" ]
+      (sweep ex
+         ([ run "cold (no persistence)" None;
+            run "wal, sync=never" (wal Fl_persist.Node.Never);
+            run "wal, group_commit 2ms" (wal group_commit);
+            run "wal, every_block" (wal Fl_persist.Node.Every_block) ]
+         @ pick ex ~quick:[]
+             ~full:
+               [ run "wal, group_commit 2ms, hdd"
+                   (wal ~profile:hdd group_commit);
+                 run "wal, every_block, hdd"
+                   (wal ~profile:hdd Fl_persist.Node.Every_block) ])) ]
 
 (* ---------- Saturation studies (traffic tier) ---------- *)
 
@@ -656,7 +548,7 @@ let run_traffic ex ~rate_per_s ~pool_cap ~read_ratio ~consistency ?(surges = [])
     { (base ex ~n ~workers ~batch ~tx_size) with
       Settings.seed;
       warmup = Time.ms 500;
-      duration = (match ex.mode with Quick -> Time.s 2 | Full -> Time.s 6);
+      duration = pick ex ~quick:(Time.s 2) ~full:(Time.s 6);
       config_tweaks =
         (fun c ->
           { c with
@@ -704,6 +596,7 @@ let run_traffic ex ~rate_per_s ~pool_cap ~read_ratio ~consistency ?(surges = [])
   (r, Source.stats src, s)
 
 let saturation ex =
+  let open Fl_load.Source in
   let n = 4 and workers = 2 and batch = 100 and tx_size = 128 in
   (* Calibrate the drain capacity once with the paper's full-load mode
      (proposers pad blocks to β themselves), then sweep the offered
@@ -718,11 +611,52 @@ let saturation ex =
      only through node 0's own proposals — 1/n of the rounds — so the
      relevant drain capacity is the per-node share *)
   let capacity = cal.Settings.tps /. float_of_int n in
-  Printf.printf
-    "calibrated drain capacity: %.1f ktps full-load, %.1f ktps node-0 share\n%!"
-    (cal.Settings.tps /. 1000.0) (capacity /. 1000.0);
-  let t =
-    Table.create
+  let traffic ?surges ~rate ~read_ratio consistency () =
+    run_traffic ex ~rate_per_s:rate ~pool_cap:(4 * batch) ~read_ratio
+      ~consistency ?surges ~n ~workers ~batch ~tx_size ()
+  in
+  let goodput (_, st, s) =
+    float_of_int st.finalized
+    /. Time.to_float_s (s.Settings.warmup + s.Settings.duration)
+  in
+  let e2e_ms (r, _, _) q =
+    Settings.histo_q_ms r.Settings.recorder "latency_client_e2e" q
+  in
+  let mults =
+    pick ex ~quick:[ 0.3; 0.9; 1.8; 2.7 ]
+      ~full:[ 0.2; 0.4; 0.6; 0.8; 1.0; 1.3; 1.8; 2.5; 3.5 ]
+  in
+  let loads =
+    sweep ex
+      (List.map
+         (fun m -> traffic ~rate:(capacity *. m) ~read_ratio:0. Session)
+         mults)
+  in
+  (* knee: the last sweep point whose goodput still grew ≥ 10% over
+     its predecessor *)
+  let knee =
+    match List.map2 (fun m p -> (capacity *. m, goodput p)) mults loads with
+    | [] | [ _ ] -> []
+    | ((_, g0) as p0) :: rest ->
+        let (rate, g), _ =
+          List.fold_left
+            (fun (knee, prev) (rate, g) ->
+              if g >= prev *. 1.10 then ((rate, g), g) else (knee, prev))
+            (p0, g0) rest
+        in
+        [ [ "knee: goodput plateau"; Table.cell_f ~dec:1 (g /. 1000.0) ];
+          [ "knee: offered load"; Table.cell_f ~dec:1 (rate /. 1000.0) ] ]
+  in
+  let calibration =
+    table ~title:"Saturation calibration" ~columns:[ "quantity"; "ktps" ]
+      ([ [ "drain capacity, full load";
+           Table.cell_f ~dec:1 (cal.Settings.tps /. 1000.0) ];
+         [ "drain capacity, node-0 share";
+           Table.cell_f ~dec:1 (capacity /. 1000.0) ] ]
+      @ knee)
+  in
+  let load_table =
+    table
       ~title:
         (Printf.sprintf
            "Saturation sweep: open-loop client load into node 0 (n=%d w=%d \
@@ -731,125 +665,77 @@ let saturation ex =
       ~columns:
         [ "offered x"; "offered ktps"; "goodput ktps"; "dropped"; "evicted";
           "admit p50 ms"; "e2e p50 ms"; "e2e p99 ms"; "backpressure" ]
+      (List.map2
+         (fun m ((r, st, _) as p) ->
+           [ Table.cell_f ~dec:1 m;
+             Table.cell_f ~dec:1 (capacity *. m /. 1000.0);
+             Table.cell_f ~dec:1 (goodput p /. 1000.0);
+             Table.cell_i st.dropped;
+             Table.cell_i st.evicted;
+             Table.cell_f ~dec:2
+               (Settings.histo_q_ms r.Settings.recorder "phase_admission_wait"
+                  0.50);
+             Table.cell_f ~dec:2 (e2e_ms p 0.50);
+             Table.cell_f ~dec:2 (e2e_ms p 0.99);
+             Table.cell_i st.backpressured ])
+         mults loads)
   in
-  let mults =
-    match ex.mode with
-    | Quick -> [ 0.3; 0.9; 1.8; 2.7 ]
-    | Full -> [ 0.2; 0.4; 0.6; 0.8; 1.0; 1.3; 1.8; 2.5; 3.5 ]
-  in
-  let points =
-    List.map
-      (fun m ->
-        let rate = capacity *. m in
-        let r, st, s =
-          run_traffic ex ~rate_per_s:rate ~pool_cap:(4 * batch)
-            ~read_ratio:0. ~consistency:Fl_load.Source.Session ~n ~workers
-            ~batch ~tx_size ()
-        in
-        let secs =
-          Fl_sim.Time.to_float_s (s.Settings.warmup + s.Settings.duration)
-        in
-        let goodput = float_of_int st.Fl_load.Source.finalized /. secs in
-        Table.add_row t
-          [ Table.cell_f ~dec:1 m;
-            Table.cell_f ~dec:1 (rate /. 1000.0);
-            Table.cell_f ~dec:1 (goodput /. 1000.0);
-            Table.cell_i st.Fl_load.Source.dropped;
-            Table.cell_i st.Fl_load.Source.evicted;
-            Table.cell_f ~dec:2
-              (Settings.histo_q_ms r.Settings.recorder "phase_admission_wait"
-                 0.50);
-            Table.cell_f ~dec:2
-              (Settings.histo_q_ms r.Settings.recorder "latency_client_e2e"
-                 0.50);
-            Table.cell_f ~dec:2
-              (Settings.histo_q_ms r.Settings.recorder "latency_client_e2e"
-                 0.99);
-            Table.cell_i st.Fl_load.Source.backpressured ];
-        (rate, goodput))
-      mults
-  in
-  Table.print t;
-  (* knee: the last sweep point whose goodput still grew ≥ 10% over
-     its predecessor *)
-  (match points with
-  | [] | [ _ ] -> ()
-  | (_, g0) :: rest ->
-      let knee, _ =
-        List.fold_left
-          (fun (knee, prev) (rate, g) ->
-            if g >= prev *. 1.10 then ((rate, g), g) else (knee, prev))
-          (((match points with (r0, g) :: _ -> (r0, g) | [] -> (0., 0.)), g0))
-          rest
-      in
-      Printf.printf "knee: goodput plateaus at ~%.1f ktps (offered %.1f ktps)\n%!"
-        (snd knee /. 1000.0) (fst knee /. 1000.0));
   (* replica read path: same load, reads riding along under the two
      consistency options *)
-  let rt =
-    Table.create
-      ~title:"Replica reads under load (0.9x capacity, 0.5 reads/write)"
-      ~columns:[ "consistency"; "reads"; "stale %"; "staleness p99 ms" ]
+  let consistencies =
+    [ ("session", Session);
+      ("bounded 50ms", Bounded_staleness (Time.ms 50));
+      ("bounded 500ms", Bounded_staleness (Time.ms 500)) ]
   in
-  List.iter
-    (fun (name, c) ->
-      let r, st, _ =
-        run_traffic ex ~rate_per_s:(capacity *. 0.9) ~pool_cap:(4 * batch)
-          ~read_ratio:0.5 ~consistency:c ~n ~workers ~batch ~tx_size ()
-      in
-      let stale_pct =
-        if st.Fl_load.Source.reads = 0 then 0.
-        else
-          100.0
-          *. float_of_int st.Fl_load.Source.reads_stale
-          /. float_of_int st.Fl_load.Source.reads
-      in
-      Table.add_row rt
-        [ name;
-          Table.cell_i st.Fl_load.Source.reads;
-          Table.cell_f ~dec:1 stale_pct;
-          Table.cell_f ~dec:1
-            (Settings.histo_q_ms r.Settings.recorder "read_staleness" 0.99) ])
-    [ ("session", Fl_load.Source.Session);
-      ("bounded 50ms", Fl_load.Source.Bounded_staleness (Time.ms 50));
-      ("bounded 500ms", Fl_load.Source.Bounded_staleness (Time.ms 500)) ];
-  Table.print rt;
-  (* flash crowd: a 4x surge window mid-measurement *)
-  match ex.mode with
-  | Quick -> ()
-  | Full ->
-      let surge =
-        { Fl_load.Arrivals.from_ = Time.s 2;
-          until = Time.s 3;
-          factor = 4.0 }
-      in
-      let st_tbl =
-        Table.create ~title:"Flash crowd: 4x surge over [2s,3s) at 0.8x base"
-          ~columns:
-            [ "variant"; "goodput ktps"; "dropped"; "evicted"; "e2e p99 ms" ]
-      in
-      List.iter
-        (fun (name, surges) ->
-          let r, st, s =
-            run_traffic ex ~rate_per_s:(capacity *. 0.8)
-              ~pool_cap:(4 * batch) ~read_ratio:0.
-              ~consistency:Fl_load.Source.Session ~surges ~n ~workers ~batch
-              ~tx_size ()
-          in
-          let secs =
-            Fl_sim.Time.to_float_s (s.Settings.warmup + s.Settings.duration)
-          in
-          Table.add_row st_tbl
-            [ name;
-              Table.cell_f ~dec:1
-                (float_of_int st.Fl_load.Source.finalized /. secs /. 1000.0);
-              Table.cell_i st.Fl_load.Source.dropped;
-              Table.cell_i st.Fl_load.Source.evicted;
-              Table.cell_f ~dec:2
-                (Settings.histo_q_ms r.Settings.recorder "latency_client_e2e"
-                   0.99) ])
-        [ ("steady", []); ("4x surge", [ surge ]) ];
-      Table.print st_tbl
+  let reads_table =
+    table ~title:"Replica reads under load (0.9x capacity, 0.5 reads/write)"
+      ~columns:[ "consistency"; "reads"; "stale %"; "staleness p99 ms" ]
+      (List.map2
+         (fun (name, _) (r, st, _) ->
+           let stale_pct =
+             if st.reads = 0 then 0.
+             else 100.0 *. float_of_int st.reads_stale /. float_of_int st.reads
+           in
+           [ name;
+             Table.cell_i st.reads;
+             Table.cell_f ~dec:1 stale_pct;
+             Table.cell_f ~dec:1
+               (Settings.histo_q_ms r.Settings.recorder "read_staleness" 0.99)
+           ])
+         consistencies
+         (sweep ex
+            (List.map
+               (fun (_, c) ->
+                 traffic ~rate:(capacity *. 0.9) ~read_ratio:0.5 c)
+               consistencies)))
+  in
+  (* flash crowd: a 4x surge window mid-measurement (Full only) *)
+  let flash_crowd () =
+    let variants =
+      [ ("steady", []);
+        ( "4x surge",
+          [ { Fl_load.Arrivals.from_ = Time.s 2;
+              until = Time.s 3;
+              factor = 4.0 } ] ) ]
+    in
+    table ~title:"Flash crowd: 4x surge over [2s,3s) at 0.8x base"
+      ~columns:[ "variant"; "goodput ktps"; "dropped"; "evicted"; "e2e p99 ms" ]
+      (List.map2
+         (fun (name, _) ((_, st, _) as p) ->
+           [ name;
+             Table.cell_f ~dec:1 (goodput p /. 1000.0);
+             Table.cell_i st.dropped;
+             Table.cell_i st.evicted;
+             Table.cell_f ~dec:2 (e2e_ms p 0.99) ])
+         variants
+         (sweep ex
+            (List.map
+               (fun (_, surges) ->
+                 traffic ~surges ~rate:(capacity *. 0.8) ~read_ratio:0. Session)
+               variants)))
+  in
+  [ calibration; load_table; reads_table ]
+  @ match ex.mode with Quick -> [] | Full -> [ flash_crowd () ]
 
 let all =
   [ ("table1", "Table 1: per-mode protocol costs", table1);
@@ -883,10 +769,12 @@ let sim_rate_delta before =
       rs_events = a.rs_events - before.rs_events;
       rs_runs = a.rs_runs - before.rs_runs }
 
+(* The one place tables are printed: after the driver has run them
+   all, followed by the footer. *)
 let timed id driver ex =
   let t0 = Fl_prof.Clock.now_ns_int () in
   let stats0 = Settings.run_stats () in
-  driver ex;
+  List.iter Table.print (driver ex);
   let wall_s = float_of_int (Fl_prof.Clock.now_ns_int () - t0) /. 1e9 in
   match Settings.sim_rate_line (sim_rate_delta stats0) with
   | Some line ->

@@ -1,21 +1,18 @@
 open Fl_sim
 
 type machine = {
-  m_name : string;
   cores : int;
   cost : Fl_crypto.Cost_model.t;
   bandwidth_bps : float;
 }
 
 let m5_xlarge =
-  { m_name = "m5.xlarge";
-    cores = 4;
+  { cores = 4;
     cost = Fl_crypto.Cost_model.default;
     bandwidth_bps = Fl_net.Nic.ten_gbps }
 
 let c5_4xlarge =
-  { m_name = "c5.4xlarge";
-    cores = 16;
+  { cores = 16;
     cost = Fl_crypto.Cost_model.c5_4xlarge;
     bandwidth_bps = Fl_net.Nic.ten_gbps }
 

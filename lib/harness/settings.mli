@@ -9,7 +9,6 @@
 open Fl_sim
 
 type machine = {
-  m_name : string;
   cores : int;
   cost : Fl_crypto.Cost_model.t;
   bandwidth_bps : float;

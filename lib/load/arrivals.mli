@@ -26,19 +26,13 @@ val create :
 (** [amplitude] in [0, 1) (default 0 — flat); [period] defaults to 24
     simulated hours. *)
 
-val rate_at : t -> Time.t -> float
-(** Instantaneous λ(t) in arrivals/second. *)
-
-val peak_rate : t -> float
-(** Upper bound on λ — the thinning envelope. *)
-
 val expected_in : t -> from_:Time.t -> until:Time.t -> float
 (** Expected arrivals over a window (numeric integral of λ) — the
     analytic reference for the rate-accuracy test. *)
 
 val next_gap : t -> Rng.t -> now:Time.t -> Time.t
 (** Gap to the next arrival after [now], exact per-event sampling by
-    thinning against {!peak_rate}. *)
+    thinning against the peak of λ. *)
 
 val count_in : t -> Rng.t -> now:Time.t -> dt:Time.t -> int
 (** Poisson count of arrivals in [[now, now+dt)] at the mid-tick rate

@@ -70,9 +70,6 @@ type client_components = {
 val of_client_times :
   submit:Time.t -> a:Time.t -> final:Time.t -> client_components
 
-val client_total : client_components -> Time.t
-(** Exactly [final - submit]. *)
-
 val record_client : Fl_metrics.Recorder.t -> client_components -> unit
 (** Observe both components and their telescoped end-to-end total, as
     the histograms ["phase_admission_wait"], ["client_consensus"] and

@@ -38,30 +38,8 @@ type stats = {
   s_bytes : int;  (** bytes written to the device *)
 }
 
-type t = private {
-  engine : Fl_sim.Engine.t;
-  config : config;
-  node : int;
-  worker : int;
-  obs : Fl_obs.Obs.t option;
-  disk : Disk.t;
-  wal : Wal.t;
-  app : Recovery.app option;
-  mutable chain : (unit -> Fl_chain.Store.t * int * int) option;
-  mutable snapshot_media : Snapshot.image option;
-  mutable sealed : Snapshot.image option;
-  mutable wal_media : string;  (** frozen between power_fail and recover *)
-  mutable live : bool;
-  mutable gen : int;
-  mutable last_snapshot_upto : int;
-  mutable flusher_running : bool;
-  mutable snapshots : int;
-  mutable recovers : int;
-  mutable replayed : int;
-  mutable torn_discards : int;
-}
-(** Read-only outside this module; white-box tests inspect [wal] and
-    [wal_media]. *)
+type t
+
 
 val create :
   Fl_sim.Engine.t -> ?obs:Fl_obs.Obs.t -> ?node:int -> ?worker:int ->

@@ -545,6 +545,23 @@ let test_header_only_block_rejected () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "pruned block decoded standalone"
 
+(* Regression: a varint 88, 88 bytes that parse as a header, then a
+   varint 80 and 80 bytes. The signed-header decoder used to accept a
+   signature of any length, so this random string decoded (the shrunk
+   case of a rare random-bytes failure, QCHECK_SEED=595412660). *)
+let test_signature_length_rejected () =
+  let s = "X" ^ String.make 88 'a' ^ "P" ^ String.make 80 'a' in
+  Alcotest.(check bool) "80-byte signature rejected" true
+    (Types.decode_signed_header s = None);
+  let b =
+    Block.create ~round:3 ~proposer:1 ~prev_hash:Block.genesis_hash
+      [| Tx.create ~id:1 ~size:16 |]
+  in
+  let registry = Fl_crypto.Signature.create_registry ~seed:"s" ~n:4 in
+  let sh = Types.sign_header registry ~signer:1 b.Block.header in
+  Alcotest.(check bool) "real signature decodes" true
+    (Types.decode_signed_header (Types.encode_signed_header sh) <> None)
+
 let prop_bitflip_rejected =
   (* A flipped byte anywhere in the CRC-covered body must be caught;
      flips in the 6-byte envelope header must at minimum never raise
@@ -713,6 +730,8 @@ let suite =
       test_overflowing_count_rejected;
     Alcotest.test_case "header-only standalone block rejected" `Quick
       test_header_only_block_rejected;
+    Alcotest.test_case "wrong-length header signature rejected" `Quick
+      test_signature_length_rejected;
     QCheck_alcotest.to_alcotest prop_bitflip_rejected;
     QCheck_alcotest.to_alcotest prop_truncation_rejected;
     QCheck_alcotest.to_alcotest prop_wal_record_mutation;

@@ -107,6 +107,32 @@ let test_experiments_fail_closed () =
   Alcotest.(check bool) "unknown id with obs rejected" false
     (Experiments.run_by_id ~obs:sink "nope" Experiments.Quick)
 
+(* Every driver's runs go through one sweep whose results merge in
+   list order, so [jobs] must not change a table. *)
+let test_tables_independent_of_jobs () =
+  let table1 =
+    match
+      List.find_opt (fun (i, _, _) -> String.equal i "table1") Experiments.all
+    with
+    | Some (_, _, driver) -> driver
+    | None -> Alcotest.fail "table1 not registered"
+  in
+  let tables jobs =
+    let runs0 = (Settings.run_stats ()).Settings.rs_runs in
+    let rendered =
+      List.map Table.render
+        (table1 { Experiments.mode = Quick; jobs; obs = None })
+    in
+    Alcotest.(check int)
+      (Printf.sprintf "three runs at jobs=%d" jobs)
+      (runs0 + 3)
+      (Settings.run_stats ()).Settings.rs_runs;
+    rendered
+  in
+  let sequential = tables 1 in
+  Alcotest.(check (list string)) "jobs=2 renders as jobs=1" sequential
+    (tables 2)
+
 let suite =
   [ Alcotest.test_case "table formatting" `Quick test_table_formatting;
     Alcotest.test_case "run_flo metrics" `Quick test_run_flo_produces_metrics;
@@ -119,4 +145,6 @@ let suite =
     Alcotest.test_case "latency cdf" `Quick test_latency_cdf;
     Alcotest.test_case "experiment registry" `Quick test_experiment_registry;
     Alcotest.test_case "experiments fail closed" `Quick
-      test_experiments_fail_closed ]
+      test_experiments_fail_closed;
+    Alcotest.test_case "experiment tables independent of jobs" `Slow
+      test_tables_independent_of_jobs ]

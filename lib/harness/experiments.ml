@@ -602,10 +602,13 @@ let saturation ex =
      (proposers pad blocks to β themselves), then sweep the offered
      client load as multiples of it. *)
   let cal =
-    Settings.run_flo
-      { (base ex ~n ~workers ~batch ~tx_size) with
-        Settings.warmup = Time.ms 500;
-        duration = Time.s 2 }
+    List.hd
+      (sweep ex
+         [ (fun () ->
+             Settings.run_flo
+               { (base ex ~n ~workers ~batch ~tx_size) with
+                 Settings.warmup = Time.ms 500;
+                 duration = Time.s 2 }) ])
   in
   (* the source submits to node 0 only, and client transactions drain
      only through node 0's own proposals — 1/n of the rounds — so the

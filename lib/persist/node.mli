@@ -39,7 +39,7 @@ type stats = {
 }
 
 type t
-
+(** A node's durable log, snapshots and media. *)
 
 val create :
   Fl_sim.Engine.t -> ?obs:Fl_obs.Obs.t -> ?node:int -> ?worker:int ->

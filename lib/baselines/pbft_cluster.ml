@@ -40,8 +40,7 @@ let tx_digest = Tx.digest
 
 let create ?(seed = 42) ?(latency = Latency.single_dc)
     ?(cost = Fl_crypto.Cost_model.default) ?(cores = 4)
-    ?(bandwidth_bps = Nic.ten_gbps) ?(crashed = fun _ -> false)
-    ?inflight_per_node ~n ~f ~batch_size ~tx_size () =
+    ?(bandwidth_bps = Nic.ten_gbps) ~n ~f ~batch_size ~tx_size () =
   let engine = Engine.create () in
   let rng = Rng.create seed in
   let recorder = Fl_metrics.Recorder.create () in
@@ -50,25 +49,15 @@ let create ?(seed = 42) ?(latency = Latency.single_dc)
     Net.create engine (Rng.named_split rng "net") ~nics ~latency
       ~decode:decode_msg
   in
-  (* Default closed-loop window: one batch per node. A deeper window
-     inflates measured latency with queueing delay rather than
-     protocol delay (Little's law), which is not what Figure 17
-     plots. *)
-  let window =
-    match inflight_per_node with Some w -> w | None -> batch_size
-  in
   let config =
     { (Pbft.default_config ~payload_digest:tx_digest) with
       Pbft.max_batch = batch_size;
       window = 8;
       base_timeout = Time.ms 300;
-      (* BFT-SMaRt authenticates with MAC vectors, not per-message
-         asymmetric signatures: votes cost microseconds of CPU. Each
-         ordered request additionally pays a per-request processing
-         cost (deserialization, MAC vector, request bookkeeping) —
-         ~10 us in the JVM — on top of hashing its bytes; without it
-         the model is unrealistically lean (see EXPERIMENTS.md). *)
-      vote_cpu = Time.us 2;
+      (* Each ordered request pays a per-request processing cost
+         (deserialization, MAC vector, request bookkeeping) — ~10 us
+         in the JVM — on top of hashing its bytes; without it the
+         model is unrealistically lean (see EXPERIMENTS.md). *)
       payload_cpu =
         (fun tx ->
           Time.us 10 + Fl_crypto.Cost_model.hash_cost cost ~bytes:tx.Tx.size) }
@@ -76,51 +65,52 @@ let create ?(seed = 42) ?(latency = Latency.single_dc)
   let nodes_ = Array.make n None in
   Array.iteri
     (fun i _ ->
-      if not (crashed i) then begin
-        let hub_key (_ : Tx.t Pbft.msg) = "pbft" in
-        let hub =
-          Hub.create engine ~inbox:(Net.inbox net i)
-            ~on_malformed:(fun ~src:_ ~bytes:_ ->
-              Fl_metrics.Recorder.incr recorder "decode_errors")
-            ~key:hub_key ()
-        in
-        let channel =
-          Channel.of_hub hub ~key:"pbft" ~net ~self:i ~f ~encode:encode_msg
-            ~inj:Fun.id ~prj:Fun.id
-        in
-        (* The deliver closure reads the node through its slot, which
-           is filled right below — delivery can only happen once the
-           engine runs. *)
-        let replica =
-          Pbft.create engine ~recorder ~channel
-            ~cpu:(Cpu.create engine ~cores)
-            ~config
-            ~deliver:(fun ~seq:_ tx ->
-              match nodes_.(i) with
-              | None -> ()
-              | Some node -> (
-                  let now = Engine.now engine in
-                  node.delivered <- node.delivered + 1;
-                  Fl_metrics.Recorder.mark recorder "txs_delivered" ~now 1;
-                  match Hashtbl.find_opt node.submit_times (tx_digest tx) with
-                  | Some at ->
-                      Hashtbl.remove node.submit_times (tx_digest tx);
-                      node.inflight <- node.inflight - 1;
-                      Fl_metrics.Recorder.observe recorder "latency_e2e"
-                        (max 0 (now - at))
-                  | None -> ()))
-        in
-        nodes_.(i) <-
-          Some
-            { id = i;
-              replica;
-              inflight = 0;
-              next_tx = 0;
-              submit_times = Hashtbl.create 64;
-              delivered = 0 }
-      end)
+      let hub_key (_ : Tx.t Pbft.msg) = "pbft" in
+      let hub =
+        Hub.create engine ~inbox:(Net.inbox net i)
+          ~on_malformed:(fun ~src:_ ~bytes:_ ->
+            Fl_metrics.Recorder.incr recorder "decode_errors")
+          ~key:hub_key ()
+      in
+      let channel =
+        Channel.of_hub hub ~key:"pbft" ~net ~self:i ~f ~encode:encode_msg
+          ~inj:Fun.id ~prj:Fun.id
+      in
+      (* The deliver closure reads the node through its slot, which
+         is filled right below — delivery can only happen once the
+         engine runs. *)
+      let replica =
+        Pbft.create engine ~recorder ~channel
+          ~cpu:(Cpu.create engine ~cores)
+          ~config
+          ~deliver:(fun ~seq:_ tx ->
+            match nodes_.(i) with
+            | None -> ()
+            | Some node -> (
+                let now = Engine.now engine in
+                node.delivered <- node.delivered + 1;
+                Fl_metrics.Recorder.mark recorder "txs_delivered" ~now 1;
+                match Hashtbl.find_opt node.submit_times (tx_digest tx) with
+                | Some at ->
+                    Hashtbl.remove node.submit_times (tx_digest tx);
+                    node.inflight <- node.inflight - 1;
+                    Fl_metrics.Recorder.observe recorder "latency_e2e"
+                      (max 0 (now - at))
+                | None -> ()))
+      in
+      nodes_.(i) <-
+        Some
+          { id = i;
+            replica;
+            inflight = 0;
+            next_tx = 0;
+            submit_times = Hashtbl.create 64;
+            delivered = 0 })
     nodes_;
-  { engine; recorder; n; f; nodes_; window; tx_size }
+  (* Closed-loop window: one batch per node. A deeper window inflates
+     measured latency with queueing delay rather than protocol delay
+     (Little's law), which is not what Figure 17 plots. *)
+  { engine; recorder; n; f; nodes_; window = batch_size; tx_size }
 
 (* Closed-loop load generator: keep the window full of our own
    transactions. *)
@@ -150,8 +140,4 @@ let start t =
 let run ?until t = Engine.run ?until t.engine
 
 let delivered t =
-  match
-    Array.find_opt (function Some _ -> true | None -> false) t.nodes_
-  with
-  | Some (Some node) -> node.delivered
-  | _ -> 0
+  match t.nodes_.(0) with Some node -> node.delivered | None -> 0

@@ -17,7 +17,9 @@ type t = {
   recorder : Fl_metrics.Recorder.t;
   n : int;
   f : int;
-  nodes_ : node option array;  (** [None] = crashed from start *)
+  nodes_ : node option array;
+      (** every slot is filled by {!create}; the option lets each
+          replica's delivery callback be built before its node *)
   window : int;
   tx_size : int;
 }
@@ -28,20 +30,17 @@ val create :
   ?cost:Fl_crypto.Cost_model.t ->
   ?cores:int ->
   ?bandwidth_bps:float ->
-  ?crashed:(int -> bool) ->
-  ?inflight_per_node:int ->
   n:int ->
   f:int ->
   batch_size:int ->
   tx_size:int ->
   unit ->
   t
-(** [inflight_per_node] is the closed-loop window (default β: one
-    batch per node, so measured latency reflects the protocol rather
-    than queueing). *)
+(** Every node keeps one batch (β transactions) in flight, so measured
+    latency reflects the protocol rather than queueing. *)
 
 val start : t -> unit
 val run : ?until:Time.t -> t -> unit
 
 val delivered : t -> int
-(** Transactions executed at the first live replica. *)
+(** Transactions executed at replica 0. *)

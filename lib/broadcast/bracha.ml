@@ -54,7 +54,6 @@ type 'a t = {
   channel : 'a msg Channel.t;
   payload_digest : 'a -> string;
   deliver : origin:int -> tag:int -> 'a -> unit;
-  on_conflict : (origin:int -> tag:int -> 'a -> 'a -> unit) option;
   instances : (int * int, 'a instance) Hashtbl.t;
   mutable stopped : bool;
 }
@@ -77,26 +76,14 @@ let instance t key =
 
 (* Record a payload under its digest; the first time one (origin, tag)
    instance accumulates two distinct payloads, the origin has provably
-   equivocated at the RB layer — count it and surface the pair. *)
-let note_payload t key i digest payload =
+   equivocated at the RB layer — count it. *)
+let note_payload t i digest payload =
   if not (Hashtbl.mem i.payloads digest) then begin
     let conflict = (not i.conflicted) && Hashtbl.length i.payloads > 0 in
     Hashtbl.replace i.payloads digest payload;
     if conflict then begin
       i.conflicted <- true;
-      Fl_metrics.Recorder.incr t.recorder "rb_payload_conflicts";
-      match t.on_conflict with
-      | None -> ()
-      | Some hook ->
-          let other =
-            Hashtbl.fold
-              (fun d p acc -> if String.equal d digest then acc else Some p)
-              i.payloads None
-          in
-          let origin, tag = key in
-          (match other with
-          | Some p -> hook ~origin ~tag p payload
-          | None -> ())
+      Fl_metrics.Recorder.incr t.recorder "rb_payload_conflicts"
     end
   end
 
@@ -126,7 +113,7 @@ let send_ready t key i payload digest =
   if not i.readied then begin
     i.readied <- true;
     let origin, tag = key in
-    note_payload t key i digest payload;
+    note_payload t i digest payload;
     bcast t (Ready { origin; tag; payload })
   end
 
@@ -154,7 +141,7 @@ let handle t (src, msg) =
         let i = instance t (origin, tag) in
         if not i.echoed then begin
           i.echoed <- true;
-          note_payload t (origin, tag) i (t.payload_digest payload) payload;
+          note_payload t i (t.payload_digest payload) payload;
           bcast t (Echo { origin; tag; payload })
         end
       end
@@ -162,7 +149,7 @@ let handle t (src, msg) =
       let i = instance t (origin, tag) in
       let digest = t.payload_digest payload in
       if add_vote i.echoes digest src then begin
-        note_payload t (origin, tag) i digest payload;
+        note_payload t i digest payload;
         if vote_count i.echoes digest >= (2 * t.channel.Channel.f) + 1 then
           send_ready t (origin, tag) i payload digest;
         try_deliver t (origin, tag) i digest
@@ -171,18 +158,17 @@ let handle t (src, msg) =
       let i = instance t (origin, tag) in
       let digest = t.payload_digest payload in
       if add_vote i.readies digest src then begin
-        note_payload t (origin, tag) i digest payload;
+        note_payload t i digest payload;
         try_deliver t (origin, tag) i digest
       end
 
-let create ?on_conflict engine ~recorder ~channel ~payload_digest ~deliver =
+let create engine ~recorder ~channel ~payload_digest ~deliver =
   let t =
     { engine;
       recorder;
       channel;
       payload_digest;
       deliver;
-      on_conflict;
       instances = Hashtbl.create 16;
       stopped = false }
   in

@@ -40,7 +40,6 @@ val read_msg :
 type 'a t
 
 val create :
-  ?on_conflict:(origin:int -> tag:int -> 'a -> 'a -> unit) ->
   Engine.t ->
   recorder:Fl_metrics.Recorder.t ->
   channel:'a msg Channel.t ->
@@ -48,11 +47,10 @@ val create :
   deliver:(origin:int -> tag:int -> 'a -> unit) ->
   'a t
 (** Start this node's RB service. [deliver] fires exactly once per
-    (origin, tag) instance. [on_conflict] fires at most once per
-    instance, with the two payloads, the first time an instance
-    accumulates two distinct payload digests — proof the origin
-    equivocated at the RB layer (also counted under the
-    ["rb_payload_conflicts"] recorder key). *)
+    (origin, tag) instance. The first time an instance accumulates two
+    distinct payload digests — proof the origin equivocated at the RB
+    layer — it is counted under the ["rb_payload_conflicts"] recorder
+    key. *)
 
 val broadcast : 'a t -> tag:int -> 'a -> unit
 (** RB-broadcast a payload under a fresh tag (tags must not be reused

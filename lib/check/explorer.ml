@@ -555,7 +555,10 @@ let candidates (p : Plan.t) : Plan.t list =
   let reduced = match reduce_n p with Some c -> [ c ] | None -> [] in
   drops @ reduced @ weakenings
 
-let shrink ?inject_fork ?(max_runs = 64) ~budget_ms plan =
+(* Replays one shrink may spend. *)
+let max_runs = 64
+
+let shrink ?inject_fork ~budget_ms plan =
   let runs = ref 0 in
   let fails p =
     incr runs;

@@ -104,14 +104,13 @@ val fingerprint : summary -> string
     event counts) — equal fingerprints mean the exploration replayed
     identically. *)
 
-val shrink :
-  ?inject_fork:bool -> ?max_runs:int -> budget_ms:int -> Plan.t -> Plan.t
+val shrink : ?inject_fork:bool -> budget_ms:int -> Plan.t -> Plan.t
 (** Greedy minimisation of a failing plan: repeatedly try dropping a
     fault, shortening a fault window (halving durations, removing
     restarts, pulling heal times in), or reducing n (7 → 4, when the
     faults still fit), keeping any edit that still fails. Deterministic;
-    at most [max_runs] (default 64) replays. Returns the plan unchanged
-    if it does not fail in the first place. *)
+    at most 64 replays. Returns the plan unchanged if it does not fail
+    in the first place. *)
 
 val cli_of_plan : budget_ms:int -> Plan.t -> string
 (** Copy-pasteable reproducer invocation for [bin/fl_explore]. *)

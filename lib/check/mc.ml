@@ -14,12 +14,11 @@ type scenario = {
   horizon_us : int;
   budget_ms : int;
   max_schedules : int;
-  seed : int;
 }
 
 let scenario ?(f = -1) ?(equivocators = []) ?(splits = [ None ]) ?(drops = 0)
     ?(depth = 8) ?(horizon_us = 50) ?(budget_ms = 400)
-    ?(max_schedules = 20_000) ?(seed = 0) ~n ~rounds () =
+    ?(max_schedules = 20_000) ~n ~rounds () =
   let f = if f < 0 then (n - 1) / 3 else f in
   if n <= 0 || 3 * f >= n then invalid_arg "Mc.scenario: need 0 <= 3f < n";
   if rounds < 1 then invalid_arg "Mc.scenario: rounds";
@@ -31,7 +30,7 @@ let scenario ?(f = -1) ?(equivocators = []) ?(splits = [ None ]) ?(drops = 0)
       if e < 0 || e >= n then invalid_arg "Mc.scenario: equivocator id")
     equivocators;
   { n; f; rounds; equivocators; splits; drops; depth; horizon_us; budget_ms;
-    max_schedules; seed }
+    max_schedules }
 
 (* Tiny blocks and a short first timeout: a 2-round run is a few
    hundred engine events, so thousands of re-executions stay cheap.
@@ -69,7 +68,7 @@ let run_one mode sc ~split ~trace =
   let clock = ref (fun () -> 0) in
   let oracle = Oracle.create ~now:(fun () -> !clock ()) ~n:sc.n ~f:sc.f () in
   let cluster =
-    Cluster.create ~seed:sc.seed
+    Cluster.create ~seed:0
       ~latency:(Fl_net.Latency.Constant (Time.us 100))
       ~behavior:(fun i ->
         if is_byz i then Instance.Equivocator else Instance.Honest)

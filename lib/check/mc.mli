@@ -47,7 +47,6 @@ type scenario = {
   horizon_us : int;  (** frontier window width (µs) *)
   budget_ms : int;  (** simulated-time cap per schedule *)
   max_schedules : int;  (** enumeration cap — [capped] reports if hit *)
-  seed : int;
 }
 
 val scenario :
@@ -59,15 +58,14 @@ val scenario :
   ?horizon_us:int ->
   ?budget_ms:int ->
   ?max_schedules:int ->
-  ?seed:int ->
   n:int ->
   rounds:int ->
   unit ->
   scenario
 (** Defaults: [f = (n-1)/3], no equivocators, the seeded split only,
     [drops = 0], [depth = 8], [horizon_us = 50], [budget_ms = 400],
-    [max_schedules = 20_000], [seed = 0]. Raises [Invalid_argument]
-    on a malformed scenario. *)
+    [max_schedules = 20_000]. Every schedule runs the cluster with
+    seed 0. Raises [Invalid_argument] on a malformed scenario. *)
 
 type stats = {
   mode : mode;

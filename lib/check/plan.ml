@@ -501,6 +501,12 @@ let apply t ~engine ~cluster =
 
 (* ---------- serialisation ---------- *)
 
+(* The shortest of two renderings that reads back as the same float,
+   so a printed plan replays exactly what ran. *)
+let float_repr x =
+  let s = Printf.sprintf "%.15g" x in
+  if Float.equal (float_of_string s) x then s else Printf.sprintf "%.17g" x
+
 let string_of_fault = function
   | Crash { node; at_ms; restart_ms = None } ->
       Printf.sprintf "crash=%d@%d" node at_ms
@@ -514,10 +520,13 @@ let string_of_fault = function
               groups))
         at_ms heal_ms
   | Loss { node; prob; from_ms; to_ms } ->
-      Printf.sprintf "loss=%d:%.2f@%d-%d" node prob from_ms to_ms
+      Printf.sprintf "loss=%d:%s@%d-%d" node (float_repr prob) from_ms
+        to_ms
   | Equivocate { node } -> Printf.sprintf "eq=%d" node
-  | Slow_nic { node; factor } -> Printf.sprintf "slow=%d:%.2f" node factor
-  | Clock_skew { node; factor } -> Printf.sprintf "skew=%d:%.2f" node factor
+  | Slow_nic { node; factor } ->
+      Printf.sprintf "slow=%d:%s" node (float_repr factor)
+  | Clock_skew { node; factor } ->
+      Printf.sprintf "skew=%d:%s" node (float_repr factor)
   | Torn_tail { node; at_ms; restart_ms } ->
       Printf.sprintf "torn=%d@%d/%d" node at_ms restart_ms
   | Disk_loss { node; at_ms; restart_ms } ->
@@ -525,9 +534,10 @@ let string_of_fault = function
   | Fsync_stall { node; from_ms; to_ms } ->
       Printf.sprintf "stall=%d@%d-%d" node from_ms to_ms
   | Corrupt { node; prob; from_ms; to_ms } ->
-      Printf.sprintf "corrupt=%d:%.2f@%d-%d" node prob from_ms to_ms
+      Printf.sprintf "corrupt=%d:%s@%d-%d" node (float_repr prob) from_ms
+        to_ms
   | Surge { factor; from_ms; to_ms } ->
-      Printf.sprintf "surge=%.2f@%d-%d" factor from_ms to_ms
+      Printf.sprintf "surge=%s@%d-%d" (float_repr factor) from_ms to_ms
   | Join { node; at_ms } -> Printf.sprintf "join=%d@%d" node at_ms
   | Leave { node; at_ms } -> Printf.sprintf "leave=%d@%d" node at_ms
   | Rolling { from_ms; gap_ms; down_ms } ->

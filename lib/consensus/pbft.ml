@@ -122,16 +122,19 @@ type 'a config = {
   max_batch : int;
   window : int;
   base_timeout : Time.t;
-  vote_cpu : Time.t;
   payload_cpu : 'a -> Time.t;
 }
+
+(* CPU per PREPARE/COMMIT vote: BFT-SMaRt authenticates with MAC
+   vectors, not per-message asymmetric signatures, so a vote costs
+   microseconds. *)
+let vote_cpu = Time.us 2
 
 let default_config ~payload_digest =
   { payload_digest;
     max_batch = 1000;
     window = 8;
     base_timeout = Time.ms 300;
-    vote_cpu = Time.us 2;
     payload_cpu = (fun _ -> 0) }
 
 type 'a entry = {
@@ -422,11 +425,11 @@ let handle t (src, msg) =
         end
       end
   | Prepare { view; seq; digest } ->
-      Cpu.charge t.cpu t.config.vote_cpu;
+      Cpu.charge t.cpu vote_cpu;
       if add_vote t.prepare_votes (view, seq, digest) src then
         try_advance t seq
   | Commit { view; seq; digest } ->
-      Cpu.charge t.cpu t.config.vote_cpu;
+      Cpu.charge t.cpu vote_cpu;
       if add_vote t.commit_votes (view, seq, digest) src then
         try_advance t seq
   | View_change { new_view; last_exec; prepared } ->

@@ -66,13 +66,13 @@ type 'a config = {
   max_batch : int;              (** payloads per PRE-PREPARE *)
   window : int;                 (** in-flight sequence numbers *)
   base_timeout : Time.t;        (** view-change timeout (doubles) *)
-  vote_cpu : Time.t;            (** CPU charged per vote processed *)
   payload_cpu : 'a -> Time.t;   (** CPU to validate one payload *)
 }
 
 val default_config : payload_digest:('a -> string) -> 'a config
-(** max_batch 1000, window 8, base_timeout 300 ms, 2 µs votes, free
-    payload validation. *)
+(** max_batch 1000, window 8, base_timeout 300 ms, free payload
+    validation. Each PREPARE or COMMIT vote costs a fixed 2 µs of
+    CPU. *)
 
 type 'a t
 

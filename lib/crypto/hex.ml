@@ -23,6 +23,6 @@ let decode s =
   String.init (n / 2) (fun i ->
       Char.chr ((nibble s.[2 * i] lsl 4) lor nibble s.[(2 * i) + 1]))
 
-let short ?(n = 8) s =
+let short s =
   let h = encode s in
-  if String.length h <= n then h else String.sub h 0 n
+  if String.length h <= 8 then h else String.sub h 0 8

@@ -7,5 +7,5 @@ val decode : string -> string
 (** Inverse of [encode]. Raises [Invalid_argument] on odd length or
     non-hex characters. *)
 
-val short : ?n:int -> string -> string
-(** First [n] (default 8) hex characters — convenient for logs. *)
+val short : string -> string
+(** First 8 hex characters — convenient for logs. *)

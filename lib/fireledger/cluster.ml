@@ -18,9 +18,8 @@ type t = {
 }
 
 let create ?(seed = 42) ?(latency = Latency.single_dc)
-    ?(cost = Fl_crypto.Cost_model.default) ?(cores = 4)
-    ?(bandwidth_bps = Nic.ten_gbps) ?bandwidth_of
-    ?(behavior = fun _ -> Instance.Honest) ?valid ?obs
+    ?(bandwidth_of = fun _ -> Nic.ten_gbps)
+    ?(behavior = fun _ -> Instance.Honest) ?obs
     ?(config_of = fun _ c -> c) ?(output = fun _ -> Instance.null_output)
     ?(halves_of = fun _ -> None) ?persist:persist_config
     ?(persist_app = fun _ -> None) ?members ~config () =
@@ -39,11 +38,10 @@ let create ?(seed = 42) ?(latency = Latency.single_dc)
       ~seed:(Printf.sprintf "cluster-%d" seed)
       ~n
   in
-  let node_bw i =
-    match bandwidth_of with Some f -> f i | None -> bandwidth_bps
+  let nics =
+    Array.init n (fun i -> Nic.create ~bandwidth_bps:(bandwidth_of i))
   in
-  let nics = Array.init n (fun i -> Nic.create ~bandwidth_bps:(node_bw i)) in
-  let cpus = Array.init n (fun _ -> Cpu.create engine ~cores) in
+  let cpus = Array.init n (fun _ -> Cpu.create engine ~cores:4) in
   let net =
     Net.create engine (Rng.named_split rng "net") ~nics ~latency
       ~decode:Msg.decode
@@ -52,7 +50,7 @@ let create ?(seed = 42) ?(latency = Latency.single_dc)
   | None -> ()
   | Some sink ->
       Net.set_obs ~worker:0 net (Some sink);
-      Fl_obs.Obs.attach_engine sink engine ();
+      Fl_obs.Obs.attach_engine sink engine;
       Array.iteri (fun i cpu -> Fl_obs.Obs.attach_cpu sink ~node:i cpu) cpus);
   let crashed = Hashtbl.create 4 in
   (* Durability layers outlive instance rebuilds: one per node for the
@@ -92,7 +90,7 @@ let create ?(seed = 42) ?(latency = Latency.single_dc)
              else Printf.sprintf "node-%d-r%d" i incarnation);
         recorder;
         registry;
-        cost;
+        cost = Fl_crypto.Cost_model.default;
         cpu = cpus.(i);
         net;
         hub;
@@ -112,7 +110,7 @@ let create ?(seed = 42) ?(latency = Latency.single_dc)
       Config.validate c;
       c
     in
-    Instance.create env ~config ~behavior:(behavior i) ?valid
+    Instance.create env ~config ~behavior:(behavior i)
       ?persist:persist.(i) ?halves:(halves_of i) ~epoch:genesis_epoch
       ~output:(output i) ()
   in
@@ -166,18 +164,18 @@ let restart t i =
 
 let run ?until t = Engine.run ?until t.engine
 
-let definite_prefix_agreement t =
+let agreement ~crashed instances =
   let ok = ref true in
-  let n = Array.length t.instances in
+  let n = Array.length instances in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      if
-        (not (Hashtbl.mem t.crashed i)) && not (Hashtbl.mem t.crashed j)
-      then begin
-        let a = t.instances.(i) and b = t.instances.(j) in
+      if (not (Hashtbl.mem crashed i)) && not (Hashtbl.mem crashed j) then begin
+        let a = instances.(i) and b = instances.(j) in
         let upto = min (Instance.definite_upto a) (Instance.definite_upto b) in
         for r = 0 to upto do
-          match (Fl_chain.Store.get (Instance.store a) r, Fl_chain.Store.get (Instance.store b) r)
+          match
+            ( Fl_chain.Store.get (Instance.store a) r,
+              Fl_chain.Store.get (Instance.store b) r )
           with
           | Some ba, Some bb ->
               if
@@ -191,3 +189,5 @@ let definite_prefix_agreement t =
     done
   done;
   !ok
+
+let definite_prefix_agreement t = agreement ~crashed:t.crashed t.instances

@@ -32,12 +32,8 @@ type t = {
 val create :
   ?seed:int ->
   ?latency:Latency.t ->
-  ?cost:Fl_crypto.Cost_model.t ->
-  ?cores:int ->
-  ?bandwidth_bps:float ->
   ?bandwidth_of:(int -> float) ->
   ?behavior:(int -> Instance.behavior) ->
-  ?valid:(Fl_chain.Block.t -> bool) ->
   ?obs:Fl_obs.Obs.t ->
   ?config_of:(int -> Config.t -> Config.t) ->
   ?output:(int -> Instance.output) ->
@@ -49,8 +45,9 @@ val create :
   unit ->
   t
 (** Build (but do not start) a cluster. [behavior]/[output] map a node
-    id to its behaviour/event sink. [bandwidth_of] gives one node a
-    slower (or faster) NIC than [bandwidth_bps]; [config_of] applies a
+    id to its behaviour/event sink. Every node has a 4-core CPU with
+    the default crypto cost model; [bandwidth_of] gives a node's NIC
+    rate (default 10 Gb/s everywhere). [config_of] applies a
     per-node config tweak (e.g. clock-skewed timer parameters for the
     schedule explorer) — it must preserve [n] and [f]. [halves_of]
     pins node [i]'s equivocation audience split ([None] keeps the
@@ -94,6 +91,11 @@ val restart : t -> int -> unit
     the catch-up sync to pull the missing prefix from peers. *)
 
 val run : ?until:Time.t -> t -> unit
+
+val agreement : crashed:(int, unit) Hashtbl.t -> Instance.t array -> bool
+(** Over the nodes not in [crashed] ([instances.(i)] runs on node
+    [i]), every pair of instances agrees on all blocks both consider
+    definite. *)
 
 val definite_prefix_agreement : t -> bool
 (** Safety oracle for tests: over non-crashed nodes, every pair agrees

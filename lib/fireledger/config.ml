@@ -8,17 +8,13 @@ type t = {
   initial_timeout : Time.t;
   min_timeout : Time.t;
   max_timeout : Time.t;
-  timer_ema_n : int;
-  timer_slack : float;
   fd_enabled : bool;
-  fd_threshold : int;
   gc_window : int;
   prune_window : int;
   max_outstanding : int;
   piggyback : bool;
   separate_bodies : bool;
   fill_blocks : bool;
-  vote_cpu : Time.t;
   permute_proposers : bool;
   permute_period : int;
   dissemination : dissemination;
@@ -36,17 +32,13 @@ let default ~n =
     initial_timeout = Time.ms 50;
     min_timeout = Time.ms 5;
     max_timeout = Time.s 10;
-    timer_ema_n = 10;
-    timer_slack = 4.0;
     fd_enabled = true;
-    fd_threshold = 2;
     gc_window = 256;
     prune_window = 1024;
     max_outstanding = 8;
     piggyback = true;
     separate_bodies = true;
     fill_blocks = true;
-    vote_cpu = Time.us 10;
     permute_proposers = false;
     permute_period = 128;
     dissemination = Clique;
@@ -61,7 +53,6 @@ let validate t =
   if t.tx_size < 0 then invalid_arg "Config: tx_size";
   if t.min_timeout <= 0 || t.max_timeout < t.initial_timeout then
     invalid_arg "Config: timeouts";
-  if t.timer_ema_n <= 0 then invalid_arg "Config: timer_ema_n";
   if t.gc_window < 2 * (t.f + 2) then invalid_arg "Config: gc_window too small";
   if t.permute_period <= 0 then invalid_arg "Config: permute_period";
   (match t.dissemination with

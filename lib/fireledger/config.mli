@@ -1,10 +1,14 @@
 (** FireLedger protocol and workload parameters.
 
     One record configures a FireLedger instance: the paper's Table 2
-    workload knobs (β batch size, σ transaction size), the §6.1.1
-    optimizations (timeout tuning, failure detector, block/header
-    separation, proposer permutation) with ablation switches, and the
-    engineering bounds (GC windows, flow control). *)
+    workload knobs (β batch size, σ transaction size), the WRB timeout
+    bounds, the ablation switches of the §6.1.1 optimizations (failure
+    detector, piggybacking, block/header separation, proposer
+    permutation), and the engineering bounds (GC windows, flow
+    control). The optimizations' tuning values are constants of the
+    modules that use them: the timer's EMA length and slack
+    ({!Timer}), the detector's strike threshold ({!Detector}) and the
+    per-vote CPU cost ({!Wrb}). *)
 
 open Fl_sim
 
@@ -16,13 +20,7 @@ type t = {
   initial_timeout : Time.t;  (** WRB timer τ before tuning kicks in *)
   min_timeout : Time.t;
   max_timeout : Time.t;
-  timer_ema_n : int;  (** N of the §6.1.1 EMA *)
-  timer_slack : float;
-      (** timeout = slack × EMA(delay): the margin above the average
-          proposal delay *)
   fd_enabled : bool;  (** benign failure detector (§6.1.1) *)
-  fd_threshold : int;
-      (** consecutive timed-out proposing rounds before suspicion *)
   gc_window : int;
       (** rounds of live per-round protocol state kept for laggards *)
   prune_window : int;
@@ -39,9 +37,6 @@ type t = {
   fill_blocks : bool;
       (** pad every block to β with synthetic transactions — the
           paper's full-load evaluation mode (§7.2) *)
-  vote_cpu : Time.t;
-      (** CPU per unsigned protocol message received (deserialization,
-          bookkeeping — 10 us models a JVM/gRPC stack) *)
   permute_proposers : bool;
       (** §6.1.1 pseudo-random rotation order against consecutive
           Byzantine proposers *)

@@ -4,6 +4,9 @@ type t = {
   suspects : (int, unit) Hashtbl.t;
 }
 
+(* Consecutive timed-out proposing rounds before suspicion. *)
+let threshold = 2
+
 let create config =
   { config; strikes = Hashtbl.create 8; suspects = Hashtbl.create 8 }
 
@@ -17,10 +20,8 @@ let record_timeout t ~proposer =
       + 1
     in
     Hashtbl.replace t.strikes proposer s;
-    if
-      s >= t.config.Config.fd_threshold
-      && Hashtbl.length t.suspects < t.config.Config.f
-    then Hashtbl.replace t.suspects proposer ()
+    if s >= threshold && Hashtbl.length t.suspects < t.config.Config.f then
+      Hashtbl.replace t.suspects proposer ()
   end
 
 let record_delivery t ~proposer =

@@ -474,6 +474,10 @@ let recover_delivery t ~k ~r ~obbc ~abort =
 
 (* ---------- WRB delivery (Algorithm 1) ---------- *)
 
+(* CPU per unsigned protocol message received (deserialization,
+   bookkeeping): 10 us models a JVM/gRPC stack. *)
+let vote_cpu = Time.us 10
+
 let should_piggyback t ~k =
   t.config.Config.piggyback && t.behavior = Honest
   && predicted_next t ~k = me t
@@ -515,7 +519,7 @@ let deliver t ~k =
   in
   let obbc = obbc_for t ~r ~attempt:t.attempt ~k in
   let an, _ = epoch_quorum_params t (epoch_at t r) in
-  Cpu.charge t.env.Env.cpu (an * t.config.Config.vote_cpu);
+  Cpu.charge t.env.Env.cpu (an * vote_cpu);
   let decision = Obbc.propose obbc ?abort ~vote ~pgd () in
   if not decision then begin
     Timer.on_timeout t.timer;

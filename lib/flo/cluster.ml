@@ -51,7 +51,7 @@ let create ?(seed = 42) ?(latency = Latency.single_dc)
   (match obs with
   | None -> ()
   | Some sink ->
-      Fl_obs.Obs.attach_engine sink engine ();
+      Fl_obs.Obs.attach_engine sink engine;
       Array.iteri (fun i cpu -> Fl_obs.Obs.attach_cpu sink ~node:i cpu) cpus);
   let nodes =
     Array.init n (fun i ->
@@ -138,34 +138,9 @@ let crash t i =
 let run ?until t = Engine.run ?until t.engine
 
 let delivery_agreement t =
-  let n = Array.length t.nodes in
-  let ok = ref true in
-  Array.iteri
-    (fun w _net ->
-      for i = 0 to n - 1 do
-        for j = i + 1 to n - 1 do
-          if
-            (not (Hashtbl.mem t.crashed i)) && not (Hashtbl.mem t.crashed j)
-          then begin
-            let a = t.workers.(i).(w) and b = t.workers.(j).(w) in
-            let upto =
-              min (Instance.definite_upto a) (Instance.definite_upto b)
-            in
-            for r = 0 to upto do
-              match
-                ( Fl_chain.Store.get (Instance.store a) r,
-                  Fl_chain.Store.get (Instance.store b) r )
-              with
-              | Some ba, Some bb ->
-                  if
-                    not
-                      (String.equal (Fl_chain.Block.hash ba)
-                         (Fl_chain.Block.hash bb))
-                  then ok := false
-              | _ -> ok := false
-            done
-          end
-        done
-      done)
-    t.nets;
-  !ok
+  let group w = Array.map (fun per_node -> per_node.(w)) t.workers in
+  Array.for_all Fun.id
+    (Array.mapi
+       (fun w _net ->
+         Fl_fireledger.Cluster.agreement ~crashed:t.crashed (group w))
+       t.nets)

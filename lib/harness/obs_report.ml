@@ -23,7 +23,10 @@ let fresh () =
 
 let mean_ms sum n = if n = 0 then 0.0 else sum /. float_of_int n /. 1e6
 
-let round_timeline ?(max_rows = 40) events =
+(* Rounds shown before the timeline samples. *)
+let max_rows = 40
+
+let round_timeline events =
   let rounds = Hashtbl.create 64 in
   let acc_of r =
     match Hashtbl.find_opt rounds r with

@@ -63,13 +63,15 @@ let persist_of_string s =
     match String.split_on_char ':' policy with
     | [ "never" ] -> Fl_persist.Node.Never
     | [ "group_commit" ] -> Fl_persist.Node.Group_commit (Time.ms 2)
-    | [ "group_commit"; iv ] ->
-        let iv =
-          match String.index_opt iv 'm' with
-          | Some i -> int_of_string (String.sub iv 0 i)
-          | None -> int_of_string iv
+    | [ "group_commit"; iv ] -> (
+        let digits =
+          if String.ends_with ~suffix:"ms" iv then
+            String.sub iv 0 (String.length iv - 2)
+          else iv
         in
-        Fl_persist.Node.Group_commit (Time.ms iv)
+        match int_of_string_opt digits with
+        | Some ms when ms > 0 -> Fl_persist.Node.Group_commit (Time.ms ms)
+        | _ -> invalid_arg (Printf.sprintf "persist_of_string: %S" s))
     | [ "every_block" ] -> Fl_persist.Node.Every_block
     | _ -> invalid_arg (Printf.sprintf "persist_of_string: %S" s)
   in

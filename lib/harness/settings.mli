@@ -68,7 +68,8 @@ val persist_of_string : string -> Fl_persist.Node.config
 (** ["never"], ["group_commit"], ["group_commit:5ms"] or
     ["every_block"], optionally prefixed by a disk profile —
     ["ssd/group_commit"], ["hdd/every_block"]. Raises
-    [Invalid_argument] on anything else. *)
+    [Invalid_argument] on anything else, a group-commit span that is
+    not a positive number of milliseconds included. *)
 
 val flo : n:int -> workers:int -> batch:int -> tx_size:int -> flo_setting
 (** A default single-DC fault-free setting (m5.xlarge, 1 s warmup,

@@ -23,12 +23,10 @@ open Fl_chain
 type consistency = Session | Bounded_staleness of Time.t
 
 type config = {
-  source_id : int;
   arrivals : Arrivals.t;
   tick : Time.t;
   tx_size : int;
   accounts : int;
-  zipf_s : float;
   fee_levels : int;
   max_retries : int;
   retry_backoff : Time.t;
@@ -37,12 +35,10 @@ type config = {
 }
 
 let default_config ~arrivals =
-  { source_id = 0;
-    arrivals;
+  { arrivals;
     tick = Time.ms 1;
     tx_size = 128;
     accounts = 1_000_000;
-    zipf_s = 1.01;
     fee_levels = 16;
     max_retries = 3;
     retry_backoff = Time.ms 5;
@@ -65,7 +61,6 @@ type t = {
   cfg : config;
   accounts_z : Zipf.t;
   fees_z : Zipf.t;
-  id_base : int;
   mutable next_seq : int;
   pending : (int, pending) Hashtbl.t;  (* tx id -> entry, admitted only *)
   cohorts : (int, pending list ref) Hashtbl.t;  (* wake bucket -> retriers *)
@@ -86,7 +81,10 @@ type t = {
 (* Load-tier ids live far above the proposers' synthetic range
    (instance i uses i·1e9+seq) so padding transactions can never alias
    a client transaction. *)
-let id_base source_id = (1 lsl 46) + (source_id lsl 32)
+let id_base = 1 lsl 46
+
+(* Zipf exponent of the account key space. *)
+let zipf_s = 1.01
 
 let create engine ~rng ~recorder ~sink cfg =
   if cfg.tick <= 0 then invalid_arg "Source: tick";
@@ -100,9 +98,8 @@ let create engine ~rng ~recorder ~sink cfg =
     recorder;
     sink;
     cfg;
-    accounts_z = Zipf.create ~n:cfg.accounts ~s:cfg.zipf_s;
+    accounts_z = Zipf.create ~n:cfg.accounts ~s:zipf_s;
     fees_z = Zipf.create ~n:cfg.fee_levels ~s:1.0;
-    id_base = id_base cfg.source_id;
     next_seq = 0;
     pending = Hashtbl.create 1024;
     cohorts = Hashtbl.create 64;
@@ -173,7 +170,7 @@ let generate_one t ~now =
   (* fee bid: Zipf-skewed so low bids dominate and the rare whale bid
      exercises priority eviction *)
   let fee = Zipf.draw t.fees_z t.rng - 1 in
-  let id = t.id_base + t.next_seq in
+  let id = id_base + t.next_seq in
   t.next_seq <- t.next_seq + 1;
   let tx = Tx.create ~id ~size:t.cfg.tx_size in
   t.generated <- t.generated + 1;

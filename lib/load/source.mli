@@ -28,12 +28,10 @@ type consistency =
           most this far behind now *)
 
 type config = {
-  source_id : int;  (** namespaces transaction ids across sources *)
   arrivals : Arrivals.t;
   tick : Time.t;  (** aggregation quantum (default 1 ms) *)
   tx_size : int;
-  accounts : int;  (** Zipfian key space *)
-  zipf_s : float;
+  accounts : int;  (** Zipfian key space, exponent s = 1.01 *)
   fee_levels : int;  (** fee bids in [0, fee_levels), Zipf-skewed low *)
   max_retries : int;
   retry_backoff : Time.t;  (** also the cohort bucketing quantum *)

@@ -219,13 +219,13 @@ let transmit t ~src ~dst frame =
 let send t ~src ~dst payload =
   transmit t ~src ~dst (Frame.make t.decode payload)
 
-let broadcast ?(include_self = true) t ~src payload =
+let broadcast t ~src payload =
   let frame = Frame.make t.decode payload in
   let count = Array.length t.nics in
   for dst = 0 to count - 1 do
     if dst <> src then transmit t ~src ~dst frame
   done;
-  if include_self then transmit t ~src ~dst:src frame
+  transmit t ~src ~dst:src frame
 
 let multicast t ~src ~dsts payload =
   let frame = Frame.make t.decode payload in

@@ -80,10 +80,10 @@ val send : 'm t -> src:int -> dst:int -> string -> unit
     exact byte length. Self-sends skip the NIC and incur only loopback
     latency. *)
 
-val broadcast : ?include_self:bool -> 'm t -> src:int -> string -> unit
-(** Send to every node (clique overlay: n−1 NIC serialisations, one
-    shared encoding, one shared frame and so one decode);
-    [include_self] (default true) also delivers locally. *)
+val broadcast : 'm t -> src:int -> string -> unit
+(** Send to every node, the sender included (clique overlay: n−1 NIC
+    serialisations and a loopback delivery, one shared encoding, one
+    shared frame and so one decode). *)
 
 val multicast : 'm t -> src:int -> dsts:int list -> string -> unit
 (** Send to an explicit destination set, as one shared frame — the

@@ -126,12 +126,11 @@ let time_of ev =
   | Instant { at } -> at
   | Gauge { at; _ } -> at
 
-let attach_engine t engine ?(every = 4096) () =
-  if every <= 0 then invalid_arg "Obs.attach_engine: every";
+let attach_engine t engine =
   Engine.set_probe engine
     (Some
        (fun ~now ~processed ~pending ->
-         if processed mod every = 0 then begin
+         if processed mod 4096 = 0 then begin
            gauge (Some t) ~cat:"sim" ~name:"engine_pending" ~at:now
              (float_of_int pending);
            gauge (Some t) ~cat:"sim" ~name:"engine_events" ~at:now

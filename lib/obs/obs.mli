@@ -107,10 +107,10 @@ val time_of : event -> Time.t
 (* Probe installers for the layers below this library in the
    dependency order (fl_sim cannot depend on fl_obs): *)
 
-val attach_engine : t -> Engine.t -> ?every:int -> unit -> unit
+val attach_engine : t -> Engine.t -> unit
 (** Install an {!Fl_sim.Engine.set_probe} that emits ["engine_pending"]
-    / ["engine_events"] gauges every [every] executed events (default
-    4096) — a sampled view of fiber-wakeup pressure. *)
+    / ["engine_events"] gauges every 4096 executed events — a sampled
+    view of fiber-wakeup pressure. *)
 
 val attach_cpu : t -> node:int -> Cpu.t -> unit
 (** Install a {!Fl_sim.Cpu.set_probe} that emits one ["cpu_busy"] span

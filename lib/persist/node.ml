@@ -52,6 +52,10 @@ type t = {
 }
 
 let create engine ?obs ?(node = -1) ?(worker = 0) ?disk ?app ~config () =
+  (match config.sync with
+  | Group_commit span when span <= 0 ->
+      invalid_arg "Node.create: group-commit span must be positive"
+  | _ -> ());
   let disk =
     match disk with
     | Some d -> d
@@ -94,10 +98,10 @@ let stats t =
 (* ---------- durability ---------- *)
 
 (* Flush everything appended so far; blocks the calling fiber. *)
-let sync ?(name = "fsync") t =
+let sync t =
   if t.live && Wal.pending_frames t.wal > 0 then begin
     let upto = Wal.total_frames t.wal in
-    Disk.fsync ~name t.disk;
+    Disk.fsync t.disk;
     Wal.mark_durable_upto t.wal upto
   end
 

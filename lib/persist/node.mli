@@ -45,7 +45,9 @@ val create :
   Fl_sim.Engine.t -> ?obs:Fl_obs.Obs.t -> ?node:int -> ?worker:int ->
   ?disk:Disk.t -> ?app:Recovery.app -> config:config -> unit -> t
 (** [disk] shares one device between a node's workers; by default the
-    node gets its own, of [config.profile]. *)
+    node gets its own, of [config.profile]. Raises [Invalid_argument]
+    on a [Group_commit] span that is not positive: its flusher would
+    never let simulated time advance. *)
 
 val disk : t -> Disk.t
 
@@ -56,7 +58,7 @@ val attach_chain : t -> (unit -> Fl_chain.Store.t * int * int) -> unit
 val live : t -> bool
 val stats : t -> stats
 
-val sync : ?name:string -> t -> unit
+val sync : t -> unit
 (** Flush everything appended so far; blocks the calling fiber. *)
 
 val maybe_start_flusher : t -> unit

@@ -206,6 +206,27 @@ let test_accountability () =
     (r.Explorer.evidence_count > 0);
   Alcotest.(check int) "oracles quiet" 0 r.Explorer.total_violations
 
+(* A printed plan must parse back to the very plan that ran, or a
+   reproducer replays something else: 200 seeds of each generator
+   shape (plain; disk + corrupt + surge; reconfiguration). *)
+let test_plan_roundtrip () =
+  List.iter
+    (fun (extra, reconfig) ->
+      for seed = 0 to 199 do
+        let p =
+          Plan.generate ~with_disk_faults:extra ~with_corrupt_faults:extra
+            ~with_surge_faults:extra ~with_reconfig_faults:reconfig ~seed
+            ~budget_ms:2000 ()
+        in
+        let text = Plan.to_string p in
+        match Plan.of_string text with
+        | Ok q when q = p -> ()
+        | Ok q ->
+            Alcotest.failf "%s reads back as %s" text (Plan.to_string q)
+        | Error e -> Alcotest.failf "%s does not parse back: %s" text e
+      done)
+    [ (false, false); (true, false); (false, true) ]
+
 let suite =
   [ Alcotest.test_case "explorer smoke (25 seeds, deterministic)" `Slow
       test_explorer_smoke;
@@ -213,6 +234,8 @@ let suite =
       test_explorer_jobs_determinism;
     Alcotest.test_case "injected fork caught, shrunk, replayable" `Slow
       test_injected_fork;
+    Alcotest.test_case "generated plans round-trip through text" `Quick
+      test_plan_roundtrip;
     Alcotest.test_case "equivocation yields exact evidence" `Quick
       test_accountability;
     Alcotest.test_case "recovery path, n=4" `Quick (recovery_path 4);

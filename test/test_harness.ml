@@ -133,6 +133,27 @@ let test_tables_independent_of_jobs () =
   Alcotest.(check (list string)) "jobs=2 renders as jobs=1" sequential
     (tables 2)
 
+(* Bad [--persist] text fails as documented, and no config reaches a
+   node with a group-commit span whose flusher would sleep 0 forever. *)
+let test_persist_of_string_rejects () =
+  Alcotest.(check bool)
+    "5ms parses" true
+    ((Settings.persist_of_string "group_commit:5ms").Fl_persist.Node.sync
+    = Fl_persist.Node.Group_commit (Time.ms 5));
+  List.iter
+    (fun s ->
+      match Settings.persist_of_string s with
+      | _ -> Alcotest.failf "%S accepted" s
+      | exception Invalid_argument _ -> ())
+    [ "group_commit:abc"; "group_commit:0ms"; "group_commit:-3" ];
+  let config =
+    { Fl_persist.Node.default_config with
+      Fl_persist.Node.sync = Fl_persist.Node.Group_commit 0 }
+  in
+  match Fl_persist.Node.create (Engine.create ()) ~config () with
+  | _ -> Alcotest.fail "zero group-commit span accepted"
+  | exception Invalid_argument _ -> ()
+
 let suite =
   [ Alcotest.test_case "table formatting" `Quick test_table_formatting;
     Alcotest.test_case "run_flo metrics" `Quick test_run_flo_produces_metrics;
@@ -144,6 +165,8 @@ let suite =
     Alcotest.test_case "loss injection" `Quick test_loss_fault_injection;
     Alcotest.test_case "latency cdf" `Quick test_latency_cdf;
     Alcotest.test_case "experiment registry" `Quick test_experiment_registry;
+    Alcotest.test_case "persist_of_string rejects bad spans" `Quick
+      test_persist_of_string_rejects;
     Alcotest.test_case "experiments fail closed" `Quick
       test_experiments_fail_closed;
     Alcotest.test_case "experiment tables independent of jobs" `Slow

@@ -152,6 +152,29 @@ let bench_wal = Fl_persist.Wal.create ~segment_bytes:(1 lsl 20)
    sequentially when only one core is available. *)
 let sweep_jobs = min 4 (max 1 (Domain.recommended_domain_count ()))
 
+(* Two fibers bounce a token through two mailboxes, so every hop is a
+   zero-delay fiber wake-up: the commonest engine event in a cluster
+   run. A cluster also keeps many future events queued (timers, NIC
+   and link deliveries); 1,000 far timers stand for them, so a wake-up
+   that went through the heap would sift past them. *)
+let fiber_wakeups () =
+  let open Fl_sim in
+  let e = Engine.create () in
+  for i = 1 to 1_000 do
+    ignore (Engine.schedule e ~delay:(Time.s 1 + i) ignore)
+  done;
+  let ping = Mailbox.create e and pong = Mailbox.create e in
+  Fiber.spawn e (fun () ->
+      for i = 1 to 10_000 do
+        Mailbox.send ping i;
+        ignore (Mailbox.recv pong)
+      done);
+  Fiber.spawn e (fun () ->
+      for _ = 1 to 10_000 do
+        Mailbox.send pong (Mailbox.recv ping)
+      done);
+  Engine.run e
+
 let sweep_shard _ =
   let e = Fl_sim.Engine.create () in
   for i = 0 to 1_999 do
@@ -320,6 +343,7 @@ let kernels : (string * string * (unit -> unit)) list =
           ignore (Fl_sim.Engine.schedule e ~delay:(i * 7 mod 1000) ignore)
         done;
         Fl_sim.Engine.run e );
+    ("substrate", "substrate/fiber-wakeups", fiber_wakeups);
     ( "substrate",
       "substrate/wal-frame-append-reuse",
       fun () -> ignore (Fl_persist.Wal.build_frame bench_wal wal_record) );

@@ -281,7 +281,8 @@ let prof_cmd =
     (Cmd.info "prof"
        ~doc:
          "Self-profile a FLO run: attribute host wall time to simulator \
-          subsystems (engine dispatch, codec, SHA-256, WAL, obs).")
+          subsystems (engine dispatch, event-queue pops, codec, SHA-256, \
+          WAL, obs).")
     Term.(
       const run $ n $ w $ batch $ sigma $ seconds $ seed $ geo $ persist)
 

@@ -26,11 +26,18 @@ let codec_decode = 2
 let sha256 = 3
 let wal = 4
 let obs = 5
+let queue = 6
 
-let n_subs = 6
+let n_subs = 7
 
 let names =
-  [| "engine"; "codec_encode"; "codec_decode"; "sha256"; "wal"; "obs" |]
+  [| "engine";
+     "codec_encode";
+     "codec_decode";
+     "sha256";
+     "wal";
+     "obs";
+     "queue" |]
 
 let on = ref false
 

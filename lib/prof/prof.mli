@@ -26,8 +26,8 @@
 
     Instrumented regions must not suspend the calling fiber: an open
     frame across an effect-based suspension would corrupt the frame
-    stack. All current sites (engine dispatch, codec, SHA-256, WAL
-    framing, obs push) are pure. *)
+    stack. All current sites (engine dispatch, event-queue pops, codec,
+    SHA-256, WAL framing, obs push) are pure. *)
 
 type sub = private int
 
@@ -46,6 +46,11 @@ val sha256 : sub  (** digest/hmac, wherever called from *)
 val wal : sub  (** durable-record framing and replay parsing *)
 
 val obs : sub  (** structured-span sink push *)
+
+val queue : sub
+(** The engine's run loop taking the next event off its queues: heap
+    pops and zero-delay FIFO pops, cancelled events included. Pushes
+    happen inside event bodies and stay with {!engine}. *)
 
 val on : bool ref
 (** The master switch instrumented sites read. Use {!enable} /

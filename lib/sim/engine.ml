@@ -16,13 +16,26 @@ type pick = Deliver of int | Drop of int
 
 type arbiter = { horizon : Time.t; choose : lanes:int array -> pick }
 
-(* The event queue is a binary min-heap on (time, seq) held in
-   [heap.(0 .. size-1)]. [seq] is unique, so (time, seq) is a total
-   order and every heap shape pops the same sequence. *)
+(* Two queues hold the events, and together they pop in (time, seq)
+   order. [seq] is unique, so (time, seq) is a total order and every
+   heap shape pops the same sequence.
+
+   - A binary min-heap on (time, seq) in [heap.(0 .. size-1)] holds
+     every event with a positive delay and every lane-tagged one.
+   - A FIFO ring holds the untagged events scheduled with delay 0:
+     [flen] events from slot [fhead], wrapping modulo the ring's
+     length, a power of two. Each is scheduled at [now] and takes the
+     largest [seq] so far, and [now] never decreases, so the ring is
+     sorted by (time, seq) as it fills.
+
+   The run loop pops whichever head comes first. *)
 type t = {
   mutable now : Time.t;
   mutable heap : event array;
   mutable size : int;
+  mutable fifo : event array;
+  mutable fhead : int;
+  mutable flen : int;
   mutable next_seq : int;
   mutable stopped : bool;
   mutable processed : int;
@@ -31,8 +44,9 @@ type t = {
   mutable arb_dropped : int;
 }
 
-(* Fills every slot past [size], so the array never keeps a popped
-   event — or whatever its closure captured — reachable. *)
+(* Fills every slot past [size], and every ring slot outside the
+   queued run, so neither array keeps a popped event — or whatever its
+   closure captured — reachable. *)
 let vacant =
   { time = 0; seq = -1; lane = -1; cancelled = true; action = ignore }
 
@@ -81,10 +95,36 @@ let pop t =
   end;
   top
 
+let fifo_push t ev =
+  let cap = Array.length t.fifo in
+  if t.flen = cap then begin
+    let grown = Array.make (max 16 (2 * cap)) vacant in
+    for k = 0 to t.flen - 1 do
+      grown.(k) <- t.fifo.((t.fhead + k) land (cap - 1))
+    done;
+    t.fifo <- grown;
+    t.fhead <- 0
+  end;
+  t.fifo.((t.fhead + t.flen) land (Array.length t.fifo - 1)) <- ev;
+  t.flen <- t.flen + 1
+
+(* Remove and return the ring's oldest event; the caller checks
+   [flen > 0]. *)
+let fifo_pop t =
+  let i = t.fhead in
+  let ev = t.fifo.(i) in
+  t.fifo.(i) <- vacant;
+  t.fhead <- (i + 1) land (Array.length t.fifo - 1);
+  t.flen <- t.flen - 1;
+  ev
+
 let create () =
   { now = 0;
     heap = [||];
     size = 0;
+    fifo = [||];
+    fhead = 0;
+    flen = 0;
     next_seq = 0;
     stopped = false;
     processed = 0;
@@ -114,33 +154,31 @@ let schedule ?(lane = -1) t ~delay action =
       cancelled = false;
       action }
   in
-  push t ev;
+  if delay <= 0 && lane < 0 then fifo_push t ev else push t ev;
   t.next_seq <- t.next_seq + 1;
   ev
 
 let cancel ev = ev.cancelled <- true
 let stop t = t.stopped <- true
-let pending t = t.size
+let pending t = t.size + t.flen
 let processed t = t.processed
 
-(* Self-profiling wrap around the event body: with profiling enabled
-   the "engine" subsystem is credited with all host time spent
-   executing actions (minus whatever nested instrumented subsystems —
-   codec, SHA-256, WAL, obs — claim for themselves), which is how the
-   perf observatory attributes a run's wall time. A suspending fiber
-   simply returns from its action, so the frame always balances. *)
-let run_action action =
-  if !Fl_prof.Prof.on then Fl_prof.Prof.frame Fl_prof.Prof.engine action
-  else action ()
-
-let fire t budget ev =
+(* Self-profiling: with profiling enabled ([traced], read once per
+   step) the "queue" subsystem is credited with the run loop's pops
+   and the "engine" subsystem with all host time spent executing
+   actions (minus whatever nested instrumented subsystems — codec,
+   SHA-256, WAL, obs — claim for themselves), which is how the perf
+   observatory attributes a run's wall time. A suspending fiber simply
+   returns from its action, so the frame always balances. *)
+let fire t budget ~traced ev =
   t.now <- ev.time;
   t.processed <- t.processed + 1;
   decr budget;
-  run_action ev.action;
+  if traced then Fl_prof.Prof.frame Fl_prof.Prof.engine ev.action
+  else ev.action ();
   match t.probe with
   | None -> ()
-  | Some p -> p ~now:t.now ~processed:t.processed ~pending:t.size
+  | Some p -> p ~now:t.now ~processed:t.processed ~pending:(pending t)
 
 (* One branch point: [ev] is the earliest queued event and is tagged.
    Collect every other event inside the arbiter's horizon window (the
@@ -149,9 +187,10 @@ let fire t budget ev =
    back. The chosen event executes at the window-opening time [ev.time]
    (its own timestamp may be slightly later), so the clock never runs
    ahead of the candidates left in the queue. Untagged events inside
-   the window are never offered: they re-enter the heap untouched and
-   run in canonical order. *)
-let fire_window t arb ~until budget ev =
+   the window are never offered: those in the heap re-enter it
+   untouched, those in the FIFO stay there, and all run in canonical
+   order. *)
+let fire_window t arb ~until budget ~traced ev =
   let window_end =
     let e = ev.time + arb.horizon in
     match until with Some l when l < e -> l | _ -> e
@@ -175,12 +214,16 @@ let fire_window t arb ~until budget ev =
   match pick with
   | Deliver i when i >= 0 && i < Array.length cands ->
       restore ~except:i;
-      fire t budget { (cands.(i)) with time = ev.time }
+      fire t budget ~traced { (cands.(i)) with time = ev.time }
   | Drop i when i >= 0 && i < Array.length cands ->
       restore ~except:i;
       t.arb_dropped <- t.arb_dropped + 1
   | Deliver _ | Drop _ ->
       invalid_arg "Engine: arbiter pick out of range"
+
+(* The ring's head comes next when it sorts before the heap's. *)
+let fifo_first t =
+  t.flen > 0 && (t.size = 0 || before t.fifo.(t.fhead) t.heap.(0))
 
 let run ?until ?max_events t =
   t.stopped <- false;
@@ -193,20 +236,26 @@ let run ?until ?max_events t =
   in
   let continue = ref true in
   while !continue && not t.stopped do
-    if t.size = 0 then continue := false
+    let from_fifo = fifo_first t in
+    if t.size = 0 && not from_fifo then continue := false
     else
+      let next = if from_fifo then t.fifo.(t.fhead) else t.heap.(0) in
       match until with
-      | Some limit when t.heap.(0).time > limit ->
-          t.now <- limit;
+      | Some limit when next.time > limit ->
+          if t.now < limit then t.now <- limit;
           continue := false
       | _ ->
           if !budget = 0 then continue := false
           else begin
-            let ev = pop t in
+            let traced = !Fl_prof.Prof.on in
+            if traced then Fl_prof.Prof.enter Fl_prof.Prof.queue;
+            let ev = if from_fifo then fifo_pop t else pop t in
+            if traced then Fl_prof.Prof.leave ();
             if not ev.cancelled then begin
               match t.arbiter with
-              | Some arb when ev.lane >= 0 -> fire_window t arb ~until budget ev
-              | _ -> fire t budget ev
+              | Some arb when ev.lane >= 0 ->
+                  fire_window t arb ~until budget ~traced ev
+              | _ -> fire t budget ~traced ev
             end
           end
   done;

@@ -1,9 +1,19 @@
 (** The discrete-event engine: a virtual clock and an event queue.
 
-    Events scheduled at the same instant run in scheduling (FIFO)
+    Events run in (time, seq) order, [seq] counting [schedule] calls,
+    so events scheduled for the same instant run in scheduling (FIFO)
     order, which makes runs deterministic. Everything else in the
     simulator — fibers, timers, network delivery, CPU charging — is
-    built from [schedule]. *)
+    built from [schedule].
+
+    The queue is two queues. Untagged events scheduled with delay 0
+    (fiber wake-ups, mostly) go into a FIFO ring; every other event
+    goes into a binary min-heap on (time, seq). A zero-delay event is
+    due now and takes the largest [seq] so far, and the clock never
+    moves back, so the ring is sorted by (time, seq) as it fills: each
+    step runs whichever head comes first, in the same total order a
+    single heap would give. Lane-tagged events always stay in the heap,
+    where an arbiter sees them. *)
 
 type t
 
@@ -31,18 +41,20 @@ val cancel : handle -> unit
 val run : ?until:Time.t -> ?max_events:int -> t -> unit
 (** Process events in time order until the queue drains, [stop] is
     called, or virtual time would exceed [until] (the clock is then
-    left at [until]). [max_events] additionally bounds the number of
-    non-cancelled events executed by this call — a step budget that
-    guards adversarial-schedule exploration against runaway event
-    storms; when it is exhausted the clock is left at the last
-    executed event (not advanced to [until]) and [pending] > 0
-    reveals the truncation. *)
+    left at [until], or where it was if that is later: the clock never
+    moves back, so an [until] below {!now} runs nothing). [max_events]
+    additionally bounds the number of non-cancelled events executed by
+    this call — a step budget that guards adversarial-schedule
+    exploration against runaway event storms; when it is exhausted the
+    clock is left at the last executed event (not advanced to [until])
+    and [pending] > 0 reveals the truncation. *)
 
 val stop : t -> unit
 (** Make [run] return after the current event. *)
 
 val pending : t -> int
-(** Number of queued (possibly cancelled) events — for tests. *)
+(** Number of queued (possibly cancelled) events in both queues, heap
+    and zero-delay FIFO — for tests. *)
 
 val processed : t -> int
 (** Events executed so far — for tests and sanity reporting. *)
@@ -74,7 +86,7 @@ val set_probe :
   t -> (now:Time.t -> processed:int -> pending:int -> unit) option -> unit
 (** Observability hook, invoked synchronously after every executed
     (non-cancelled) event with the clock, the cumulative event count
-    and the queue depth. The probe must only observe — it must not
-    schedule, cancel or stop, or determinism is forfeit. [None]
+    and the queue depth ({!pending}). The probe must only observe — it
+    must not schedule, cancel or stop, or determinism is forfeit. [None]
     (the default) is free. This is how the {!Fl_obs} layer samples
     fiber-wakeup activity without the engine depending on it. *)

@@ -262,11 +262,15 @@ let test_fingerprint_unchanged_with_prof () =
   (* And the profile itself saw the run: engine dispatch plus at least
      one nested subsystem accumulated time. *)
   Alcotest.(check bool) "attributed > 0" true (Prof.attributed_ns () > 0);
-  let engine_calls =
-    (List.find (fun s -> String.equal s.Prof.p_name "engine") (Prof.stats ()))
+  let calls name =
+    (List.find (fun s -> String.equal s.Prof.p_name name) (Prof.stats ()))
       .Prof.p_calls
   in
-  Alcotest.(check bool) "engine frames counted" true (engine_calls > 0)
+  Alcotest.(check bool) "engine frames counted" true (calls "engine" > 0);
+  (* Every executed event was popped first; cancelled ones are popped
+     and skipped. *)
+  Alcotest.(check bool) "queue pops cover executed events" true
+    (calls "queue" >= calls "engine")
 
 let test_prof_coverage () =
   (* Loose live-clock check of the ≥90% design goal: well over half of

@@ -34,24 +34,172 @@ let prop_engine_order =
       in
       List.rev !log = expected)
 
+(* Nested scheduling against a reference scheduler. Each node is one
+   event: a root is scheduled from outside before run segment [seg],
+   any other node when its parent runs. A running node logs itself
+   with the clock, cancels node [kill] if that one is queued, then
+   schedules its children in index order. Runs stop and resume at
+   arbitrary [until]s (some below the clock), so events at one
+   instant mix heap events scheduled earlier with zero-delay ones
+   scheduled at that instant, some of them lane-tagged. *)
+type node = { parent : int; seg : int; delay : int; lane : int; kill : int }
+
+type 'h sched = {
+  schedule : lane:int -> delay:int -> (unit -> unit) -> 'h;
+  cancel : 'h -> unit;
+  now : unit -> int;
+  run : int option -> unit;
+}
+
+let execute nodes untils s =
+  let log = ref [] in
+  let handles = Array.make (Array.length nodes) None in
+  let rec sched k =
+    let nd = nodes.(k) in
+    handles.(k) <-
+      Some
+        (s.schedule ~lane:nd.lane ~delay:nd.delay (fun () ->
+             log := (k, s.now ()) :: !log;
+             if nd.kill >= 0 then Option.iter s.cancel handles.(nd.kill);
+             Array.iteri (fun j c -> if c.parent = k then sched j) nodes))
+  in
+  let roots seg =
+    Array.iteri
+      (fun j nd -> if nd.parent < 0 && nd.seg = seg then sched j)
+      nodes
+  in
+  roots 0;
+  List.iteri
+    (fun i until ->
+      s.run (Some until);
+      roots (i + 1))
+    untils;
+  s.run None;
+  List.rev !log
+
+(* The specification: repeatedly run the earliest live event by
+   (time, seq), where [seq] counts schedule calls; a run bounded by
+   [until] stops before the first event past it and leaves the clock
+   at [until] unless the clock is already later. *)
+type ref_event = {
+  r_time : int;
+  r_seq : int;
+  mutable r_live : bool;
+  r_action : unit -> unit;
+}
+
+let reference () =
+  let now = ref 0 and seq = ref 0 and queue = ref [] in
+  let rec run until =
+    queue := List.filter (fun ev -> ev.r_live) !queue;
+    let next =
+      List.fold_left
+        (fun best ev ->
+          match best with
+          | Some b when (b.r_time, b.r_seq) < (ev.r_time, ev.r_seq) -> best
+          | _ -> Some ev)
+        None !queue
+    in
+    match (next, until) with
+    | Some ev, Some limit when ev.r_time > limit -> now := max !now limit
+    | None, Some limit -> now := max !now limit
+    | None, None -> ()
+    | Some ev, _ ->
+        ev.r_live <- false;
+        now := ev.r_time;
+        ev.r_action ();
+        run until
+  in
+  { schedule =
+      (fun ~lane:_ ~delay action ->
+        let ev =
+          { r_time = !now + max 0 delay;
+            r_seq = !seq;
+            r_live = true;
+            r_action = action }
+        in
+        incr seq;
+        queue := ev :: !queue;
+        ev);
+    cancel = (fun ev -> ev.r_live <- false);
+    now = (fun () -> !now);
+    run }
+
+let engine ~arbiter =
+  let e = Engine.create () in
+  if arbiter then
+    Engine.set_arbiter e (Some (fun ~lanes:_ -> Engine.Deliver 0));
+  { schedule =
+      (fun ~lane ~delay action -> Engine.schedule ~lane e ~delay action);
+    cancel = Engine.cancel;
+    now = (fun () -> Engine.now e);
+    run = (fun until -> Engine.run ?until e) }
+
+let gen_program =
+  let open QCheck.Gen in
+  let* untils = list_size (int_bound 3) (int_bound 12) in
+  let* n = int_range 1 40 in
+  let node k =
+    let* parent =
+      if k = 0 then return (-1)
+      else frequency [ (1, return (-1)); (2, int_bound (k - 1)) ]
+    in
+    let* seg = int_bound (List.length untils) in
+    let* delay = frequency [ (1, return 0); (1, int_range 1 4) ] in
+    let* lane = frequency [ (3, return (-1)); (1, int_bound 2) ] in
+    let* kill = frequency [ (3, return (-1)); (1, int_bound (n - 1)) ] in
+    return { parent; seg; delay; lane; kill }
+  in
+  let* nodes = flatten_l (List.init n node) in
+  return (Array.of_list nodes, untils)
+
+let print_program (nodes, untils) =
+  Printf.sprintf "untils [%s]; nodes %s"
+    (String.concat ";" (List.map string_of_int untils))
+    (String.concat " "
+       (Array.to_list
+          (Array.mapi
+             (fun k nd ->
+               Printf.sprintf "%d:{p=%d s=%d d=%d l=%d k=%d}" k nd.parent nd.seg
+                 nd.delay nd.lane nd.kill)
+             nodes)))
+
+let prop_engine_nested_order =
+  QCheck.Test.make
+    ~name:"engine: nested scheduling matches a (time, seq) reference"
+    ~count:500
+    (QCheck.make ~print:print_program gen_program)
+    (fun (nodes, untils) ->
+      let want = execute nodes untils (reference ()) in
+      execute nodes untils (engine ~arbiter:false) = want
+      && execute nodes untils (engine ~arbiter:true) = want)
+
 (* The queue must not keep an executed event reachable: its closure
-   may capture arbitrarily large state. *)
-let[@inline never] schedule_capturing e weak ran =
+   may capture arbitrarily large state. A delay of 0 exercises the
+   zero-delay FIFO, a positive one the heap. *)
+let[@inline never] schedule_capturing e ~delay weak ran =
   let payload = Bytes.make 64 'x' in
   Weak.set weak 0 (Some payload);
-  ignore
-    (Engine.schedule e ~delay:10 (fun () -> ran := Bytes.length payload))
+  ignore (Engine.schedule e ~delay (fun () -> ran := Bytes.length payload))
 
 let test_engine_releases_fired () =
-  let e = Engine.create () in
-  let weak = Weak.create 1 in
-  let ran = ref 0 in
-  schedule_capturing e weak ran;
-  Engine.run e;
-  Gc.full_major ();
-  Alcotest.(check int) "event ran" 64 !ran;
-  Alcotest.(check bool) "captured value collected" false (Weak.check weak 0);
-  Alcotest.(check int) "engine still live, queue empty" 0 (Engine.pending e)
+  List.iter
+    (fun delay ->
+      let e = Engine.create () in
+      let weak = Weak.create 1 in
+      let ran = ref 0 in
+      schedule_capturing e ~delay weak ran;
+      Engine.run e;
+      Gc.full_major ();
+      let what = Printf.sprintf " (delay %d)" delay in
+      Alcotest.(check int) ("event ran" ^ what) 64 !ran;
+      Alcotest.(check bool)
+        ("captured value collected" ^ what)
+        false (Weak.check weak 0);
+      Alcotest.(check int)
+        ("engine still live, queue empty" ^ what)
+        0 (Engine.pending e))
+    [ 10; 0 ]
 
 let test_engine_order () =
   let e = Engine.create () in
@@ -85,6 +233,24 @@ let test_engine_until () =
   Alcotest.(check int) "clock clamped to until" 50 (Engine.now e);
   Engine.run e;
   Alcotest.(check int) "second event after resume" 2 !fired
+
+(* An [until] below the clock runs nothing and leaves the clock where
+   it is: lowering it would let a later event fire before one that
+   already ran. *)
+let test_engine_until_never_rewinds () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let record () = log := Engine.now e :: !log in
+  ignore (Engine.schedule e ~delay:100 record);
+  ignore (Engine.schedule e ~delay:300 record);
+  Engine.run ~until:200 e;
+  Alcotest.(check int) "clock at first until" 200 (Engine.now e);
+  Engine.run ~until:50 e;
+  Alcotest.(check int) "earlier until keeps the clock" 200 (Engine.now e);
+  ignore (Engine.schedule e ~delay:10 record);
+  Engine.run e;
+  Alcotest.(check (list int)) "fire times never decrease" [ 100; 210; 300 ]
+    (List.rev !log)
 
 let test_fiber_sleep () =
   let e = Engine.create () in
@@ -396,11 +562,14 @@ let test_par_resolve_jobs () =
 let suite =
   [ Alcotest.test_case "engine queue orders" `Quick test_engine_queue_orders;
     QCheck_alcotest.to_alcotest prop_engine_order;
+    QCheck_alcotest.to_alcotest prop_engine_nested_order;
     Alcotest.test_case "engine releases fired events" `Quick
       test_engine_releases_fired;
     Alcotest.test_case "engine order" `Quick test_engine_order;
     Alcotest.test_case "engine cancel" `Quick test_engine_cancel;
     Alcotest.test_case "engine until" `Quick test_engine_until;
+    Alcotest.test_case "engine until never rewinds" `Quick
+      test_engine_until_never_rewinds;
     Alcotest.test_case "fiber sleep" `Quick test_fiber_sleep;
     Alcotest.test_case "mailbox fifo" `Quick test_mailbox_basic;
     Alcotest.test_case "mailbox timeout" `Quick test_mailbox_timeout;

@@ -86,8 +86,9 @@ let custom_cmd =
       r.lat_mean_ms r.lat_p50_ms r.lat_p90_ms r.lat_p99_ms;
     Printf.printf "recoveries %.2f /s\n" r.rps;
     Printf.printf "cpu        %.0f%%\n" (100.0 *. r.cpu_util);
-    Printf.printf "fast/slow  %d/%d OBBC decisions\n" r.fast_decisions
-      r.slow_paths
+    Printf.printf "fast/slow  %d/%d OBBC decisions\n"
+      (Fl_metrics.Recorder.counter r.recorder "obbc_fast_decisions")
+      (Fl_metrics.Recorder.counter r.recorder "obbc_slow_paths")
   in
   Cmd.v
     (Cmd.info "custom" ~doc:"Run a single custom FLO configuration.")

@@ -137,7 +137,7 @@ let synth_block r ~view ~parent ~justify =
   in
   charge_hash r ~bytes:(body_bytes txs);
   charge_sign r;
-  Fl_metrics.Recorder.incr r.recorder "hs_signatures";
+  Fl_metrics.Recorder.incr r.recorder "signatures";
   let body = Block.body_hash txs in
   { b_view = view;
     b_parent = parent;
@@ -163,8 +163,8 @@ let commit_chain r b =
       Hashtbl.replace r.committed_set blk.b_hash ();
       r.committed_count <- r.committed_count + 1;
       let now = Engine.now r.engine in
-      Fl_metrics.Recorder.mark r.recorder "blocks_delivered" ~now 1;
-      Fl_metrics.Recorder.mark r.recorder "txs_delivered" ~now
+      Fl_metrics.Recorder.incr r.recorder "blocks_delivered";
+      Fl_metrics.Recorder.add r.recorder "txs_delivered"
         (Array.length blk.b_txs);
       Fl_metrics.Recorder.observe r.recorder "latency_e2e"
         (max 0 (now - blk.b_created)))
@@ -252,7 +252,7 @@ let handle r (src, m) =
           enter_view r b.b_view;
           reset_deadline r;
           charge_sign r;
-          Fl_metrics.Recorder.incr r.recorder "hs_signatures";
+          Fl_metrics.Recorder.incr r.recorder "signatures";
           Net.send r.net ~src:r.id
             ~dst:(leader_of r (b.b_view + 1))
             (encode (Vote { view = b.b_view; hash = b.b_hash }))
@@ -310,7 +310,7 @@ let create ?(seed = 42) ?(latency = Latency.single_dc)
     ~batch_size ~tx_size () =
   let engine = Engine.create () in
   let rng = Rng.create seed in
-  let recorder = Fl_metrics.Recorder.create () in
+  let recorder = Fl_metrics.Recorder.create engine in
   let nics = Array.init n (fun _ -> Nic.create ~bandwidth_bps) in
   let net =
     Net.create engine (Rng.named_split rng "net") ~nics ~latency ~decode

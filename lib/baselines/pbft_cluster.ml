@@ -43,7 +43,7 @@ let create ?(seed = 42) ?(latency = Latency.single_dc)
     ?(bandwidth_bps = Nic.ten_gbps) ~n ~f ~batch_size ~tx_size () =
   let engine = Engine.create () in
   let rng = Rng.create seed in
-  let recorder = Fl_metrics.Recorder.create () in
+  let recorder = Fl_metrics.Recorder.create engine in
   let nics = Array.init n (fun _ -> Nic.create ~bandwidth_bps) in
   let net =
     Net.create engine (Rng.named_split rng "net") ~nics ~latency
@@ -89,7 +89,7 @@ let create ?(seed = 42) ?(latency = Latency.single_dc)
             | Some node -> (
                 let now = Engine.now engine in
                 node.delivered <- node.delivered + 1;
-                Fl_metrics.Recorder.mark recorder "txs_delivered" ~now 1;
+                Fl_metrics.Recorder.incr recorder "txs_delivered";
                 match Hashtbl.find_opt node.submit_times (tx_digest tx) with
                 | Some at ->
                     Hashtbl.remove node.submit_times (tx_digest tx);

@@ -32,7 +32,7 @@ let create ?(seed = 42) ?(latency = Latency.single_dc)
   let genesis_epoch = Epoch.genesis ?members ~universe:n () in
   let engine = Engine.create () in
   let rng = Rng.create seed in
-  let recorder = Fl_metrics.Recorder.create () in
+  let recorder = Fl_metrics.Recorder.create engine in
   let registry =
     Fl_crypto.Signature.create_registry
       ~seed:(Printf.sprintf "cluster-%d" seed)

@@ -26,8 +26,8 @@ let mark_definite t =
         obs_span t ~name:"finality_delay" ~round:r
           ~args:[ ("proposer", string_of_int b.Block.header.Header.proposer) ]
           ~t_begin:pt.pt_c ~t_end:d ();
-        Fl_metrics.Recorder.mark (recorder t) "blocks_definite" ~now:d 1;
-        Fl_metrics.Recorder.mark (recorder t) "txs_definite" ~now:d
+        incr_c t "blocks_definite";
+        Fl_metrics.Recorder.add (recorder t) "txs_definite"
           b.Block.header.Header.tx_count;
         if b.Block.header.Header.proposer = me t then begin
           Hashtbl.remove t.own_in_flight b.Block.header.Header.body_hash;
@@ -105,7 +105,7 @@ let accept_block t (p : Types.proposal) txs ~header_at =
   Hashtbl.replace t.times r { pt_a = a; pt_b = header_at; pt_c = c };
   Fl_metrics.Recorder.observe (recorder t) "ev_ab" (max 0 (header_at - a));
   Fl_metrics.Recorder.observe (recorder t) "ev_bc" (max 0 (c - header_at));
-  Fl_metrics.Recorder.mark (recorder t) "blocks_tentative" ~now:c 1;
+  incr_c t "blocks_tentative";
   obs_span t ~name:"tentative" ~round:r
     ~args:[ ("proposer", string_of_int h.Header.proposer) ]
     ~t_begin:a ~t_end:c ();

@@ -33,7 +33,6 @@ let recovery t r =
   obs_instant t ~name:"recovery_start" ~round:r
     ~args:[ ("era", string_of_int t.era) ]
     ();
-  Fl_metrics.Recorder.mark (recorder t) "recoveries" ~now:(now t) 1;
   Detector.invalidate t.detector;
   let v = own_version t r in
   (match t.ab with Some ab -> Pbft.submit ab v | None -> assert false);

@@ -70,8 +70,8 @@ let rec drain t =
       t.rr <- (t.rr + 1) mod t.n_workers;
       t.delivered_blocks <- t.delivered_blocks + 1;
       if t.keep_log then Array.iter (log_push t) p.p_block.Block.txs;
-      Fl_metrics.Recorder.mark t.recorder "blocks_delivered" ~now 1;
-      Fl_metrics.Recorder.mark t.recorder "txs_delivered" ~now
+      Fl_metrics.Recorder.incr t.recorder "blocks_delivered";
+      Fl_metrics.Recorder.add t.recorder "txs_delivered"
         p.p_block.Block.header.Header.tx_count;
       Fl_metrics.Recorder.observe t.recorder "ev_de"
         (max 0 (now - p.p_times.Fl_fireledger.Instance.d));

@@ -108,9 +108,6 @@ type result = {
   ev_cd_ms : float;
   ev_de_ms : float;
   cpu_util : float;
-  fast_decisions : int;
-  slow_paths : int;
-  signatures : int;
   messages : int;
   recorder : Fl_metrics.Recorder.t;
 }
@@ -222,12 +219,6 @@ let distil ~n ~recorder ~cpus ~nets ~engine =
     ev_cd_ms = histo_mean_ms recorder "ev_cd";
     ev_de_ms = histo_mean_ms recorder "ev_de";
     cpu_util = util;
-    fast_decisions =
-      Fl_metrics.Recorder.counter recorder "obbc_fast_decisions";
-    slow_paths = Fl_metrics.Recorder.counter recorder "obbc_slow_paths";
-    signatures =
-      Fl_metrics.Recorder.counter recorder "signatures"
-      + Fl_metrics.Recorder.counter recorder "hs_signatures";
     messages;
     recorder }
 
@@ -267,16 +258,13 @@ let build_flo s =
   in
   Fl_metrics.Recorder.set_window cluster.Fl_flo.Cluster.recorder
     ~start:s.warmup ~stop:(s.warmup + s.duration);
-  (* omission-failure injection: probabilistic outbound loss *)
+  (* omission-failure injection: probabilistic outbound loss, in the
+     nets' own loss layer so that it composes with a crash's filter *)
   (match s.faults.loss with
   | None -> ()
   | Some (victim, prob) ->
-      let rng = Rng.create (s.seed + 17) in
-      let filter ~src ~dst:_ =
-        not (src = victim && Rng.float rng 1.0 < prob)
-      in
       Array.iter
-        (fun net -> Fl_net.Net.set_filter net (Some filter))
+        (fun net -> Fl_net.Net.set_loss net ~node:victim prob)
         cluster.Fl_flo.Cluster.nets);
   (match s.faults.crash_at with
   | None -> ()
@@ -339,52 +327,37 @@ type baseline_setting = {
   b_f : int;
   b_batch : int;
   b_tx_size : int;
-  b_machine : machine;
-  b_net : net_profile;
-  b_seed : int;
-  b_warmup : Time.t;
-  b_duration : Time.t;
 }
 
 let baseline ~n ~f ~batch ~tx_size =
-  { b_n = n;
-    b_f = f;
-    b_batch = batch;
-    b_tx_size = tx_size;
-    b_machine = c5_4xlarge;
-    b_net = Single_dc;
-    b_seed = 42;
-    b_warmup = Time.s 1;
-    b_duration = Time.s 4 }
+  { b_n = n; b_f = f; b_batch = batch; b_tx_size = tx_size }
+
+(* Both rivals run on the c5.4xlarge profile in one data centre, with
+   the default seed, 1 s of warm-up and 4 s of measurement. [create]
+   builds the rival and returns its engine, its recorder and how to
+   run it to a given time. *)
+let run_baseline s create =
+  let m = c5_4xlarge and warmup = Time.s 1 and stop = Time.s 5 in
+  let engine, recorder, run =
+    create ~cost:m.cost ~cores:m.cores ~bandwidth_bps:m.bandwidth_bps
+      ~n:s.b_n ~f:s.b_f ~batch_size:s.b_batch ~tx_size:s.b_tx_size
+  in
+  Fl_metrics.Recorder.set_window recorder ~start:warmup ~stop;
+  account ~engine (fun () -> run stop);
+  distil ~n:s.b_n ~recorder ~cpus:[||] ~nets:[||] ~engine
 
 let run_hotstuff s =
-  let hs =
-    Fl_baselines.Hotstuff.create ~seed:s.b_seed
-      ~latency:(latency_of ~net:s.b_net ~n:s.b_n)
-      ~cost:s.b_machine.cost ~cores:s.b_machine.cores
-      ~bandwidth_bps:s.b_machine.bandwidth_bps ~n:s.b_n ~f:s.b_f
-      ~batch_size:s.b_batch ~tx_size:s.b_tx_size ()
-  in
-  Fl_metrics.Recorder.set_window hs.Fl_baselines.Hotstuff.recorder
-    ~start:s.b_warmup ~stop:(s.b_warmup + s.b_duration);
-  account ~engine:hs.Fl_baselines.Hotstuff.engine (fun () ->
-      Fl_baselines.Hotstuff.start hs;
-      Fl_baselines.Hotstuff.run ~until:(s.b_warmup + s.b_duration) hs);
-  distil ~n:s.b_n ~recorder:hs.Fl_baselines.Hotstuff.recorder ~cpus:[||]
-    ~nets:[||] ~engine:hs.Fl_baselines.Hotstuff.engine
+  run_baseline s (fun ~cost ~cores ~bandwidth_bps ~n ~f ~batch_size ~tx_size ->
+      let open Fl_baselines.Hotstuff in
+      let c =
+        create ~cost ~cores ~bandwidth_bps ~n ~f ~batch_size ~tx_size ()
+      in
+      (c.engine, c.recorder, fun until -> start c; run ~until c))
 
 let run_pbft s =
-  let pb =
-    Fl_baselines.Pbft_cluster.create ~seed:s.b_seed
-      ~latency:(latency_of ~net:s.b_net ~n:s.b_n)
-      ~cost:s.b_machine.cost ~cores:s.b_machine.cores
-      ~bandwidth_bps:s.b_machine.bandwidth_bps ~n:s.b_n ~f:s.b_f
-      ~batch_size:s.b_batch ~tx_size:s.b_tx_size ()
-  in
-  Fl_metrics.Recorder.set_window pb.Fl_baselines.Pbft_cluster.recorder
-    ~start:s.b_warmup ~stop:(s.b_warmup + s.b_duration);
-  account ~engine:pb.Fl_baselines.Pbft_cluster.engine (fun () ->
-      Fl_baselines.Pbft_cluster.start pb;
-      Fl_baselines.Pbft_cluster.run ~until:(s.b_warmup + s.b_duration) pb);
-  distil ~n:s.b_n ~recorder:pb.Fl_baselines.Pbft_cluster.recorder ~cpus:[||]
-    ~nets:[||] ~engine:pb.Fl_baselines.Pbft_cluster.engine
+  run_baseline s (fun ~cost ~cores ~bandwidth_bps ~n ~f ~batch_size ~tx_size ->
+      let open Fl_baselines.Pbft_cluster in
+      let c =
+        create ~cost ~cores ~bandwidth_bps ~n ~f ~batch_size ~tx_size ()
+      in
+      (c.engine, c.recorder, fun until -> start c; run ~until c))

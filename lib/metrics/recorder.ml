@@ -1,31 +1,43 @@
 open Fl_sim
 
+type count = { mutable total : int; mutable windowed : int }
+
 type t = {
-  counters : (string, int ref) Hashtbl.t;
+  engine : Engine.t;
+  counts : (string, count) Hashtbl.t;
   histos : (string, Histogram.t) Hashtbl.t;
-  marks : (string, int ref) Hashtbl.t;
   mutable window_start : Time.t;
   mutable window_stop : Time.t;
 }
 
-let create () =
-  { counters = Hashtbl.create 32;
+let create engine =
+  { engine;
+    counts = Hashtbl.create 32;
     histos = Hashtbl.create 32;
-    marks = Hashtbl.create 32;
     window_start = 0;
     window_stop = 0 }
 
-let counter_ref t name =
-  match Hashtbl.find_opt t.counters name with
-  | Some r -> r
-  | None ->
-      let r = ref 0 in
-      Hashtbl.add t.counters name r;
-      r
+let add t name k =
+  let c =
+    match Hashtbl.find_opt t.counts name with
+    | Some c -> c
+    | None ->
+        let c = { total = 0; windowed = 0 } in
+        Hashtbl.add t.counts name c;
+        c
+  in
+  c.total <- c.total + k;
+  let now = Engine.now t.engine in
+  if now >= t.window_start && now < t.window_stop then
+    c.windowed <- c.windowed + k
 
-let incr t name = Stdlib.incr (counter_ref t name)
-let add t name k = counter_ref t name := !(counter_ref t name) + k
-let counter t name = match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
+let incr t name = add t name 1
+
+let counter t name =
+  match Hashtbl.find_opt t.counts name with Some c -> c.total | None -> 0
+
+let windowed_count t name =
+  match Hashtbl.find_opt t.counts name with Some c -> c.windowed | None -> 0
 
 let observe t name v =
   let h =
@@ -45,39 +57,18 @@ let set_window t ~start ~stop =
   t.window_start <- start;
   t.window_stop <- stop
 
-let mark t name ~now k =
-  if now >= t.window_start && now < t.window_stop && t.window_stop > 0 then begin
-    let r =
-      match Hashtbl.find_opt t.marks name with
-      | Some r -> r
-      | None ->
-          let r = ref 0 in
-          Hashtbl.add t.marks name r;
-          r
-    in
-    r := !r + k
-  end
-
-let windowed_count t name =
-  match Hashtbl.find_opt t.marks name with Some r -> !r | None -> 0
-
 let rate_per_s t name =
   let span = t.window_stop - t.window_start in
   if span <= 0 then 0.0
   else float_of_int (windowed_count t name) /. Time.to_float_s span
 
 let counters t =
-  Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.counters []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  let windowed c =
+    if t.window_stop > t.window_start then Some c.windowed else None
+  in
+  Hashtbl.fold (fun k c acc -> (k, c.total, windowed c) :: acc) t.counts []
+  |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
 
 let histograms t =
   Hashtbl.fold (fun k h acc -> (k, h) :: acc) t.histos []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let marks t =
-  Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.marks []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let window t =
-  if t.window_stop > t.window_start then Some (t.window_start, t.window_stop)
-  else None

@@ -175,18 +175,16 @@ let prometheus ?recorder ?obs () =
   (match recorder with
   | None -> ()
   | Some r ->
+      let counter n v =
+        line "# TYPE %s counter" n;
+        line "%s %d" n v
+      in
+      let counters = Fl_metrics.Recorder.counters r in
+      List.iter (fun (name, v, _) -> counter (prom_name name) v) counters;
       List.iter
-        (fun (name, v) ->
-          let n = prom_name name in
-          line "# TYPE %s counter" n;
-          line "%s %d" n v)
-        (Fl_metrics.Recorder.counters r);
-      List.iter
-        (fun (name, v) ->
-          let n = prom_name name ^ "_total" in
-          line "# TYPE %s counter" n;
-          line "%s %d" n v)
-        (Fl_metrics.Recorder.marks r);
+        (fun (name, _, windowed) ->
+          Option.iter (counter (prom_name name ^ "_total")) windowed)
+        counters;
       List.iter
         (fun (name, h) ->
           let n = prom_name name in

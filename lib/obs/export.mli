@@ -13,8 +13,8 @@
     - {b JSONL} ({!jsonl}): one structured object per line with raw
       nanosecond times — for jq / scripted analysis.
     - {b Prometheus text} ({!prometheus}): a point-in-time snapshot of
-      every {!Fl_metrics.Recorder} counter, windowed series and
-      histogram (as a quantile summary), plus the last value of every
+      every {!Fl_metrics.Recorder} counter (whole-run and in-window)
+      and histogram (as a quantile summary), plus the last value of every
       {!Obs} gauge.
 
     All output is deterministic: events render in emission order and
@@ -41,7 +41,9 @@ val jsonl : Obs.event list -> string
 val prometheus :
   ?recorder:Fl_metrics.Recorder.t -> ?obs:Obs.t -> unit -> string
 (** Metric names are prefixed ["fl_"] and sanitised to the Prometheus
-    grammar. Histograms render as summaries with
+    grammar. A counter renders as [fl_<name>] (its whole-run count)
+    and, once the recorder has a window, [fl_<name>_total] (its
+    in-window count). Histograms render as summaries with
     [quantile="0.5"|"0.9"|"0.99"] labels plus [_sum]/[_count]. *)
 
 val write_file : path:string -> string -> unit

@@ -35,7 +35,7 @@ let test_hotstuff_signature_count () =
   let hs = Hotstuff.create ~n ~f:1 ~batch_size:50 ~tx_size:64 () in
   Hotstuff.start hs;
   Hotstuff.run ~until:(Time.s 2) hs;
-  let sigs = Fl_metrics.Recorder.counter hs.Hotstuff.recorder "hs_signatures" in
+  let sigs = Fl_metrics.Recorder.counter hs.Hotstuff.recorder "signatures" in
   let proposals =
     Fl_metrics.Recorder.counter hs.Hotstuff.recorder "hs_proposals"
   in
@@ -99,20 +99,12 @@ let test_pbft_slower_than_flo_shape () =
   let flo =
     Settings.run_flo
       { (Settings.flo ~n:4 ~workers:4 ~batch:100 ~tx_size:512) with
-        Settings.duration = Time.s 2 }
+        Settings.duration = Time.s 2;
+        machine = Settings.c5_4xlarge }
   in
-  let pbft =
-    Settings.run_pbft
-      { (Settings.baseline ~n:4 ~f:1 ~batch:100 ~tx_size:512) with
-        Settings.b_duration = Time.s 2;
-        b_machine = Settings.m5_xlarge }
-  in
-  let hs =
-    Settings.run_hotstuff
-      { (Settings.baseline ~n:4 ~f:1 ~batch:100 ~tx_size:512) with
-        Settings.b_duration = Time.s 2;
-        b_machine = Settings.m5_xlarge }
-  in
+  let rival = Settings.baseline ~n:4 ~f:1 ~batch:100 ~tx_size:512 in
+  let pbft = Settings.run_pbft rival in
+  let hs = Settings.run_hotstuff rival in
   Alcotest.(check bool)
     (Printf.sprintf "FLO (%.0f) > HotStuff (%.0f) tps" flo.Settings.tps
        hs.Settings.tps)

@@ -65,8 +65,56 @@ let test_loss_fault_injection () =
   in
   let r = Settings.run_flo s in
   Alcotest.(check bool) "slow paths under omission" true
-    (r.Settings.slow_paths > 0);
+    (Fl_metrics.Recorder.counter r.Settings.recorder "obbc_slow_paths" > 0);
   Alcotest.(check bool) "still delivering" true (r.Settings.tps > 0.0)
+
+(* A crash installs its own filter on every net; the loss a setting asks
+   for must survive it. Node 1 loses every outbound frame, so it puts
+   no byte on the wire to node 0, whether or not node 3 crashes. *)
+let test_loss_survives_crash () =
+  List.iter
+    (fun crash_at ->
+      let s =
+        { (quick ~n:4 ~workers:1) with
+          Settings.faults =
+            { Settings.no_faults with Settings.loss = Some (1, 1.0); crash_at }
+        }
+      in
+      let cluster = Settings.build_flo s in
+      ignore (Settings.run_cluster s cluster);
+      Alcotest.(check int)
+        (Printf.sprintf "bytes on 1->0 (crash: %b)" (crash_at <> None))
+        0
+        (Array.fold_left
+           (fun acc net -> acc + Fl_net.Net.link_bytes net ~src:1 ~dst:0)
+           0 cluster.Fl_flo.Cluster.nets))
+    [ None; Some (Time.ms 500, [ 3 ]) ]
+
+(* Table 1 divides like by like: in-window signatures and verifications
+   over in-window blocks. A fault-free block costs its proposer's one
+   signature and one verification at each of the n nodes (§5, §7). *)
+let test_table1_costs_per_block () =
+  List.iter
+    (fun n ->
+      let r =
+        Settings.run_flo
+          { (Settings.flo ~n ~workers:1 ~batch:100 ~tx_size:512) with
+            Settings.warmup = Time.ms 300;
+            duration = Time.ms 700 }
+      in
+      let windowed = Fl_metrics.Recorder.windowed_count r.Settings.recorder in
+      let blocks = float_of_int (windowed "blocks_delivered" / n) in
+      let per_block name = float_of_int (windowed name) /. blocks in
+      let near what ~want got =
+        Alcotest.(check bool)
+          (Printf.sprintf "n=%d: %s per block %.3f, want %g +- 2%%" n what
+             got want)
+          true
+          (blocks > 0. && Float.abs (got -. want) <= 0.02 *. want)
+      in
+      near "signatures" ~want:1.0 (per_block "signatures");
+      near "verifications" ~want:(float_of_int n) (per_block "verifications"))
+    [ 4; 7 ]
 
 let test_latency_cdf () =
   let cdf = Settings.latency_cdf (quick ~n:4 ~workers:1) ~points:10 in
@@ -163,6 +211,9 @@ let suite =
     Alcotest.test_case "byzantine injection" `Quick
       test_byzantine_fault_injection;
     Alcotest.test_case "loss injection" `Quick test_loss_fault_injection;
+    Alcotest.test_case "loss survives a crash" `Quick test_loss_survives_crash;
+    Alcotest.test_case "table 1 costs per block" `Quick
+      test_table1_costs_per_block;
     Alcotest.test_case "latency cdf" `Quick test_latency_cdf;
     Alcotest.test_case "experiment registry" `Quick test_experiment_registry;
     Alcotest.test_case "persist_of_string rejects bad spans" `Quick

@@ -153,7 +153,7 @@ let test_mempool_priority_and_eviction () =
 let test_source_telescoping_and_conservation () =
   let open Fl_chain in
   let engine = Engine.create () in
-  let recorder = Fl_metrics.Recorder.create () in
+  let recorder = Fl_metrics.Recorder.create engine in
   let pool = Mempool.create ~capacity:200 () in
   let arrivals = Arrivals.create ~rate_per_s:2000.0 () in
   let cfg =

@@ -247,10 +247,10 @@ let test_jsonl () =
     (contains out "\"dur\":-300")
 
 let test_prometheus () =
-  let r = Fl_metrics.Recorder.create () in
+  let r = Fl_metrics.Recorder.create (Engine.create ()) in
   Fl_metrics.Recorder.incr r "my_counter";
   Fl_metrics.Recorder.set_window r ~start:0 ~stop:1000;
-  Fl_metrics.Recorder.mark r "marked" ~now:10 3;
+  Fl_metrics.Recorder.add r "marked" 3;
   Fl_metrics.Recorder.observe r "lat ms" 5;
   Fl_metrics.Recorder.observe r "lat ms" 7;
   let sink = sample_sink () in
@@ -261,6 +261,10 @@ let test_prometheus () =
         (contains out needle))
     [ "fl_my_counter 1";
       "fl_marked_total 3";
+      (* every counter reads both ways once a window is set; a count
+         made before the window existed is whole-run only *)
+      "fl_marked 3";
+      "fl_my_counter_total 0";
       (* name sanitised to the Prometheus grammar *)
       "fl_lat_ms{quantile=\"0.5\"} 5";
       "fl_lat_ms{quantile=\"0.99\"} 7";

@@ -36,7 +36,7 @@ let make ?(seed = 42) ?(latency = Latency.single_dc) ?(cores = 4) ~n ~key
   let cpus = Array.init n (fun _ -> Cpu.create engine ~cores) in
   { engine;
     rng;
-    recorder = Fl_metrics.Recorder.create ();
+    recorder = Fl_metrics.Recorder.create engine;
     nics;
     net;
     hubs = Array.make n None;

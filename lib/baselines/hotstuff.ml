@@ -2,6 +2,7 @@ open Fl_sim
 open Fl_net
 open Fl_chain
 open Fl_wire
+open Fl_consensus
 
 type qc = { qc_view : int; qc_hash : string }
 
@@ -98,8 +99,8 @@ type replica = {
   mutable high_qc : qc;
   mutable locked : qc;
   blocks : (string, hs_block) Hashtbl.t;
-  votes : (int * string, (int, unit) Hashtbl.t) Hashtbl.t;
-  new_views : (int, (int, unit) Hashtbl.t) Hashtbl.t;
+  votes : (int * string, unit) Tally.t;
+  new_views : (int, unit) Tally.t;
   proposed : (int, unit) Hashtbl.t;
   mutable committed : string list;  (* newest first *)
   committed_set : (string, unit) Hashtbl.t;
@@ -214,26 +215,6 @@ let propose r ~view =
     Net.broadcast r.net ~src:r.id (encode (Proposal b))
   end
 
-let add_set tbl key src =
-  let s =
-    match Hashtbl.find_opt tbl key with
-    | Some s -> s
-    | None ->
-        let s = Hashtbl.create 8 in
-        Hashtbl.add tbl key s;
-        s
-  in
-  if Hashtbl.mem s src then false
-  else begin
-    Hashtbl.add s src ();
-    true
-  end
-
-let set_size tbl key =
-  match Hashtbl.find_opt tbl key with
-  | Some s -> Hashtbl.length s
-  | None -> 0
-
 let handle r (src, m) =
   match m with
   | Proposal b ->
@@ -262,8 +243,8 @@ let handle r (src, m) =
       if leader_of r (view + 1) = r.id then begin
         charge_verify r;
         if
-          add_set r.votes (view, hash) src
-          && set_size r.votes (view, hash) = quorum r
+          Tally.add r.votes (view, hash) ~src ()
+          && Tally.count r.votes (view, hash) = quorum r
         then begin
           let q = { qc_view = view; qc_hash = hash } in
           update_high_qc r q;
@@ -274,7 +255,9 @@ let handle r (src, m) =
   | New_view { view; qc } ->
       update_high_qc r qc;
       if leader_of r view = r.id then
-        if add_set r.new_views view src && set_size r.new_views view = quorum r
+        if
+          Tally.add r.new_views view ~src ()
+          && Tally.count r.new_views view = quorum r
         then begin
           enter_view r view;
           propose r ~view
@@ -335,8 +318,8 @@ let create ?(seed = 42) ?(latency = Latency.single_dc)
               high_qc = genesis_qc;
               locked = genesis_qc;
               blocks = Hashtbl.create 256;
-              votes = Hashtbl.create 64;
-              new_views = Hashtbl.create 16;
+              votes = Tally.create 64;
+              new_views = Tally.create 16;
               proposed = Hashtbl.create 64;
               committed = [];
               committed_set = Hashtbl.create 1024;

@@ -1,6 +1,7 @@
 open Fl_sim
 open Fl_net
 open Fl_wire
+open Fl_consensus
 
 type 'a msg =
   | Send of { origin : int; tag : int; payload : 'a }
@@ -43,8 +44,8 @@ type 'a instance = {
   mutable readied : bool;
   mutable delivered : bool;
   mutable conflicted : bool;
-  echoes : (string, (int, unit) Hashtbl.t) Hashtbl.t;
-  readies : (string, (int, unit) Hashtbl.t) Hashtbl.t;
+  echoes : (string, unit) Tally.t;
+  readies : (string, unit) Tally.t;
   payloads : (string, 'a) Hashtbl.t;
 }
 
@@ -67,8 +68,8 @@ let instance t key =
           readied = false;
           delivered = false;
           conflicted = false;
-          echoes = Hashtbl.create 4;
-          readies = Hashtbl.create 4;
+          echoes = Tally.create 4;
+          readies = Tally.create 4;
           payloads = Hashtbl.create 2 }
       in
       Hashtbl.add t.instances key i;
@@ -87,26 +88,6 @@ let note_payload t i digest payload =
     end
   end
 
-let add_vote tbl digest src =
-  let s =
-    match Hashtbl.find_opt tbl digest with
-    | Some s -> s
-    | None ->
-        let s = Hashtbl.create 8 in
-        Hashtbl.add tbl digest s;
-        s
-  in
-  if Hashtbl.mem s src then false
-  else begin
-    Hashtbl.add s src ();
-    true
-  end
-
-let vote_count tbl digest =
-  match Hashtbl.find_opt tbl digest with
-  | Some s -> Hashtbl.length s
-  | None -> 0
-
 let bcast t m = t.channel.Channel.bcast m
 
 let send_ready t key i payload digest =
@@ -120,11 +101,11 @@ let send_ready t key i payload digest =
 let try_deliver t key i digest =
   let f = t.channel.Channel.f in
   (match Hashtbl.find_opt i.payloads digest with
-  | Some payload when vote_count i.readies digest >= f + 1 ->
+  | Some payload when Tally.count i.readies digest >= f + 1 ->
       (* Ready amplification: f+1 READYs imply a correct READY. *)
       send_ready t key i payload digest
   | _ -> ());
-  if (not i.delivered) && vote_count i.readies digest >= (2 * f) + 1 then
+  if (not i.delivered) && Tally.count i.readies digest >= (2 * f) + 1 then
     match Hashtbl.find_opt i.payloads digest with
     | Some payload ->
         i.delivered <- true;
@@ -148,16 +129,16 @@ let handle t (src, msg) =
   | Echo { origin; tag; payload } ->
       let i = instance t (origin, tag) in
       let digest = t.payload_digest payload in
-      if add_vote i.echoes digest src then begin
+      if Tally.add i.echoes digest ~src () then begin
         note_payload t i digest payload;
-        if vote_count i.echoes digest >= (2 * t.channel.Channel.f) + 1 then
+        if Tally.count i.echoes digest >= (2 * t.channel.Channel.f) + 1 then
           send_ready t (origin, tag) i payload digest;
         try_deliver t (origin, tag) i digest
       end
   | Ready { origin; tag; payload } ->
       let i = instance t (origin, tag) in
       let digest = t.payload_digest payload in
-      if add_vote i.readies digest src then begin
+      if Tally.add i.readies digest ~src () then begin
         note_payload t i digest payload;
         try_deliver t (origin, tag) i digest
       end

@@ -343,32 +343,17 @@ let finish ?expect_accused ?(departed = []) ?(excused = []) t ~cluster ~faulty
           (String.concat ";" (List.map string_of_int expected))
   | _ -> ());
   (* pairwise definite-prefix agreement over non-crashed nodes *)
-  for i = 0 to t.n - 1 do
-    for j = i + 1 to t.n - 1 do
-      if (not (crashed i)) && not (crashed j) then begin
-        let upto =
-          min (Instance.definite_upto (inst i)) (Instance.definite_upto (inst j))
-        in
-        let r = ref 0 and ok = ref true in
-        while !ok && !r <= upto do
-          (match
-             ( Store.get (Instance.store (inst i)) !r,
-               Store.get (Instance.store (inst j)) !r )
-           with
-          | Some a, Some b when String.equal (Block.hash a) (Block.hash b) -> ()
-          | Some _, Some _ ->
-              ok := false;
-              flag t ~oracle:"agreement" ~node:i ~round:!r
-                "final definite prefixes of nodes %d and %d diverge" i j
-          | _ ->
-              ok := false;
-              flag t ~oracle:"agreement" ~node:i ~round:!r
-                "definite round %d missing from a store" !r);
-          incr r
-        done
-      end
-    done
-  done;
+  List.iter
+    (fun (i, j, r, split) ->
+      match split with
+      | Cluster.Diverged ->
+          flag t ~oracle:"agreement" ~node:i ~round:r
+            "final definite prefixes of nodes %d and %d diverge" i j
+      | Cluster.Missing ->
+          flag t ~oracle:"agreement" ~node:i ~round:r
+            "definite round %d missing from a store" r)
+    (Cluster.disagreements ~crashed:cluster.Cluster.crashed
+       cluster.Cluster.instances);
   (* chain integrity *)
   for i = 0 to t.n - 1 do
     if (not (crashed i)) && not (Store.check_integrity (Instance.store (inst i)))

@@ -38,40 +38,22 @@ let read_msg r =
   | 3 -> Stop
   | t -> raise (Codec.Malformed (Printf.sprintf "bbc: tag %d" t))
 
-(* Per-instance state. Tables are keyed by (round, value); the sender
-   sets prevent Byzantine double-counting. *)
+(* Per-instance state. EST is tallied by (round, value), AUX by round
+   and DECIDE by value; the tallies prevent Byzantine double-counting. *)
 type state = {
   engine : Engine.t;
   recorder : Fl_metrics.Recorder.t;
   coin : Coin.t;
   channel : msg Channel.t;
-  est_senders : (int * bool, (int, unit) Hashtbl.t) Hashtbl.t;
+  est_senders : (int * bool, unit) Tally.t;
   est_relayed : (int * bool, unit) Hashtbl.t;
   bin_values : (int, bool list ref) Hashtbl.t;
-  aux_votes : (int, (int, bool) Hashtbl.t) Hashtbl.t;
-  decide_senders : (bool, (int, unit) Hashtbl.t) Hashtbl.t;
+  aux_votes : (int, bool) Tally.t;
+  decide_senders : (bool, unit) Tally.t;
   mutable decide_relayed : bool;
   decision : bool Ivar.t;
   mutable halted : bool;
 }
-
-let senders tbl key =
-  match Hashtbl.find_opt tbl key with
-  | Some s -> s
-  | None ->
-      let s = Hashtbl.create 8 in
-      Hashtbl.add tbl key s;
-      s
-
-let add_sender tbl key src =
-  let s = senders tbl key in
-  if Hashtbl.mem s src then false
-  else begin
-    Hashtbl.add s src ();
-    true
-  end
-
-let count tbl key = Hashtbl.length (senders tbl key)
 
 let bin_values t r =
   match Hashtbl.find_opt t.bin_values r with
@@ -109,25 +91,16 @@ let handle t (src, msg) =
   match msg with
   | Stop -> t.halted <- true
   | Est { round = r; value = v } ->
-      if add_sender t.est_senders (r, v) src then begin
-        let c = count t.est_senders (r, v) in
+      if Tally.add t.est_senders (r, v) ~src () then begin
+        let c = Tally.count t.est_senders (r, v) in
         let f = t.channel.Channel.f in
         if c >= f + 1 then bcast_est t r v;
         if c >= (2 * f) + 1 then add_bin_value t r v
       end
-  | Aux { round = r; value = v } ->
-      let votes =
-        match Hashtbl.find_opt t.aux_votes r with
-        | Some h -> h
-        | None ->
-            let h = Hashtbl.create 8 in
-            Hashtbl.add t.aux_votes r h;
-            h
-      in
-      if not (Hashtbl.mem votes src) then Hashtbl.add votes src v
+  | Aux { round = r; value = v } -> ignore (Tally.add t.aux_votes r ~src v)
   | Decide v ->
-      if add_sender t.decide_senders v src then begin
-        let c = count t.decide_senders v in
+      if Tally.add t.decide_senders v ~src () then begin
+        let c = Tally.count t.decide_senders v in
         let f = t.channel.Channel.f in
         if c >= f + 1 then begin
           (* At least one correct node decided v: adopt and relay. *)
@@ -141,15 +114,12 @@ let handle t (src, msg) =
    bin_values(r). Returns (distinct sender count, value set). *)
 let aux_support t r =
   let bins = bin_values t r in
-  match Hashtbl.find_opt t.aux_votes r with
-  | None -> (0, [])
-  | Some votes ->
-      Hashtbl.fold
-        (fun _src v (c, vals) ->
-          if List.mem v bins then
-            (c + 1, if List.mem v vals then vals else v :: vals)
-          else (c, vals))
-        votes (0, [])
+  Tally.fold t.aux_votes r
+    (fun _src v (c, vals) ->
+      if List.mem v bins then
+        (c + 1, if List.mem v vals then vals else v :: vals)
+      else (c, vals))
+    (0, [])
 
 let state_machine t v0 =
   let wait cond =
@@ -213,11 +183,11 @@ let start engine ~recorder ~coin ~channel v =
       recorder;
       coin;
       channel;
-      est_senders = Hashtbl.create 16;
+      est_senders = Tally.create 16;
       est_relayed = Hashtbl.create 16;
       bin_values = Hashtbl.create 8;
-      aux_votes = Hashtbl.create 8;
-      decide_senders = Hashtbl.create 4;
+      aux_votes = Tally.create 8;
+      decide_senders = Tally.create 4;
       decide_relayed = false;
       decision = Ivar.create engine;
       halted = false }

@@ -160,11 +160,9 @@ type 'a t = {
   mutable last_exec : int;
   mutable next_seq : int;   (* last sequence number proposed (leader) *)
   log : (int, 'a entry) Hashtbl.t;
-  prepare_votes : (int * int * string, (int, unit) Hashtbl.t) Hashtbl.t;
-  commit_votes : (int * int * string, (int, unit) Hashtbl.t) Hashtbl.t;
-  vc_store :
-    (int, (int, int * (int * int * string * 'a list) list) Hashtbl.t)
-    Hashtbl.t;
+  prepare_votes : (int * int * string, unit) Tally.t;
+  commit_votes : (int * int * string, unit) Tally.t;
+  vc_store : (int, int * (int * int * string * 'a list) list) Tally.t;
   new_view_done : (int, unit) Hashtbl.t;
   pending : 'a Queue.t;         (* leader: submissions not yet proposed *)
   proposed : (string, unit) Hashtbl.t;  (* leader: digests already batched *)
@@ -201,24 +199,6 @@ let entry t seq =
       in
       Hashtbl.add t.log seq e;
       e
-
-let votes tbl key =
-  match Hashtbl.find_opt tbl key with
-  | Some s -> s
-  | None ->
-      let s = Hashtbl.create 8 in
-      Hashtbl.add tbl key s;
-      s
-
-let add_vote tbl key src =
-  let s = votes tbl key in
-  if Hashtbl.mem s src then false
-  else begin
-    Hashtbl.add s src ();
-    true
-  end
-
-let vote_count tbl key = Hashtbl.length (votes tbl key)
 
 let bcast t m = t.channel.Channel.bcast m
 let send t ~dst m = t.channel.Channel.send ~dst m
@@ -282,14 +262,14 @@ let try_advance t seq =
   | None -> ()
   | Some _ ->
       let key = (e.e_view, seq, e.digest) in
-      if (not e.prepared) && vote_count t.prepare_votes key >= quorum t
+      if (not e.prepared) && Tally.count t.prepare_votes key >= quorum t
       then begin
         e.prepared <- true;
         bcast t (Commit { view = e.e_view; seq; digest = e.digest })
       end;
       if
         e.prepared && (not e.committed)
-        && vote_count t.commit_votes key >= quorum t
+        && Tally.count t.commit_votes key >= quorum t
       then begin
         e.committed <- true;
         try_execute t
@@ -426,41 +406,33 @@ let handle t (src, msg) =
       end
   | Prepare { view; seq; digest } ->
       Cpu.charge t.cpu vote_cpu;
-      if add_vote t.prepare_votes (view, seq, digest) src then
+      if Tally.add t.prepare_votes (view, seq, digest) ~src () then
         try_advance t seq
   | Commit { view; seq; digest } ->
       Cpu.charge t.cpu vote_cpu;
-      if add_vote t.commit_votes (view, seq, digest) src then
+      if Tally.add t.commit_votes (view, seq, digest) ~src () then
         try_advance t seq
   | View_change { new_view; last_exec; prepared } ->
-      if new_view > t.view then begin
-        let store =
-          match Hashtbl.find_opt t.vc_store new_view with
-          | Some s -> s
-          | None ->
-              let s = Hashtbl.create 8 in
-              Hashtbl.add t.vc_store new_view s;
-              s
-        in
-        if not (Hashtbl.mem store src) then begin
-          Hashtbl.add store src (last_exec, prepared);
-          let c = Hashtbl.length store in
-          (* Join a view change backed by at least one correct node. *)
-          if c >= t.channel.Channel.f + 1 then start_view_change t new_view;
-          if
-            c >= quorum t
-            && leader_of t new_view = t.channel.Channel.self
-            && (not (Hashtbl.mem t.new_view_done new_view))
-            && t.view < new_view
-          then begin
-            Hashtbl.add t.new_view_done new_view ();
-            let vcs =
-              Hashtbl.fold (fun s d acc -> (s, d) :: acc) store []
-              |> List.sort (fun (a, _) (b, _) -> compare a b)
-              |> List.filteri (fun i _ -> i < quorum t)
-            in
-            bcast t (New_view { view = new_view; vcs })
-          end
+      if
+        new_view > t.view
+        && Tally.add t.vc_store new_view ~src (last_exec, prepared)
+      then begin
+        let c = Tally.count t.vc_store new_view in
+        (* Join a view change backed by at least one correct node. *)
+        if c >= t.channel.Channel.f + 1 then start_view_change t new_view;
+        if
+          c >= quorum t
+          && leader_of t new_view = t.channel.Channel.self
+          && (not (Hashtbl.mem t.new_view_done new_view))
+          && t.view < new_view
+        then begin
+          Hashtbl.add t.new_view_done new_view ();
+          let vcs =
+            Tally.fold t.vc_store new_view (fun s d acc -> (s, d) :: acc) []
+            |> List.sort (fun (a, _) (b, _) -> compare a b)
+            |> List.filteri (fun i _ -> i < quorum t)
+          in
+          bcast t (New_view { view = new_view; vcs })
         end
       end
   | New_view { view; vcs } ->
@@ -490,9 +462,9 @@ let create engine ~recorder ~channel ~cpu ~config ~deliver =
       last_exec = 0;
       next_seq = 0;
       log = Hashtbl.create 64;
-      prepare_votes = Hashtbl.create 64;
-      commit_votes = Hashtbl.create 64;
-      vc_store = Hashtbl.create 4;
+      prepare_votes = Tally.create 64;
+      commit_votes = Tally.create 64;
+      vc_store = Tally.create 4;
       new_view_done = Hashtbl.create 4;
       pending = Queue.create ();
       proposed = Hashtbl.create 64;

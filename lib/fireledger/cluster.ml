@@ -3,7 +3,6 @@ open Fl_net
 
 type t = {
   engine : Engine.t;
-  rng : Rng.t;
   recorder : Fl_metrics.Recorder.t;
   registry : Fl_crypto.Signature.registry;
   nics : Nic.t array;
@@ -95,7 +94,6 @@ let create ?(seed = 42) ?(latency = Latency.single_dc)
         net;
         hub;
         me = i;
-        f = config.Config.f;
         seed;
         label = "w0";
         obs;
@@ -116,7 +114,6 @@ let create ?(seed = 42) ?(latency = Latency.single_dc)
   in
   let instances = Array.init n (fun i -> mk_instance i ~incarnation:0) in
   { engine;
-    rng;
     recorder;
     registry;
     nics;
@@ -164,30 +161,39 @@ let restart t i =
 
 let run ?until t = Engine.run ?until t.engine
 
-let agreement ~crashed instances =
-  let ok = ref true in
+type split = Diverged | Missing
+
+let disagreements ~crashed instances =
   let n = Array.length instances in
+  let first_split a b =
+    let upto = min (Instance.definite_upto a) (Instance.definite_upto b) in
+    let rec walk r =
+      if r > upto then None
+      else
+        match
+          ( Fl_chain.Store.get (Instance.store a) r,
+            Fl_chain.Store.get (Instance.store b) r )
+        with
+        | Some ba, Some bb ->
+            if
+              String.equal (Fl_chain.Block.hash ba) (Fl_chain.Block.hash bb)
+            then walk (r + 1)
+            else Some (r, Diverged)
+        | _ -> Some (r, Missing)
+    in
+    walk 0
+  in
+  let acc = ref [] in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      if (not (Hashtbl.mem crashed i)) && not (Hashtbl.mem crashed j) then begin
-        let a = instances.(i) and b = instances.(j) in
-        let upto = min (Instance.definite_upto a) (Instance.definite_upto b) in
-        for r = 0 to upto do
-          match
-            ( Fl_chain.Store.get (Instance.store a) r,
-              Fl_chain.Store.get (Instance.store b) r )
-          with
-          | Some ba, Some bb ->
-              if
-                not
-                  (String.equal (Fl_chain.Block.hash ba)
-                     (Fl_chain.Block.hash bb))
-              then ok := false
-          | _ -> ok := false
-        done
-      end
+      if (not (Hashtbl.mem crashed i)) && not (Hashtbl.mem crashed j) then
+        match first_split instances.(i) instances.(j) with
+        | Some (r, split) -> acc := (i, j, r, split) :: !acc
+        | None -> ()
     done
   done;
-  !ok
+  List.rev !acc
+
+let agreement ~crashed instances = disagreements ~crashed instances = []
 
 let definite_prefix_agreement t = agreement ~crashed:t.crashed t.instances

@@ -11,7 +11,6 @@ open Fl_net
 
 type t = {
   engine : Engine.t;
-  rng : Rng.t;
   recorder : Fl_metrics.Recorder.t;
   registry : Fl_crypto.Signature.registry;
   nics : Nic.t array;
@@ -92,10 +91,22 @@ val restart : t -> int -> unit
 
 val run : ?until:Time.t -> t -> unit
 
-val agreement : crashed:(int, unit) Hashtbl.t -> Instance.t array -> bool
+type split =
+  | Diverged  (** both stores hold the round, with different blocks *)
+  | Missing  (** one store lacks a round its node calls definite *)
+
+val disagreements :
+  crashed:(int, unit) Hashtbl.t ->
+  Instance.t array ->
+  (int * int * int * split) list
 (** Over the nodes not in [crashed] ([instances.(i)] runs on node
-    [i]), every pair of instances agrees on all blocks both consider
-    definite. *)
+    [i]), every pair [(i, j)], [i < j], whose instances do not agree
+    on all blocks both consider definite, as [(i, j, round, split)]
+    with the first round at which they part. Pairs come in order of
+    [i], then [j]. *)
+
+val agreement : crashed:(int, unit) Hashtbl.t -> Instance.t array -> bool
+(** [disagreements] is empty. *)
 
 val definite_prefix_agreement : t -> bool
 (** Safety oracle for tests: over non-crashed nodes, every pair agrees

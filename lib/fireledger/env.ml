@@ -11,7 +11,6 @@ type t = {
   net : Msg.t Net.t;
   hub : Msg.t Hub.t;
   me : int;
-  f : int;
   seed : int;
   label : string;
   obs : Fl_obs.Obs.t option;

@@ -12,7 +12,6 @@ type t = {
   net : Msg.t Fl_net.Net.t;  (** this worker's network instance *)
   hub : Msg.t Fl_net.Hub.t;
   me : int;
-  f : int;  (** resilience parameter, shared with Config.f *)
   seed : int;  (** experiment seed (common coin, rotation) *)
   label : string;  (** worker label, namespaces coin instances *)
   obs : Fl_obs.Obs.t option;  (** span sink, [None] = off *)

@@ -4,17 +4,13 @@ open Fl_fireledger
 
 type t = {
   engine : Engine.t;
-  rng : Rng.t;
   recorder : Fl_metrics.Recorder.t;
-  registry : Fl_crypto.Signature.registry;
   nics : Nic.t array;
   cpus : Cpu.t array;
   nets : Msg.t Net.t array;
   nodes : Node.t array;
   workers : Instance.t array array;
   crashed : (int, unit) Hashtbl.t;
-  disks : Fl_persist.Disk.t option array;  (* one device per node *)
-  persist : Fl_persist.Node.t option array array;  (* [node].(worker) *)
 }
 
 let create ?(seed = 42) ?(latency = Latency.single_dc)
@@ -100,7 +96,6 @@ let create ?(seed = 42) ?(latency = Latency.single_dc)
                 net = nets.(w);
                 hub;
                 me = i;
-                f = config.Config.f;
                 seed = seed + (1_000_003 * w);
                 label = Printf.sprintf "w%d" w;
                 obs;
@@ -113,17 +108,13 @@ let create ?(seed = 42) ?(latency = Latency.single_dc)
   in
   Array.iteri (fun i node -> Node.attach_workers node workers_arr.(i)) nodes;
   { engine;
-    rng;
     recorder;
-    registry;
     nics;
     cpus;
     nets;
     nodes;
     workers = workers_arr;
-    crashed = Hashtbl.create 4;
-    disks;
-    persist }
+    crashed = Hashtbl.create 4 }
 
 let start t =
   Array.iter (fun per_node -> Array.iter Instance.start per_node) t.workers

@@ -9,19 +9,13 @@ open Fl_net
 
 type t = {
   engine : Engine.t;
-  rng : Rng.t;
   recorder : Fl_metrics.Recorder.t;
-  registry : Fl_crypto.Signature.registry;
   nics : Nic.t array;
   cpus : Cpu.t array;
   nets : Fl_fireledger.Msg.t Net.t array;  (** per worker *)
   nodes : Node.t array;
   workers : Fl_fireledger.Instance.t array array;  (** [node].(worker) *)
   crashed : (int, unit) Hashtbl.t;
-  disks : Fl_persist.Disk.t option array;
-      (** per node, shared by its ω workers' durability layers —
-          [None] when persistence is off *)
-  persist : Fl_persist.Node.t option array array;  (** [node].(worker) *)
 }
 
 val create :

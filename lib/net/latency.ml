@@ -2,7 +2,6 @@ open Fl_sim
 
 type t =
   | Constant of Time.t
-  | Uniform of { lo : Time.t; hi : Time.t }
   | Lognormal of { median : Time.t; sigma : float }
   | Matrix of { base : Time.t array array; jitter : float }
 
@@ -14,7 +13,6 @@ let sample t rng ~src ~dst =
   else
     match t with
     | Constant d -> d
-    | Uniform { lo; hi } -> Rng.int_in rng lo hi
     | Lognormal { median; sigma } ->
         (* mu = ln median so the median of the draw equals [median]. *)
         let mu = log (float_of_int median) in

@@ -10,8 +10,6 @@ open Fl_sim
 type t =
   | Constant of Time.t
       (** Fixed one-way delay. *)
-  | Uniform of { lo : Time.t; hi : Time.t }
-      (** Uniform in [lo, hi]. *)
   | Lognormal of { median : Time.t; sigma : float }
       (** Log-normal with the given median and shape [sigma]. *)
   | Matrix of { base : Time.t array array; jitter : float }

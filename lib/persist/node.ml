@@ -17,7 +17,6 @@ let default_config =
     snapshot_interval = 64 }
 
 type stats = {
-  s_appends : int;
   s_fsyncs : int;
   s_snapshots : int;
   s_recovers : int;
@@ -87,8 +86,7 @@ let attach_chain t f = t.chain <- Some f
 let live t = t.live
 
 let stats t =
-  { s_appends = Wal.appends t.wal;
-    s_fsyncs = Disk.fsyncs t.disk;
+  { s_fsyncs = Disk.fsyncs t.disk;
     s_snapshots = t.snapshots;
     s_recovers = t.recovers;
     s_replayed = t.replayed;

@@ -29,7 +29,6 @@ val default_config : config
     definite rounds. *)
 
 type stats = {
-  s_appends : int;
   s_fsyncs : int;
   s_snapshots : int;
   s_recovers : int;

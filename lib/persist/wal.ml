@@ -77,7 +77,6 @@ type t = {
   mutable active : segment;
   mutable total_frames : int;
   mutable durable_frames : int;
-  mutable appends : int;
   mutable truncated_segments : int;
   scratch : Codec.Writer.t;
       (* per-log grow-only build buffer: every record frame is
@@ -99,7 +98,6 @@ let create ~segment_bytes =
     active = fresh_segment ();
     total_frames = 0;
     durable_frames = 0;
-    appends = 0;
     truncated_segments = 0;
     scratch = Codec.Writer.create ~capacity:4096 ();
     encoded = Hashtbl.create 16 }
@@ -185,7 +183,6 @@ let append t record =
       Hashtbl.replace t.encoded round { block; slice; crc }
   | Truncate _ | Definite _ -> ());
   push_frame t fr ~round;
-  t.appends <- t.appends + 1;
   String.length fr
 
 (* A hit only for the very value that was appended: its bytes are then
@@ -206,7 +203,6 @@ let mark_durable_upto t n =
 
 let pending_frames t = t.total_frames - t.durable_frames
 let total_frames t = t.total_frames
-let appends t = t.appends
 let segments t = List.length t.sealed + 1
 let truncated_segments t = t.truncated_segments
 

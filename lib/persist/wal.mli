@@ -56,7 +56,6 @@ val mark_durable_upto : t -> int -> unit
 
 val pending_frames : t -> int
 val total_frames : t -> int
-val appends : t -> int
 val segments : t -> int
 val truncated_segments : t -> int
 

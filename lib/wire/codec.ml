@@ -122,14 +122,11 @@ module Writer = struct
     varint t (String.length s);
     raw t s
 
-  let raw_slice t (s : Slice.t) =
+  let slice t (s : Slice.t) =
+    varint t s.Slice.len;
     ensure t s.Slice.len;
     Bytes.blit_string s.Slice.base s.Slice.off t.buf t.len s.Slice.len;
     t.len <- t.len + s.Slice.len
-
-  let slice t (s : Slice.t) =
-    varint t s.Slice.len;
-    raw_slice t s
 
   let bool t b = u8 t (if b then 1 else 0)
 

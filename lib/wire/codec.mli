@@ -71,9 +71,6 @@ module Writer : sig
   (** Length-prefixed (varint) slice — [bytes] without materialising
       the payload as a string first. *)
 
-  val raw_slice : t -> Slice.t -> unit
-  (** Raw slice bytes, no prefix. *)
-
   val pad : t -> int -> unit
   (** [n] zero bytes — simulated payload that must occupy real frame
       bytes. Amortised: no per-call string allocation. *)

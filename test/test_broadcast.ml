@@ -95,6 +95,39 @@ let test_rb_equivocating_origin () =
      neither value can gather 2f+1=3 echoes, so nothing delivers. *)
   Alcotest.(check int) "equivocation blocks delivery" 0 (List.length all)
 
+(* Node 0 repeats an ECHO and a READY for a payload its claimed origin,
+   node 1, never sent. Nodes 1-3 must not deliver: one sender is one
+   vote against f+1 = 2 (READY amplification) and 2f+1 = 3. *)
+let test_rb_repeated_votes () =
+  let n = 4 in
+  let alive = [ 1; 2; 3 ] in
+  let w, _, delivered = setup_rb ~n ~alive () in
+  let vote ~src (m : rb_msg) =
+    List.iter (fun dst -> Net.send w.World.net ~src ~dst (rb_encode m)) alive
+  in
+  for _ = 1 to 3 do
+    vote ~src:0 (Bracha.Echo { origin = 1; tag = 0; payload = "forged" });
+    vote ~src:0 (Bracha.Ready { origin = 1; tag = 0; payload = "forged" })
+  done;
+  World.run ~until:(Time.s 1) w;
+  List.iter
+    (fun i ->
+      Alcotest.(check int)
+        (Printf.sprintf "one sender is one vote at %d" i)
+        0
+        (List.length delivered.(i)))
+    alive;
+  (* A second READY amplifies: every live node readies and delivers. *)
+  vote ~src:2 (Bracha.Ready { origin = 1; tag = 0; payload = "forged" });
+  World.run ~until:(Time.s 2) w;
+  List.iter
+    (fun i ->
+      Alcotest.(check (list (triple int int string)))
+        (Printf.sprintf "a second sender delivers at %d" i)
+        [ (1, 0, "forged") ]
+        delivered.(i))
+    alive
+
 let test_rb_multiple_instances () =
   let n = 4 in
   let alive = [ 0; 1; 2; 3 ] in
@@ -119,4 +152,5 @@ let suite =
   [ Alcotest.test_case "rb basic" `Quick test_rb_basic;
     Alcotest.test_case "rb silent node" `Quick test_rb_with_silent_node;
     Alcotest.test_case "rb equivocation" `Quick test_rb_equivocating_origin;
-    Alcotest.test_case "rb multi instance" `Quick test_rb_multiple_instances ]
+    Alcotest.test_case "rb multi instance" `Quick test_rb_multiple_instances;
+    Alcotest.test_case "rb repeated votes" `Quick test_rb_repeated_votes ]

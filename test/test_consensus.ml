@@ -82,6 +82,44 @@ let test_bbc_mixed_agree () =
       ignore (check_bbc_agreement parts results))
     [ 1; 2; 3; 4; 5 ]
 
+(* Node 0 repeats one DECIDE; nodes 1 and 2 alone cannot reach n−f, so
+   only f+1 = 2 distinct DECIDEs can make them decide. *)
+let test_bbc_repeated_decide () =
+  let w =
+    World.make ~seed:1 ~n:4 ~key:bbc_key ~encode:bbc_encode
+      ~decode:bbc_decode ()
+  in
+  let coin = Coin.make ~seed:99 ~instance:"t" in
+  let decisions =
+    List.map
+      (fun i ->
+        Bbc.start w.World.engine ~recorder:w.World.recorder ~coin
+          ~channel:(World.channel w ~node:i ~key:"bbc")
+          false)
+      [ 1; 2 ]
+  in
+  let decide ~src =
+    List.iter
+      (fun dst ->
+        Fl_net.Net.send w.World.net ~src ~dst (bbc_encode (Bbc.Decide true)))
+      [ 1; 2 ]
+  in
+  decide ~src:0;
+  decide ~src:0;
+  World.run ~until:(Time.s 1) w;
+  List.iter
+    (fun d ->
+      Alcotest.(check (option bool)) "one sender is one DECIDE" None
+        (Ivar.peek d))
+    decisions;
+  decide ~src:3;
+  World.run ~until:(Time.s 2) w;
+  List.iter
+    (fun d ->
+      Alcotest.(check (option bool)) "a second sender decides" (Some true)
+        (Ivar.peek d))
+    decisions
+
 let test_bbc_with_silent_faults () =
   (* f = 1 silent node: the remaining n−f must still decide. *)
   let parts = [ 0; 1; 2 ] in
@@ -287,12 +325,76 @@ let test_pbft_throughput_batching () =
   let proposals = Fl_metrics.Recorder.counter w.World.recorder "pbft_proposals" in
   Alcotest.(check bool) "batched" true (proposals < total)
 
+(* Node 1 is the only live replica. The test plays leader 0's
+   PRE-PREPARE and the PREPAREs of 0 and 2, so node 1 prepares and
+   sends its COMMIT; node 3 then repeats its COMMIT. Node 1 holds two
+   distinct COMMITs of the 2f+1 = 3 it needs, however often 3 repeats. *)
+let test_pbft_repeated_commit () =
+  let w, _, delivered = setup_pbft ~n:4 ~alive:[ 1 ] () in
+  let batch = [ "only" ] in
+  let digest =
+    Fl_crypto.Sha256.digest_with (fun ctx ->
+        Fl_crypto.Sha256.feed_string ctx (Fl_crypto.Sha256.digest "only"))
+  in
+  let to_1 ~src (m : pb_msg) =
+    Fl_net.Net.send w.World.net ~src ~dst:1 (pb_encode m)
+  in
+  to_1 ~src:0 (Pbft.Pre_prepare { view = 0; seq = 1; batch });
+  List.iter
+    (fun src -> to_1 ~src (Pbft.Prepare { view = 0; seq = 1; digest }))
+    [ 0; 2 ];
+  for _ = 1 to 3 do
+    to_1 ~src:3 (Pbft.Commit { view = 0; seq = 1; digest })
+  done;
+  World.run ~until:(Time.ms 100) w;
+  Alcotest.(check (list string)) "one sender is one COMMIT" [] delivered.(1);
+  to_1 ~src:2 (Pbft.Commit { view = 0; seq = 1; digest });
+  World.run ~until:(Time.ms 120) w;
+  Alcotest.(check (list string)) "a third sender executes" batch delivered.(1)
+
+(* ---------- Tally ---------- *)
+
+(* Random adds over three keys and four senders against a list model
+   that keeps each (key, sender)'s first value. Key 3 is never added
+   to. *)
+let prop_tally_matches_model =
+  QCheck.Test.make ~name:"tally: matches a list model"
+    ~count:300
+    QCheck.(
+      list_of_size Gen.(0 -- 40)
+        (triple (int_range 0 2) (int_range 0 3) small_nat))
+    (fun adds ->
+      let t = Tally.create 4 in
+      let model = ref [] in
+      List.for_all
+        (fun (key, src, v) ->
+          let fresh =
+            not (List.exists (fun (k, s, _) -> k = key && s = src) !model)
+          in
+          if fresh then model := (key, src, v) :: !model;
+          Tally.add t key ~src v = fresh)
+        adds
+      && List.for_all
+           (fun key ->
+             let expected =
+               List.filter_map
+                 (fun (k, s, v) -> if k = key then Some (s, v) else None)
+                 !model
+               |> List.sort compare
+             in
+             Tally.count t key = List.length expected
+             && List.sort compare
+                  (Tally.fold t key (fun s v acc -> (s, v) :: acc) [])
+                = expected)
+           [ 0; 1; 2; 3 ])
+
 let suite =
   [ Alcotest.test_case "bbc unanimous 1" `Quick test_bbc_unanimous_one;
     Alcotest.test_case "bbc unanimous 0" `Quick test_bbc_unanimous_zero;
     Alcotest.test_case "bbc mixed agrees" `Quick test_bbc_mixed_agree;
     Alcotest.test_case "bbc with silent faults" `Quick
       test_bbc_with_silent_faults;
+    Alcotest.test_case "bbc repeated decide" `Quick test_bbc_repeated_decide;
     Alcotest.test_case "obbc fast path" `Quick test_obbc_fast_path;
     Alcotest.test_case "obbc all zero" `Quick test_obbc_all_zero;
     Alcotest.test_case "obbc dissenter" `Quick
@@ -300,4 +402,6 @@ let suite =
     Alcotest.test_case "pbft total order" `Quick test_pbft_total_order;
     Alcotest.test_case "pbft view change" `Quick
       test_pbft_view_change_on_dead_leader;
-    Alcotest.test_case "pbft batching" `Quick test_pbft_throughput_batching ]
+    Alcotest.test_case "pbft batching" `Quick test_pbft_throughput_batching;
+    Alcotest.test_case "pbft repeated commit" `Quick test_pbft_repeated_commit;
+    QCheck_alcotest.to_alcotest prop_tally_matches_model ]

@@ -194,9 +194,6 @@ let test_latency_models_sane () =
     done
   in
   check "constant" (Fl_net.Latency.Constant (Time.ms 5)) (Time.ms 5) (Time.ms 5);
-  check "uniform"
-    (Fl_net.Latency.Uniform { lo = Time.us 10; hi = Time.us 20 })
-    (Time.us 10) (Time.us 20);
   check "lognormal tails" Fl_net.Latency.single_dc (Time.us 20) (Time.ms 10)
 
 let suite =

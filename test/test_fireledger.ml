@@ -210,6 +210,41 @@ let test_permuted_rotation () =
     (min_progress c > 10);
   Alcotest.(check bool) "agreement" true (Cluster.definite_prefix_agreement c)
 
+(* Two equal clusters run in step until node 3 of the second crashes,
+   so their chains share a prefix and then part. Pairing their
+   instances, every cross pair parts at the same first round, below
+   which the blocks agree; a crashed node's pairs are skipped. *)
+let test_prefix_disagreements () =
+  let a = make ~n:4 () and b = make ~n:4 () in
+  List.iter Cluster.start [ a; b ];
+  List.iter (Cluster.run ~until:(Time.ms 150)) [ a; b ];
+  Cluster.crash b 3;
+  List.iter (Cluster.run ~until:(Time.ms 400)) [ a; b ];
+  let a = a.Cluster.instances and b = b.Cluster.instances in
+  let none = Hashtbl.create 1 in
+  Alcotest.(check int) "one cluster agrees" 0
+    (List.length (Cluster.disagreements ~crashed:none a));
+  let mixed = [| a.(0); a.(1); b.(0) |] in
+  let hash inst r =
+    Option.map Fl_chain.Block.hash (Fl_chain.Store.get (Instance.store inst) r)
+  in
+  (match Cluster.disagreements ~crashed:none mixed with
+  | [ (0, 2, r, Cluster.Diverged); (1, 2, r', Cluster.Diverged) ] ->
+      Alcotest.(check int) "same first round" r r';
+      Alcotest.(check bool) "genesis is common" true (r >= 1);
+      for k = 0 to r - 1 do
+        Alcotest.(check (option string))
+          (Printf.sprintf "round %d agrees" k)
+          (hash a.(0) k) (hash b.(0) k)
+      done;
+      Alcotest.(check bool) "round r differs" true
+        (hash a.(0) r <> hash b.(0) r)
+  | d -> Alcotest.failf "expected pairs (0,2) and (1,2), got %d" (List.length d));
+  let crashed = Hashtbl.create 1 in
+  Hashtbl.replace crashed 2 ();
+  Alcotest.(check bool) "crashed node skipped" true
+    (Cluster.agreement ~crashed mixed)
+
 let suite =
   [ Alcotest.test_case "fault-free progress" `Quick test_fault_free_progress;
     Alcotest.test_case "chain integrity" `Quick test_chain_integrity;
@@ -225,4 +260,5 @@ let suite =
       test_ablation_no_piggyback;
     Alcotest.test_case "ablation: inline bodies" `Quick
       test_ablation_inline_bodies;
-    Alcotest.test_case "permuted rotation" `Quick test_permuted_rotation ]
+    Alcotest.test_case "permuted rotation" `Quick test_permuted_rotation;
+    Alcotest.test_case "prefix disagreements" `Quick test_prefix_disagreements ]

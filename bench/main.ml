@@ -146,6 +146,26 @@ let wal_record =
    the log's reusable writer, the steady state of every append. *)
 let bench_wal = Fl_persist.Wal.create ~segment_bytes:(1 lsl 20)
 
+(* One Append of a σ=512 block (100 synthetic transactions) into a
+   live log — frame build, its durable copy and the block's encoding
+   entry — the per-block WAL cost of the durable cell. Sealed segments
+   are dropped every few appends, as snapshots do, so the log stays
+   small however many runs the quota takes. *)
+let wal_append_log = Fl_persist.Wal.create ~segment_bytes:(1 lsl 20)
+
+let wal_record_512 =
+  let txs = Array.init 100 (fun i -> Fl_chain.Tx.create ~id:i ~size:512) in
+  let block =
+    Fl_chain.Block.create ~round:7 ~proposer:0
+      ~prev_hash:Fl_chain.Block.genesis_hash txs
+  in
+  Fl_persist.Wal.Append { block; signature = String.make 32 's' }
+
+let wal_append () =
+  ignore (Fl_persist.Wal.append wal_append_log wal_record_512);
+  if Fl_persist.Wal.segments wal_append_log > 4 then
+    ignore (Fl_persist.Wal.truncate wal_append_log ~upto:max_int)
+
 (* Sweep kernel: fixed work (4 shards x 2000-event engine drain)
    through the domain map at this host's recommended width — measures
    shard dispatch + spawn/join overhead against the same work run
@@ -432,7 +452,8 @@ let kernels : (string * string * (unit -> unit)) list =
         ignore
           (Fl_persist.Snapshot.seal ~prev:persist_sealed_960
              ~wal:(Some persist_wal_960) ~store:persist_store ~upto:1023 ~era:1
-             ~app:"" ~app_hash:"") ) ]
+             ~app:"" ~app_hash:"") );
+    ("persist", "persist/wal-append-100x512", wal_append) ]
 
 (* ---------- measurement and reporting ---------- *)
 

@@ -59,11 +59,21 @@ let encode_block w (b : Block.t) =
   encode_header w b.Block.header;
   encode_txs w b.Block.txs
 
-let encoded_length (b : Block.t) =
-  Array.fold_left
-    (fun n (tx : Tx.t) -> n + 13 + tx.Tx.size)
-    (String.length (Header.encode b.Block.header)
-    + Codec.varint_size (Array.length b.Block.txs))
+(* Where [encode_block] puts the synthetic transactions' zero padding
+   when it writes [b] from offset [at] — the runs a durable copy of the
+   encoding leaves out (see {!Fl_wire.Sparse}). *)
+let padding_runs (b : Block.t) ~at mark =
+  let pos =
+    ref
+      (at
+      + String.length (Header.encode b.Block.header)
+      + Codec.varint_size (Array.length b.Block.txs))
+  in
+  Array.iter
+    (fun (tx : Tx.t) ->
+      let p = !pos + 13 in
+      if tx.Tx.payload = "" then mark p tx.Tx.size;
+      pos := p + tx.Tx.size)
     b.Block.txs
 
 (* Structural parse only — commitment checks stay with the protocol

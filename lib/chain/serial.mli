@@ -24,8 +24,11 @@ val decode_header : Fl_wire.Codec.Reader.t -> Header.t
 
 val encode_block : Fl_wire.Codec.Writer.t -> Block.t -> unit
 
-val encoded_length : Block.t -> int
-(** The byte length {!encode_block} writes, without writing it. *)
+val padding_runs : Block.t -> at:int -> (int -> int -> unit) -> unit
+(** [padding_runs b ~at mark] calls [mark pos size] for each synthetic
+    transaction of [b], in order, with the position and size of its
+    zero padding in {!encode_block}'s output when that starts at
+    offset [at] — the runs {!Fl_wire.Sparse.compact} elides. *)
 
 val read_block : Fl_wire.Codec.Reader.t -> Block.t
 (** Structural parse only (raises {!Fl_wire.Codec.Reader.Underflow} /

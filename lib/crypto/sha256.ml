@@ -102,25 +102,50 @@ let digest_with feed =
   if !Fl_prof.Prof.on then Fl_prof.Prof.frame Fl_prof.Prof.sha256 run
   else run ()
 
-let hmac_impl ~key msg =
-  let block_size = 64 in
-  let key = if String.length key > block_size then digest key else key in
-  let ipad = Bytes.make block_size '\x36' in
-  let opad = Bytes.make block_size '\x5c' in
-  String.iteri
-    (fun i c ->
-      Bytes.set ipad i (Char.chr (Char.code c lxor 0x36));
-      Bytes.set opad i (Char.chr (Char.code c lxor 0x5c)))
-    key;
-  let inner = init () in
-  feed_bytes inner ipad;
-  feed_string inner msg;
-  let outer = init () in
-  feed_bytes outer opad;
-  feed_string outer (finalize inner);
-  finalize outer
+(* An HMAC key as the chaining states after its ipad and opad blocks:
+   each HMAC under it then compresses only the message and the outer
+   digest, never the 64-byte key pads again. *)
+type key = { inner : string; outer : string }
+
+let hmac_key key =
+  let key = if String.length key > 64 then digest key else key in
+  let midstate pad =
+    let block = Bytes.make 64 pad in
+    String.iteri
+      (fun i c ->
+        Bytes.unsafe_set block i
+          (Char.unsafe_chr (Char.code c lxor Char.code pad)))
+      key;
+    let h = Bytes.of_string iv in
+    compress h block 0 1;
+    Bytes.unsafe_to_string h
+  in
+  { inner = midstate '\x36'; outer = midstate '\x5c' }
+
+(* Both hashes run in one context: the outer one restarts it from the
+   opad midstate. *)
+let hmac_keyed_impl k msg =
+  let t =
+    { h = Bytes.of_string k.inner;
+      block = Bytes.create 64;
+      fill = 0;
+      total = 64 }
+  in
+  feed_string t msg;
+  let inner = finalize t in
+  Bytes.blit_string k.outer 0 t.h 0 32;
+  t.fill <- 0;
+  t.total <- 64;
+  feed_string t inner;
+  finalize t
+
+let hmac_keyed k msg =
+  if !Fl_prof.Prof.on then
+    Fl_prof.Prof.frame Fl_prof.Prof.sha256 (fun () -> hmac_keyed_impl k msg)
+  else hmac_keyed_impl k msg
 
 let hmac ~key msg =
   if !Fl_prof.Prof.on then
-    Fl_prof.Prof.frame Fl_prof.Prof.sha256 (fun () -> hmac_impl ~key msg)
-  else hmac_impl ~key msg
+    Fl_prof.Prof.frame Fl_prof.Prof.sha256 (fun () ->
+        hmac_keyed_impl (hmac_key key) msg)
+  else hmac_keyed_impl (hmac_key key) msg

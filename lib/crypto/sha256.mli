@@ -37,5 +37,18 @@ val digest_with : (t -> unit) -> string
 val hmac : key:string -> string -> string
 (** HMAC-SHA-256 (RFC 2104) of a message under [key]. *)
 
+type key
+(** An HMAC key, prepared: the chaining states after its ipad and opad
+    blocks. *)
+
+val hmac_key : string -> key
+(** Prepare a key: two compressions, not bracketed as an [Fl_prof]
+    sha256 call (a key longer than 64 bytes is {!digest}ed first, and
+    that is). *)
+
+val hmac_keyed : key -> string -> string
+(** [hmac_keyed (hmac_key key) msg = hmac ~key msg], without absorbing
+    the key pads again. *)
+
 val digest_size : int
 (** 32. *)

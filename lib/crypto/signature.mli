@@ -26,7 +26,9 @@ val length : int
     reject any other length at the wire boundary. *)
 
 val create_registry : seed:string -> n:int -> registry
-(** PKI for node identities [0..n-1]. Deterministic in [seed]. *)
+(** PKI for node identities [0..n-1]. Deterministic in [seed]. A
+    signer's HMAC midstates ({!Sha256.hmac_key}) are prepared on its
+    first {!sign} or {!verify}. *)
 
 val sign : registry -> signer:int -> string -> signature
 (** Sign [msg] as node [signer]. Raises [Invalid_argument] on an

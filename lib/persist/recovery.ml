@@ -18,7 +18,7 @@ type recovered = {
   r_era : int;
   r_torn : bool;
   r_records : int;
-  r_frames : (string * int) list;
+  r_frames : (Fl_wire.Sparse.t * int) list;
   r_from_snapshot : bool;
   r_snapshot_upto : int;
 }

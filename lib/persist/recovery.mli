@@ -22,9 +22,10 @@ type recovered = {
   r_era : int;
   r_torn : bool;  (** a torn/corrupt WAL tail was discarded *)
   r_records : int;  (** WAL records applied *)
-  r_frames : (string * int) list;
-      (** the media's valid WAL prefix as verified frames with their
-          rounds, oldest first — the live log restarts from these *)
+  r_frames : (Fl_wire.Sparse.t * int) list;
+      (** the media's valid WAL prefix as verified, compacted frames
+          with their rounds, oldest first — the live log restarts from
+          these *)
   r_from_snapshot : bool;
   r_snapshot_upto : int;
       (** [upto] of the snapshot on the media, [-1] = none readable *)

@@ -5,11 +5,12 @@
 
    Everything ahead of the first block is the small [head]; the blocks
    follow as immutable [segment]s, one per sealing interval, each
-   holding the byte slices it is made of and their CRC-32. A round the
-   node's WAL logged is a slice of its Append frame (the WAL encoded
-   and checksummed it once already); the rounds it did not log — pruned
-   header-only rounds, rounds replayed after a restart, a donor's
-   one-off build — are encoded, a run of them into one piece.
+   holding one {!Fl_wire.Sparse} piece per round and its CRC-32, so a
+   synthetic transaction's padding is a zero run until {!encode}
+   writes the image out. A round the node's WAL logged is a piece of
+   its Append frame (the WAL encoded and checksummed it once already);
+   the rounds it did not log — pruned header-only rounds, rounds
+   replayed after a restart, a donor's one-off build — are encoded.
 
    Sealing is incremental: {!seal} is handed the previous image and
    keeps each of its segments whose bytes cannot have changed, building
@@ -20,9 +21,10 @@
    still holds the same block at its last round (the header hash
    commits to every block before it, bodies included) and the same
    number of its leading rounds lies below the prune boundary. So a
-   [replace_suffix], an adopted chain, a power-fail and recover, or the
-   prune boundary moving into a segment each invalidate exactly the
-   segments whose bytes change. *)
+   [replace_suffix], an adopted chain or a power-fail and recover
+   invalidates exactly the segments whose bytes change, and the prune
+   boundary moving into a segment re-encodes just the rounds it made
+   header-only. *)
 
 open Fl_chain
 open Fl_wire
@@ -44,7 +46,8 @@ type segment = {
   last : int;
   pruned : int;  (* leading rounds encoded header-only *)
   tip : string;  (* header hash of round [last] *)
-  pieces : Codec.Slice.t list;  (* the encoded rounds, in order *)
+  pieces : Sparse.t list;  (* one per round, in order *)
+  crcs : int list;  (* each piece's CRC-32 *)
   length : int;
   crc : int;
 }
@@ -57,81 +60,84 @@ let segments i = List.map (fun s -> (s.first, s.last, s.pieces)) i.segments
 let pruned_in ~pruned_below ~first ~last =
   max 0 (min pruned_below (last + 1) - first)
 
-(* A round's bytes come from the WAL when it logged the very block
-   value the image holds there; a run of rounds it did not is encoded
-   into one piece and checksummed once. Rounds below the prune boundary
-   are header-only — what [Store.prune] of the truncated copy would
-   have left — even where the live store still holds a body (a
-   [replace_suffix] below its boundary re-appends bodies there); that
-   header-only copy is a value of its own, so it misses. *)
-let encode_segment ~wal store ~pruned_below ~first ~last =
-  let block r =
-    match Store.get store r with
-    | Some b when r < pruned_below && Array.length b.Block.txs > 0 ->
-        { b with Block.txs = [||] }
-    | Some b -> b
-    | None -> invalid_arg "Snapshot.encode_segment"
-  in
-  let logged b = Option.bind wal (fun wal -> Wal.encoded_block wal b) in
-  let pieces = ref [] and length = ref 0 and crc = ref 0 in
-  let add piece piece_crc =
-    pieces := piece :: !pieces;
-    length := !length + Codec.Slice.length piece;
-    crc := Crc32.combine !crc piece_crc (Codec.Slice.length piece)
-  in
-  (* The run of rounds from [r] up to the next one the WAL holds, and
-     its encoded length. *)
-  let rec run_end r len =
-    if r > last then (r, len)
-    else
-      let b = block r in
-      match logged b with
-      | Some _ -> (r, len)
-      | None -> run_end (r + 1) (len + Serial.encoded_length b)
-  in
-  let rec go r =
-    if r <= last then
-      match logged (block r) with
-      | Some (slice, slice_crc) ->
-          add slice slice_crc;
-          go (r + 1)
-      | None ->
-          (* one piece, in a writer of exactly its size *)
-          let next, len = run_end r 0 in
-          let w = Codec.Writer.create ~capacity:len () in
-          for k = r to next - 1 do
-            Serial.encode_block w (block k)
-          done;
-          add
-            (Codec.Slice.of_string (Codec.Writer.contents w))
-            (Crc32.digest_int_bytes_sub (Codec.Writer.unsafe_bytes w) ~pos:0
-               ~len);
-          go next
-  in
-  go first;
+(* Round [r] as the image holds it. Rounds below the prune boundary are
+   header-only — what [Store.prune] of the truncated copy would have
+   left — even where the live store still holds a body (a
+   [replace_suffix] below its boundary re-appends bodies there). *)
+let block_at store ~pruned_below r =
+  match Store.get store r with
+  | Some b when r < pruned_below && Array.length b.Block.txs > 0 ->
+      { b with Block.txs = [||] }
+  | Some b -> b
+  | None -> invalid_arg "Snapshot.block_at"
+
+(* One round's bytes and their CRC-32: the WAL's piece when it logged
+   the very block value the image holds (a header-only copy is a value
+   of its own, so it misses), else encoded here and compacted. *)
+let round_piece ~wal b =
+  match Option.bind wal (fun wal -> Wal.encoded_block wal b) with
+  | Some piece -> piece
+  | None ->
+      Pool.with_writer (fun w ->
+          Serial.encode_block w b;
+          let buf = Codec.Writer.unsafe_bytes w
+          and len = Codec.Writer.length w in
+          ( Sparse.compact buf ~pos:0 ~len (Serial.padding_runs b ~at:0),
+            Crc32.digest_int_bytes_sub buf ~pos:0 ~len ))
+
+let make_segment store ~first ~last ~pruned rounds =
+  let length = ref 0 and crc = ref 0 in
+  List.iter
+    (fun (piece, piece_crc) ->
+      let n = Sparse.length piece in
+      length := !length + n;
+      crc := Crc32.combine !crc piece_crc n)
+    rounds;
   { first;
     last;
-    pruned = pruned_in ~pruned_below ~first ~last;
+    pruned;
     tip = Option.get (Store.hash store last);
-    pieces = List.rev !pieces;
+    pieces = List.map fst rounds;
+    crcs = List.map snd rounds;
     length = !length;
     crc = !crc }
 
-(* Keep or re-encode each cached range in order (a cache is always
-   contiguous from round 0), then encode the rounds after the last one
-   as a new segment. A cached range reaching past [upto] (the chain got
-   shorter) ends the reuse. *)
+let encode_segment ~wal store ~pruned_below ~first ~last =
+  make_segment store ~first ~last
+    ~pruned:(pruned_in ~pruned_below ~first ~last)
+    (List.init (last - first + 1) (fun k ->
+         round_piece ~wal (block_at store ~pruned_below (first + k))))
+
+(* The prune boundary moved up into [s], whose rounds are unchanged:
+   only the rounds that became header-only are encoded again, every
+   other round keeps its piece. *)
+let prune_segment store ~pruned_below s =
+  let pruned = pruned_in ~pruned_below ~first:s.first ~last:s.last in
+  let from = s.first + s.pruned and upto = s.first + pruned in
+  make_segment store ~first:s.first ~last:s.last ~pruned
+    (List.mapi
+       (fun k kept ->
+         let r = s.first + k in
+         if r >= from && r < upto then
+           round_piece ~wal:None (block_at store ~pruned_below r)
+         else kept)
+       (List.combine s.pieces s.crcs))
+
+(* Keep, prune or re-encode each cached range in order (a cache is
+   always contiguous from round 0), then encode the rounds after the
+   last one as a new segment. A cached range reaching past [upto] (the
+   chain got shorter) ends the reuse. *)
 let collect_segments ~wal store ~pruned_below ~upto cached =
   let fresh first last =
     encode_segment ~wal store ~pruned_below ~first ~last
   in
   let rec go next acc = function
     | s :: rest when s.last <= upto ->
+        let pruned = pruned_in ~pruned_below ~first:s.first ~last:s.last in
         let s =
-          if
-            s.pruned = pruned_in ~pruned_below ~first:s.first ~last:s.last
-            && Store.hash store s.last = Some s.tip
-          then s
+          if Store.hash store s.last <> Some s.tip then fresh s.first s.last
+          else if pruned = s.pruned then s
+          else if pruned > s.pruned then prune_segment store ~pruned_below s
           else fresh s.first s.last
         in
         go (s.last + 1) (s :: acc) rest
@@ -197,8 +203,9 @@ let seal ~prev ~wal ~store ~upto ~era ~app ~app_hash =
 (* A one-off snapshot: the sealer with nothing cached. *)
 let build = seal ~prev:None ~wal:None
 
-(* The image as one contiguous string — only where its bytes are
-   actually read (recovery at restart, a state-transfer donor). *)
+(* The image as one contiguous string, zeros written out — only where
+   its bytes are actually read (recovery at restart, a state-transfer
+   donor). *)
 let encode i =
   let b = Bytes.create i.length in
   Bytes.blit_string i.head 0 b 0 (String.length i.head);
@@ -206,9 +213,9 @@ let encode i =
     (List.fold_left
        (fun off s ->
          List.fold_left
-           (fun off (p : Codec.Slice.t) ->
-             Bytes.blit_string p.base p.off b off p.len;
-             off + p.len)
+           (fun off p ->
+             Sparse.blit p b off;
+             off + Sparse.length p)
            off s.pieces)
        (String.length i.head) i.segments);
   Bytes.unsafe_to_string b

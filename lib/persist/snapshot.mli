@@ -11,9 +11,10 @@
 
     Sealing is incremental: {!seal} keeps each per-interval segment of
     the previous image whose bytes cannot have changed and builds only
-    the rest. A segment is a run of byte slices, not a string of its
-    own: a round the node's {!Wal} logged takes the bytes of its
-    Append frame, and only the other rounds are encoded. Segment and
+    the rest. A segment is one {!Fl_wire.Sparse} piece per round, not
+    a string of its own: a round the node's {!Wal} logged takes the
+    piece of its Append frame, and only the other rounds are encoded.
+    Synthetic padding stays a zero run until {!encode}. Segment and
     frame CRCs are assembled with {!Fl_wire.Crc32.combine}. The result
     is byte-identical to a from-scratch {!build}. *)
 
@@ -45,12 +46,14 @@ val build :
 val length : image -> int
 (** Encoded byte length, without encoding. *)
 
-val segments : image -> (int * int * Fl_wire.Codec.Slice.t list) list
-(** Each segment's first round, last round and the pieces its bytes
-    are made of, in order. A segment kept from the previous image
-    returns the very same list. *)
+val segments : image -> (int * int * Fl_wire.Sparse.t list) list
+(** Each segment's first round, last round and its rounds' pieces, in
+    order. A segment kept from the previous image returns the very
+    same list. *)
 
 val encode : image -> string
+(** The image's bytes, zeros written out. *)
+
 val decode : string -> (t, string) result
 (** [Error] on a bad envelope, CRC, magic or trailing bytes. *)
 

@@ -1,6 +1,10 @@
 (* Truncation after a snapshot drops sealed segments whose records
    only concern rounds at or below the snapshot; segments are
-   time-ordered, so the survivors still form a contiguous suffix. *)
+   time-ordered, so the survivors still form a contiguous suffix.
+
+   The log keeps each frame as a {!Sparse} piece: an Append's
+   synthetic padding is a zero run, and real bytes exist only in the
+   media image a power failure leaves. *)
 
 open Fl_chain
 open Fl_wire
@@ -59,14 +63,14 @@ let decode_record s =
   | exception Codec.Reader.Underflow -> Error "truncated WAL record"
   | exception Codec.Malformed e -> Error e
 
-(* Where an appended block's bytes sit: [slice] is the block's
+(* Where an appended block's bytes sit: [piece] is the block's
    encoding inside the Append frame that logged [block], [crc] that
    encoding's CRC-32. The snapshot sealer takes these bytes instead of
    encoding the block again. *)
-type encoded = { block : Block.t; slice : Codec.Slice.t; crc : int }
+type encoded = { block : Block.t; piece : Sparse.t; crc : int }
 
 type segment = {
-  mutable frames : string list;  (* newest first *)
+  mutable frames : Sparse.t list;  (* newest first *)
   mutable bytes : int;
   mutable max_round : int;  (* highest round any record concerns *)
 }
@@ -82,7 +86,7 @@ type t = {
       (* per-log grow-only build buffer: every record frame is
          assembled here in place — length prefix reserved, envelope
          sealed directly behind it, length patched — so an append
-         allocates only the final frame string *)
+         allocates only the frame's compact copy *)
   encoded : (int, encoded) Hashtbl.t;
       (* by round: the last block appended there, until a snapshot
          supersedes the round ([truncate]) or recovery rebuilds the
@@ -128,8 +132,24 @@ let seal_append w record ~signature =
         seal_append_impl w record ~signature)
   else seal_append_impl w record ~signature
 
+(* The compact copy of the frame at [src.[pos..pos+len)] that holds
+   [record]: an Append's padding elided, and a cut where its block's
+   encoding starts, so that encoding is a {!Sparse.drop} of the
+   frame. *)
+let compact_frame src ~pos ~len = function
+  | Append { block; signature } ->
+      let at =
+        pos + 4 + Envelope.header_bytes
+        + Codec.varint_size (String.length signature)
+        + String.length signature
+      in
+      Sparse.compact src ~pos ~len (fun mark ->
+          mark at 0;
+          Serial.padding_runs block ~at mark)
+  | Truncate _ | Definite _ -> Sparse.compact src ~pos ~len (fun _ -> ())
+
 (* Build one record's framed bytes — [u32 length | sealed envelope] —
-   in the log's scratch buffer, one pass, no intermediate strings.
+   in the log's scratch buffer, one pass, and keep their compact copy.
    For an Append, also where the block's encoding sits in the frame
    and its CRC; [(0, 0)] otherwise. *)
 let build_frame_impl t record =
@@ -145,7 +165,9 @@ let build_frame_impl t record =
         (0, 0)
   in
   Codec.Writer.patch_u32 w len_off (Codec.Writer.length w - 4);
-  (Codec.Writer.contents w, block_at)
+  ( compact_frame (Codec.Writer.unsafe_bytes w) ~pos:0
+      ~len:(Codec.Writer.length w) record,
+    block_at )
 
 (* Self-profiling bracket (Fl_prof): record encode + length framing —
    the WAL's share of host time, with the nested envelope seal
@@ -162,7 +184,7 @@ let build_frame t record = fst (build_frame_at t record)
 let push_frame t fr ~round =
   let seg = t.active in
   seg.frames <- fr :: seg.frames;
-  seg.bytes <- seg.bytes + String.length fr;
+  seg.bytes <- seg.bytes + Sparse.length fr;
   seg.max_round <- max seg.max_round round;
   t.total_frames <- t.total_frames + 1;
   if seg.bytes >= t.segment_bytes then begin
@@ -177,20 +199,17 @@ let append t record =
   let round = round_of record in
   (match record with
   | Append { block; _ } ->
-      let slice =
-        Codec.Slice.of_sub fr ~pos:off ~len:(String.length fr - off)
-      in
-      Hashtbl.replace t.encoded round { block; slice; crc }
+      Hashtbl.replace t.encoded round { block; piece = Sparse.drop fr off; crc }
   | Truncate _ | Definite _ -> ());
   push_frame t fr ~round;
-  String.length fr
+  Sparse.length fr
 
 (* A hit only for the very value that was appended: its bytes are then
    that value's encoding by construction, whatever another block at
    the same round (an adopted version, a forged body) may hold. *)
 let encoded_block t (block : Block.t) =
   match Hashtbl.find_opt t.encoded block.Block.header.Header.round with
-  | Some e when e.block == block -> Some (e.slice, e.crc)
+  | Some e when e.block == block -> Some (e.piece, e.crc)
   | Some _ | None -> None
 
 let mark_durable t = t.durable_frames <- t.total_frames
@@ -227,16 +246,28 @@ let power_fail_image t ~torn =
         (fr :: kept, dropped)
   in
   let durable, pending = take t.durable_frames frames in
-  let buf = Buffer.create 4096 in
-  List.iter (Buffer.add_string buf) durable;
-  (match (torn, pending) with
-  | true, fr :: _ when String.length fr > 1 ->
-      (* Cut inside the frame: keep the length prefix and roughly half
-         the payload — deterministic, no RNG. *)
-      let cut = max 1 (4 + ((String.length fr - 4) / 2)) in
-      Buffer.add_string buf (String.sub fr 0 (min cut (String.length fr - 1)))
-  | _ -> ());
-  Buffer.contents buf
+  let fragment =
+    match (torn, pending) with
+    | true, fr :: _ when Sparse.length fr > 1 ->
+        (* Cut inside the frame: keep the length prefix and roughly half
+           the payload — deterministic, no RNG. *)
+        let len = Sparse.length fr in
+        let cut = max 1 (4 + ((len - 4) / 2)) in
+        String.sub (Sparse.to_string fr) 0 (min cut (len - 1))
+    | _ -> ""
+  in
+  let size =
+    List.fold_left (fun n fr -> n + Sparse.length fr) 0 durable
+  in
+  let b = Bytes.create (size + String.length fragment) in
+  ignore
+    (List.fold_left
+       (fun off fr ->
+         Sparse.blit fr b off;
+         off + Sparse.length fr)
+       0 durable);
+  Bytes.blit_string fragment 0 b size (String.length fragment);
+  Bytes.unsafe_to_string b
 
 (* Replace the log's contents with a recovered media image: every
    frame on it is durable by construction. *)
@@ -271,9 +302,10 @@ let truncate t ~upto =
 
 type replay = {
   records : record list;  (* oldest first, valid prefix only *)
-  frames : (string * int) list;
-      (* the same prefix's verified frame bytes, as read off the media,
-         each with its record's round — what [reset_to_frames] takes *)
+  frames : (Sparse.t * int) list;
+      (* the same prefix's verified frames, as read off the media and
+         compacted, each with its record's round — what
+         [reset_to_frames] takes *)
   torn : bool;  (* a partial / corrupt tail was detected and discarded *)
 }
 
@@ -311,7 +343,10 @@ let replay_media_impl media =
             | Ok rec_ when Codec.Reader.at_end body ->
                 records := rec_ :: !records;
                 frames :=
-                  (String.sub media !pos (4 + flen), round_of rec_) :: !frames;
+                  ( compact_frame (Bytes.unsafe_of_string media) ~pos:!pos
+                      ~len:(4 + flen) rec_,
+                    round_of rec_ )
+                  :: !frames;
                 pos := !pos + 4 + flen
             | Ok _ | Error _ ->
                 torn := true;

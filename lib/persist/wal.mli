@@ -7,7 +7,11 @@
     after an fsync; a power failure keeps exactly the durable prefix,
     optionally plus a torn fragment of the first non-durable frame,
     which {!replay_media} detects (length underflow or CRC mismatch)
-    and discards. *)
+    and discards.
+
+    The log holds its frames as {!Fl_wire.Sparse} pieces: an Append's
+    synthetic padding is a zero run, not bytes. Only
+    {!power_fail_image} writes the frames out in full. *)
 
 type record =
   | Append of { block : Fl_chain.Block.t; signature : string }
@@ -37,15 +41,16 @@ val append : t -> record -> int
     the caller accounts for. An Append also records where its block's
     encoding sits in the frame, for {!encoded_block}. *)
 
-val encoded_block : t -> Fl_chain.Block.t -> (Fl_wire.Codec.Slice.t * int) option
-(** The encoding of [block] and its CRC-32, as a view into the Append
+val encoded_block : t -> Fl_chain.Block.t -> (Fl_wire.Sparse.t * int) option
+(** The encoding of [block] and its CRC-32, as a piece of the Append
     frame that logged it — when the log still holds that very value
     (physically equal) at its round. Entries for a round [<= upto] go
     with {!truncate}, all of them with {!reset_to_frames}. *)
 
-val build_frame : t -> record -> string
+val build_frame : t -> record -> Fl_wire.Sparse.t
 (** One record's framed bytes — [u32 length | sealed envelope] — built
-    in the log's reusable scratch buffer; what {!append} appends. *)
+    in the log's reusable scratch buffer and kept compact; what
+    {!append} appends. *)
 
 val mark_durable : t -> unit
 (** Every frame appended so far is durable. *)
@@ -64,7 +69,7 @@ val power_fail_image : t -> torn:bool -> string
     [torn] and a non-durable frame exists — a fragment of the first
     non-durable frame cut mid-frame. *)
 
-val reset_to_frames : t -> (string * int) list -> unit
+val reset_to_frames : t -> (Fl_wire.Sparse.t * int) list -> unit
 (** Replace the log's contents with recovered frames (each with its
     record's round, as {!replay} gives them), all durable. No block
     encoding is recorded for them. *)
@@ -76,9 +81,9 @@ val truncate : t -> upto:int -> int
 
 type replay = {
   records : record list;  (** oldest first, valid prefix only *)
-  frames : (string * int) list;
-      (** the same prefix's verified frame bytes, as read off the
-          media, each with its record's round *)
+  frames : (Fl_wire.Sparse.t * int) list;
+      (** the same prefix's verified frames, as read off the media and
+          compacted, each with its record's round *)
   torn : bool;  (** a partial or corrupt tail was detected and discarded *)
 }
 

@@ -118,6 +118,13 @@ module Writer = struct
     Bytes.blit_string s 0 t.buf t.len n;
     t.len <- t.len + n
 
+  let raw_bytes t src ~pos ~len =
+    if pos < 0 || len < 0 || len > Bytes.length src - pos then
+      invalid_arg "Codec.Writer.raw_bytes";
+    ensure t len;
+    Bytes.blit src pos t.buf t.len len;
+    t.len <- t.len + len
+
   let bytes t s =
     varint t (String.length s);
     raw t s

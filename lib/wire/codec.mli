@@ -11,8 +11,8 @@
     Ownership rule for zero-copy decode: {!Slice.t} and {!Reader.t}
     values {e borrow} the frame they were decoded from. Any component
     that retains a payload past the frame's lifetime (a stash, the
-    WAL, a snapshot cache) must copy first ({!Slice.to_string}) —
-    everything else stays a view. *)
+    WAL, a snapshot cache) must copy first ({!Slice.to_string}, or a
+    {!Sparse.compact} copy) — everything else stays a view. *)
 
 exception Malformed of string
 (** Structurally invalid input: bad tag, checksum mismatch,
@@ -66,6 +66,10 @@ module Writer : sig
 
   val raw : t -> string -> unit
   (** Raw bytes, no prefix — for fixed-size fields like digests. *)
+
+  val raw_bytes : t -> Bytes.t -> pos:int -> len:int -> unit
+  (** {!raw} of a range of a [bytes] buffer, without copying it out
+      first. Raises [Invalid_argument] on a range outside it. *)
 
   val slice : t -> Slice.t -> unit
   (** Length-prefixed (varint) slice — [bytes] without materialising

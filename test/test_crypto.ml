@@ -51,6 +51,66 @@ let test_hmac_long_key () =
        ~key:(String.make 131 '\xaa')
        "Test Using Larger Than Block-Size Key - Hash Key First")
 
+(* RFC 4231 test cases 1, 2, 3, 4, 6 and 7, through a prepared key:
+   short keys, a key of 25 bytes, and keys longer than the block. *)
+let rfc4231 =
+  [ ( "tc1",
+      String.make 20 '\x0b',
+      "Hi There",
+      "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7" );
+    ( "tc2",
+      "Jefe",
+      "what do ya want for nothing?",
+      "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843" );
+    ( "tc3",
+      String.make 20 '\xaa',
+      String.make 50 '\xdd',
+      "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe" );
+    ( "tc4",
+      String.init 25 (fun i -> Char.chr (i + 1)),
+      String.make 50 '\xcd',
+      "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b" );
+    ( "tc6",
+      String.make 131 '\xaa',
+      "Test Using Larger Than Block-Size Key - Hash Key First",
+      "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54" );
+    ( "tc7",
+      String.make 131 '\xaa',
+      "This is a test using a larger than block-size key and a larger \
+       than block-size data. The key needs to be hashed before being \
+       used by the HMAC algorithm.",
+      "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2" ) ]
+
+let test_hmac_keyed_vectors () =
+  List.iter
+    (fun (name, key, msg, expected) ->
+      let k = Sha256.hmac_key key in
+      check_hex name expected (Sha256.hmac_keyed k msg);
+      (* a prepared key is reusable *)
+      check_hex (name ^ " again") expected (Sha256.hmac_keyed k msg);
+      check_hex (name ^ " hmac") expected (Sha256.hmac ~key msg))
+    rfc4231
+
+(* RFC 2104 spelled out over the one-shot digest. *)
+let reference_hmac ~key msg =
+  let key = if String.length key > 64 then Sha256.digest key else key in
+  let pad c =
+    String.init 64 (fun i ->
+        let k = if i < String.length key then Char.code key.[i] else 0 in
+        Char.chr (k lxor c))
+  in
+  Sha256.digest (pad 0x5c ^ Sha256.digest (pad 0x36 ^ msg))
+
+let prop_hmac_keyed =
+  QCheck.Test.make ~name:"hmac: prepared key agrees with RFC 2104"
+    ~count:300
+    QCheck.(
+      pair (string_of_size Gen.(0 -- 150)) (string_of_size Gen.(0 -- 300)))
+    (fun (key, msg) ->
+      let expected = reference_hmac ~key msg in
+      String.equal (Sha256.hmac_keyed (Sha256.hmac_key key) msg) expected
+      && String.equal (Sha256.hmac ~key msg) expected)
+
 let test_hex_roundtrip () =
   let s = "\x00\x01\xfe\xff binary" in
   Alcotest.(check string) "roundtrip" s (Hex.decode (Hex.encode s));
@@ -153,9 +213,12 @@ let suite =
     Alcotest.test_case "sha256 feed boundaries" `Quick test_sha256_boundaries;
     Alcotest.test_case "hmac rfc4231" `Quick test_hmac_vector;
     Alcotest.test_case "hmac long key" `Quick test_hmac_long_key;
+    Alcotest.test_case "hmac prepared key rfc4231" `Quick
+      test_hmac_keyed_vectors;
     Alcotest.test_case "hex roundtrip" `Quick test_hex_roundtrip;
     Alcotest.test_case "signatures" `Quick test_signature_scheme;
     Alcotest.test_case "cost model" `Quick test_cost_model;
     QCheck_alcotest.to_alcotest prop_hex_roundtrip;
     QCheck_alcotest.to_alcotest prop_sha_incremental;
+    QCheck_alcotest.to_alcotest prop_hmac_keyed;
     QCheck_alcotest.to_alcotest prop_sha_chunked ]

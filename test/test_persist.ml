@@ -261,8 +261,8 @@ let rewrite ?log ~salt store ~from =
   | Error e -> Alcotest.failf "truncate: %a" Store.pp_error e);
   grow ?log ~salt store len
 
-let slices_contents pieces =
-  String.concat "" (List.map Fl_wire.Codec.Slice.to_string pieces)
+let pieces_contents pieces =
+  String.concat "" (List.map Fl_wire.Sparse.to_string pieces)
 
 (* The incremental-sealing scenario. Each step seals at the next
    64-round mark after an optional chain change and states how many
@@ -380,7 +380,7 @@ let incremental_scenario ~wal =
           with
           | Some (_, _, kept) when kept == pieces -> ()
           | Some (_, _, kept)
-            when String.equal (slices_contents kept) (slices_contents pieces)
+            when String.equal (pieces_contents kept) (pieces_contents pieces)
             ->
               Alcotest.failf "step %d: unchanged [%d..%d] re-encoded" k first
                 last
@@ -640,7 +640,10 @@ let test_node_power_fail_recover () =
   ignore (Wal.append twin (Wal.Definite { upto = 1; era = 0 }));
   Wal.mark_durable twin;
   let valid_prefix = Wal.power_fail_image twin ~torn:false in
-  let frames_bytes r = String.concat "" (List.map fst r.Recovery.r_frames) in
+  let frames_bytes r =
+    String.concat ""
+      (List.map (fun (fr, _) -> Fl_wire.Sparse.to_string fr) r.Recovery.r_frames)
+  in
   Node.power_fail n ~torn:true;
   Alcotest.(check bool) "dead after power fail" false (Node.live n);
   Alcotest.(check bool) "torn fragment past the valid prefix" true
@@ -758,6 +761,180 @@ let test_node_group_commit_flusher () =
       Alcotest.(check int) "group commit flushed all" 4
         (Store.length r.Recovery.r_store)
 
+(* ---- zero runs: compact frames and images ---- *)
+
+(* A chain whose round [r] holds the transactions [shapes.(r)] names:
+   (size, payload?) — a synthetic one is zero padding on the media, a
+   payload one real bytes. *)
+let mixed_chain shapes =
+  let store = Store.create () in
+  List.iteri
+    (fun round txs ->
+      let txs =
+        Array.of_list
+          (List.mapi
+             (fun k (size, payload) ->
+               let id = (round * 100) + k in
+               if payload then
+                 Tx.create_payload ~id
+                   (String.init size (fun i -> Char.chr ((id + i) land 0xff)))
+               else Tx.create ~id ~size)
+             txs)
+      in
+      let b =
+        Block.create ~round ~proposer:(round mod 4)
+          ~prev_hash:(Store.last_hash store) txs
+      in
+      match Store.append store b with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "mixed chain: %a" Store.pp_error e)
+    shapes;
+  store
+
+(* One WAL frame spelled out: [u32 length | Envelope.seal] with the
+   record's body written by the plain encoders. *)
+let plain_frame ~tag write =
+  let open Fl_wire in
+  let env = Envelope.seal ~tag write in
+  let w = Codec.Writer.create () in
+  Codec.Writer.u32 w (String.length env);
+  Codec.Writer.raw w env;
+  Codec.Writer.contents w
+
+let gen_shapes =
+  QCheck.Gen.(
+    list_size (1 -- 5)
+      (list_size (0 -- 6) (pair (oneofl [ 0; 1; 512; 4096 ]) bool)))
+
+(* Every round is appended (with a watermark after it) and the store
+   is then pruned at [prune]: sealed with the log, the image holds
+   pieces of its frames and header-only rounds encoded by the sealer;
+   sealed without it, every round is encoded. *)
+let prop_zero_runs_materialise =
+  QCheck.Test.make ~name:"persist: WAL media and image = plain encoding"
+    ~count:60
+    (QCheck.make QCheck.Gen.(pair gen_shapes (0 -- 5)))
+    (fun (shapes, prune) ->
+      let open Fl_wire in
+      let store = mixed_chain shapes in
+      let wal = Wal.create ~segment_bytes:4096 in
+      let expected = Buffer.create 4096 in
+      Store.iter store (fun b ->
+          let r = b.Block.header.Header.round in
+          ignore (Wal.append wal (Wal.Append { block = b; signature = sig_of r }));
+          Buffer.add_string expected
+            (plain_frame ~tag:1 (fun w ->
+                 Codec.Writer.bytes w (sig_of r);
+                 Serial.encode_block w b));
+          ignore (Wal.append wal (Wal.Definite { upto = r; era = 1 }));
+          Buffer.add_string expected
+            (plain_frame ~tag:3 (fun w ->
+                 Codec.Writer.varint w (r + 1);
+                 Codec.Writer.varint w 1)));
+      Wal.mark_durable wal;
+      let media = Wal.power_fail_image wal ~torn:false in
+      let upto = Store.length store - 1 in
+      Store.prune store ~keep_from:(min prune upto);
+      let image wal =
+        match
+          Snapshot.seal ~prev:None ~wal ~store ~upto ~era:1 ~app:"a"
+            ~app_hash:"h"
+        with
+        | Some i -> Snapshot.encode i
+        | None -> ""
+      in
+      let reference =
+        reference_image store ~upto ~era:1 ~app:"a" ~app_hash:"h"
+      in
+      String.equal media (Buffer.contents expected)
+      && String.equal (image (Some wal)) reference
+      && String.equal (image None) reference)
+
+(* A restarted node's log is the replayed frames, compacted again: its
+   next power-fail image must be the very media it came from, torn
+   tail and all. *)
+let test_wal_replayed_frames_materialise () =
+  let store =
+    mixed_chain
+      [ [ (512, false); (1, true); (4096, false) ];
+        [ (0, false); (512, true) ];
+        [ (4096, false); (512, false); (0, true) ];
+        [ (4096, false) ] ]
+  in
+  let wal = Wal.create ~segment_bytes:(1 lsl 16) in
+  Store.iter store (fun b ->
+      let r = b.Block.header.Header.round in
+      ignore (Wal.append wal (Wal.Append { block = b; signature = sig_of r })));
+  ignore (Wal.append wal (Wal.Truncate { from = 2 }));
+  ignore (Wal.append wal (Wal.Definite { upto = 1; era = 0 }));
+  Wal.mark_durable_upto wal 5;
+  let media = Wal.power_fail_image wal ~torn:false in
+  let r = Wal.replay_media (Wal.power_fail_image wal ~torn:true) in
+  Alcotest.(check bool) "torn tail seen" true r.Wal.torn;
+  Alcotest.(check int) "durable records" 5 (List.length r.Wal.records);
+  Alcotest.(check string) "frames = media" media
+    (String.concat ""
+       (List.map (fun (fr, _) -> Fl_wire.Sparse.to_string fr) r.Wal.frames));
+  Alcotest.(check bool) "frames kept compact" true
+    (Obj.reachable_words (Obj.repr r.Wal.frames) * (Sys.word_size / 8)
+    < String.length media / 4);
+  let again = Wal.create ~segment_bytes:(1 lsl 16) in
+  Wal.reset_to_frames again r.Wal.frames;
+  Alcotest.(check string) "rebuilt log's image = media" media
+    (Wal.power_fail_image again ~torn:false);
+  let r' = Wal.replay_media media in
+  Alcotest.(check bool) "clean replay" false r'.Wal.torn;
+  List.iter2
+    (fun a b -> Alcotest.(check bool) "same records" true (record_eq a b))
+    r.Wal.records r'.Wal.records
+
+(* 300 Appends of 100 synthetic 512-byte transactions stand for about
+   15.5 MB of frames, and the snapshots every 64 rounds for over 13 MB
+   of image: about 2 M words, had the padding been bytes. The node
+   must hold its log and sealed image in an eighth of that. *)
+let test_node_heap_bounded () =
+  let rounds = 300 in
+  let store = Store.create () in
+  for round = 0 to rounds - 1 do
+    let txs =
+      Array.init 100 (fun i -> Tx.create ~id:((round * 100) + i) ~size:512)
+    in
+    let b =
+      Block.create ~round ~proposer:(round mod 4)
+        ~prev_hash:(Store.last_hash store) txs
+    in
+    match Store.append store b with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "heap chain: %a" Store.pp_error e
+  done;
+  let e = Engine.create () in
+  let n =
+    Node.create e ~config:{ Node.default_config with Node.sync = Node.Never } ()
+  in
+  (* the chain is the instance's, not the node's: drop it before
+     weighing the node *)
+  let chain = ref (Some store) in
+  Node.attach_chain n (fun () ->
+      match !chain with
+      | Some s -> (s, Store.length s - 1, 0)
+      | None -> Alcotest.fail "chain detached");
+  Fiber.spawn e (fun () ->
+      Store.iter store (fun b ->
+          let r = b.Block.header.Header.round in
+          Node.log_append n ~block:b ~signature:(sig_of r);
+          Node.log_definite n ~upto:r ~era:0 b);
+      Node.sync n);
+  Engine.run e;
+  chain := None;
+  Alcotest.(check int) "four snapshots" 4 (Node.stats n).Node.s_snapshots;
+  let words = Obj.reachable_words (Obj.repr n) in
+  let bound = 250_000 in
+  if words > bound then
+    Alcotest.failf "node holds %d words, bound %d" words bound;
+  Node.power_fail n ~torn:false;
+  Alcotest.(check bool) "media stands for the full bytes" true
+    (Node.media_bytes n > 256 * 100 * (13 + 512))
+
 let suite =
   [ Alcotest.test_case "wal record roundtrip" `Quick test_wal_record_roundtrip;
     Alcotest.test_case "wal replay durable prefix" `Quick test_wal_replay_prefix;
@@ -788,4 +965,9 @@ let suite =
     Alcotest.test_case "node snapshot truncates wal" `Quick
       test_node_snapshot_truncates_wal;
     Alcotest.test_case "node group commit flusher" `Quick
-      test_node_group_commit_flusher ]
+      test_node_group_commit_flusher;
+    QCheck_alcotest.to_alcotest prop_zero_runs_materialise;
+    Alcotest.test_case "wal replayed frames materialise" `Quick
+      test_wal_replayed_frames_materialise;
+    Alcotest.test_case "node heap bounded under synthetic padding" `Quick
+      test_node_heap_bounded ]

@@ -145,6 +145,57 @@ let prop_crc32_bitwise =
              = crc32_bitwise s ~pos ~len)
         (List.init 16 Fun.id))
 
+(* Bytes made of literal parts and zero runs (some of length 0), at an
+   offset inside a larger buffer: the piece must give back exactly
+   those bytes, and [drop] at every cut exactly the suffix. *)
+let prop_sparse_roundtrip =
+  QCheck.Test.make ~name:"sparse: compact then expand = the bytes"
+    ~count:300
+    QCheck.(
+      pair small_nat
+        (list_of_size Gen.(0 -- 8)
+           (pair (string_of_size Gen.(0 -- 20)) (int_range 0 600))))
+    (fun (lead, parts) ->
+      let body =
+        String.concat ""
+          (List.map (fun (lit, z) -> lit ^ String.make z '\000') parts)
+      in
+      let src = Bytes.of_string (String.make lead 'x' ^ body ^ "tail") in
+      let runs = ref [] and at = ref lead in
+      List.iter
+        (fun (lit, z) ->
+          runs := (!at + String.length lit, z) :: !runs;
+          at := !at + String.length lit + z)
+        parts;
+      let runs = List.rev !runs in
+      let piece =
+        Sparse.compact src ~pos:lead ~len:(String.length body) (fun mark ->
+            List.iter (fun (at, n) -> mark at n) runs)
+      in
+      Sparse.length piece = String.length body
+      && String.equal (Sparse.to_string piece) body
+      && List.for_all
+           (fun (at, n) ->
+             let cut = at + n - lead in
+             String.equal
+               (Sparse.to_string (Sparse.drop piece cut))
+               (String.sub body cut (String.length body - cut)))
+           runs)
+
+let test_sparse_bad_cut () =
+  let src = Bytes.of_string "abc\000\000\000def" in
+  let piece = Sparse.compact src ~pos:0 ~len:9 (fun mark -> mark 3 3) in
+  Alcotest.(check string) "suffix" "def" (Sparse.to_string (Sparse.drop piece 6));
+  Alcotest.check_raises "inside a literal"
+    (Invalid_argument "Sparse.drop: not a cut") (fun () ->
+      ignore (Sparse.drop piece 2));
+  Alcotest.check_raises "run out of order" (Invalid_argument "Sparse.compact: run")
+    (fun () ->
+      ignore
+        (Sparse.compact src ~pos:0 ~len:9 (fun mark ->
+             mark 3 3;
+             mark 1 1)))
+
 let suite =
   [ Alcotest.test_case "scalar roundtrip" `Quick test_roundtrip_scalars;
     Alcotest.test_case "underflow" `Quick test_underflow;
@@ -155,4 +206,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_varint_roundtrip;
     QCheck_alcotest.to_alcotest prop_bytes_roundtrip;
     QCheck_alcotest.to_alcotest prop_crc32_combine;
-    QCheck_alcotest.to_alcotest prop_crc32_bitwise ]
+    QCheck_alcotest.to_alcotest prop_crc32_bitwise;
+    Alcotest.test_case "sparse cuts and runs" `Quick test_sparse_bad_cut;
+    QCheck_alcotest.to_alcotest prop_sparse_roundtrip ]

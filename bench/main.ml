@@ -98,6 +98,22 @@ let codec_msg =
 
 let codec_msg_bytes = Fl_fireledger.Msg.encode codec_msg
 
+(* The same body at the evaluation's sigma = 512: 100 synthetic
+   transactions whose padding is 97% of the frame and travels as zero
+   runs, so these kernels time the run path (run CRC, run skip). *)
+let codec_msg_512 =
+  let txs = Array.init 100 (fun i -> Fl_chain.Tx.create ~id:i ~size:512) in
+  let block =
+    Fl_chain.Block.create ~round:1 ~proposer:0
+      ~prev_hash:Fl_chain.Block.genesis_hash txs
+  in
+  Fl_fireledger.Msg.Body
+    { body_hash = block.Fl_chain.Block.header.Fl_chain.Header.body_hash;
+      txs;
+      ttl = 1 }
+
+let codec_msg_512_frame = Fl_fireledger.Msg.encode codec_msg_512
+
 (* The frame checksum on its own, over a buffer the size of a large
    body, so checksum speed is gated apart from the frame kernels that
    also run it. *)
@@ -106,9 +122,11 @@ let crc_payload_64k = String.init 65536 (fun i -> Char.chr ((i * 131) land 0xff)
 (* The same frame embedded mid-buffer: the view-decode kernel reads it
    in place ([Msg.decode_sub]) where the copy path would first
    [String.sub] it out. *)
-let codec_framed_buf = "\x00batch-prefix\x00" ^ codec_msg_bytes ^ "\x00tail"
+let codec_framed_buf =
+  "\x00batch-prefix\x00" ^ Fl_wire.Sparse.to_string codec_msg_bytes ^ "\x00tail"
+
 let codec_framed_pos = 14
-let codec_framed_len = String.length codec_msg_bytes
+let codec_framed_len = Fl_wire.Sparse.length codec_msg_bytes
 
 (* Receive path: one 100-tx body broadcast over a 16-node net into 16
    hubs. The receivers share the frame's single decode; decoding once
@@ -338,6 +356,12 @@ let kernels : (string * string * (unit -> unit)) list =
     ( "codec",
       "codec/decode-body-100tx",
       fun () -> ignore (Fl_fireledger.Msg.decode codec_msg_bytes) );
+    ( "codec",
+      "codec/encode-body-100x512",
+      fun () -> ignore (Fl_fireledger.Msg.encode codec_msg_512) );
+    ( "codec",
+      "codec/decode-body-100x512",
+      fun () -> ignore (Fl_fireledger.Msg.decode codec_msg_512_frame) );
     ( "codec",
       "codec/decode-frame-view",
       fun () ->

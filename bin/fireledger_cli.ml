@@ -121,7 +121,7 @@ let export_cmd =
     | Ok store' ->
         Printf.printf "wrote %d blocks (%d bytes) to %s; reload verified: %b\n"
           (Fl_chain.Store.length store)
-          (String.length (Fl_chain.Serial.encode_chain store))
+          (Fl_wire.Sparse.length (Fl_chain.Serial.encode_chain store))
           path
           (String.equal
              (Fl_chain.Store.last_hash store)

@@ -232,14 +232,29 @@ let prof_cmd =
           "Give every node a durability layer (e.g. group_commit, \
            ssd/every_block) so WAL framing shows up in the profile."
   in
-  let run n w batch sigma seconds seed geo persist =
+  let byzantine =
+    value
+    & opt (some string) None
+    & info [ "byzantine" ] ~docv:"IDS"
+        ~doc:
+          "Make these node ids (comma-separated) equivocators from the \
+           start, so the OBBC slow path, recovery versions and evidence \
+           show up in the profile."
+  in
+  let run n w batch sigma seconds seed geo persist byzantine =
     let open Fl_harness.Settings in
     let s =
       { (flo ~n ~workers:w ~batch ~tx_size:sigma) with
         net = (if geo then Geo else Single_dc);
         duration = Fl_sim.Time.of_float_s seconds;
         seed;
-        persist = Option.map persist_of_string persist }
+        persist = Option.map persist_of_string persist;
+        faults =
+          { no_faults with
+            byzantine =
+              (match byzantine with
+              | None -> []
+              | Some ids -> List.map int_of_string (split_commas ids)) } }
     in
     (* Build outside the profiled window: construction cost is not
        simulation cost. *)
@@ -284,7 +299,8 @@ let prof_cmd =
           subsystems (engine dispatch, event-queue pops, codec, SHA-256, \
           WAL, obs).")
     Term.(
-      const run $ n $ w $ batch $ sigma $ seconds $ seed $ geo $ persist)
+      const run $ n $ w $ batch $ sigma $ seconds $ seed $ geo $ persist
+      $ byzantine)
 
 let () =
   let info =

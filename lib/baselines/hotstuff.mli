@@ -18,6 +18,33 @@
 
 open Fl_sim
 
+(** {1 Wire codec} *)
+
+type qc = { qc_view : int; qc_hash : string }
+
+type hs_block = {
+  b_view : int;
+  b_parent : string;
+  b_justify : qc;
+  b_txs : Fl_chain.Tx.t array;
+  b_hash : string;
+  b_created : Time.t;
+}
+
+type msg =
+  | Proposal of hs_block
+  | Vote of { view : int; hash : string }
+  | New_view of { view : int; qc : qc }
+
+val encode : msg -> Fl_wire.Sparse.t
+(** One envelope per message (tags 0–2); a proposal's synthetic
+    padding is a zero run, counted in the length the NIC charges. *)
+
+val decode : Fl_wire.Sparse.t -> msg option
+(** Total inverse of {!encode}. *)
+
+(** {1 Cluster} *)
+
 type replica
 (** One HotStuff replica's private state. *)
 

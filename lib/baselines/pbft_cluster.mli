@@ -10,6 +10,13 @@
 
 open Fl_sim
 
+val encode_msg : Fl_chain.Tx.t Fl_consensus.Pbft.msg -> Fl_wire.Sparse.t
+(** The baseline's wire codec: PBFT's in-body codec under a one-tag
+    envelope, wire-true transactions as payloads. *)
+
+val decode_msg : Fl_wire.Sparse.t -> Fl_chain.Tx.t Fl_consensus.Pbft.msg option
+(** Total inverse of {!encode_msg}. *)
+
 type node
 
 type t = {

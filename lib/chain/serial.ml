@@ -4,8 +4,10 @@ let magic = "FLCHAIN1"
 
 (* Wire-true transactions: the frame carries [size] payload bytes
    either way — real payload bytes, or zero padding standing in for a
-   synthetic payload — so [String.length] of any encoding containing
+   synthetic payload — so the length of any encoding containing
    transactions is the byte count the NIC model must charge. The
+   padding is a writer zero run ({!Fl_wire.Codec.Writer.pad}): counted,
+   checksummed and skipped, never written. The
    flag byte distinguishes the two so decode round-trips exactly
    ([payload = ""] stays [""]). Per-tx envelope: id(8) + size(4) +
    flag(1) = 13 bytes. *)
@@ -27,7 +29,8 @@ let decode_tx r =
   match Codec.Reader.u8 r with
   | 0 ->
       (* Synthetic: the padding is simulated payload — skip it
-         without materialising a copy. *)
+         without materialising a copy (over a piece, one step past
+         its zero run). *)
       Codec.Reader.skip r size;
       Tx.create ~id ~size
   | 1 -> Tx.create_payload ~id (Codec.Reader.raw r size)
@@ -58,23 +61,6 @@ let decode_txs r =
 let encode_block w (b : Block.t) =
   encode_header w b.Block.header;
   encode_txs w b.Block.txs
-
-(* Where [encode_block] puts the synthetic transactions' zero padding
-   when it writes [b] from offset [at] — the runs a durable copy of the
-   encoding leaves out (see {!Fl_wire.Sparse}). *)
-let padding_runs (b : Block.t) ~at mark =
-  let pos =
-    ref
-      (at
-      + String.length (Header.encode b.Block.header)
-      + Codec.varint_size (Array.length b.Block.txs))
-  in
-  Array.iter
-    (fun (tx : Tx.t) ->
-      let p = !pos + 13 in
-      if tx.Tx.payload = "" then mark p tx.Tx.size;
-      pos := p + tx.Tx.size)
-    b.Block.txs
 
 (* Structural parse only — commitment checks stay with the protocol
    layer (recovery versions must *observe* a mismatched body to count
@@ -132,9 +118,9 @@ let encode_chain store =
         ~pruned_below:(Store.pruned_below store);
       Store.iter store (fun b -> encode_block w b))
 
-let decode_chain s =
+let decode_chain p =
   match
-    let tag, r = Envelope.open_ s in
+    let tag, r = Envelope.open_ p in
     if tag <> 0 then Error "chain: bad tag"
     else begin
       (* in-place magic check: no 8-byte copy per decode *)
@@ -171,7 +157,7 @@ let save store ~path =
   let oc = open_out_bin path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (encode_chain store))
+    (fun () -> output_string oc (Sparse.to_string (encode_chain store)))
 
 let load ~path =
   match open_in_bin path with
@@ -181,4 +167,4 @@ let load ~path =
         ~finally:(fun () -> close_in ic)
         (fun () ->
           let len = in_channel_length ic in
-          decode_chain (really_input_string ic len))
+          decode_chain (Sparse.of_string (really_input_string ic len)))

@@ -8,7 +8,9 @@
 
 val encode_tx : Fl_wire.Codec.Writer.t -> Tx.t -> unit
 (** Wire-true: synthetic transactions are padded to their declared
-    [size], so an encoding's [String.length] is the true NIC charge. *)
+    [size], so an encoding's length is the true NIC charge. The
+    padding is a zero run of the writer ({!Fl_wire.Codec.Writer.pad}),
+    so a sealed frame holds it as a count. *)
 
 val decode_tx : Fl_wire.Codec.Reader.t -> Tx.t
 
@@ -23,12 +25,6 @@ val encode_header : Fl_wire.Codec.Writer.t -> Header.t -> unit
 val decode_header : Fl_wire.Codec.Reader.t -> Header.t
 
 val encode_block : Fl_wire.Codec.Writer.t -> Block.t -> unit
-
-val padding_runs : Block.t -> at:int -> (int -> int -> unit) -> unit
-(** [padding_runs b ~at mark] calls [mark pos size] for each synthetic
-    transaction of [b], in order, with the position and size of its
-    zero padding in {!encode_block}'s output when that starts at
-    offset [at] — the runs {!Fl_wire.Sparse.compact} elides. *)
 
 val read_block : Fl_wire.Codec.Reader.t -> Block.t
 (** Structural parse only (raises {!Fl_wire.Codec.Reader.Underflow} /
@@ -47,7 +43,7 @@ val block_of_string : string -> (Block.t, string) result
     [Error] here; {!decode_block} accepts it inside chains and
     snapshots. *)
 
-val encode_chain : Store.t -> string
+val encode_chain : Store.t -> Fl_wire.Sparse.t
 (** The whole store (pruned bodies encode as empty; their headers are
     marked so integrity checks stay meaningful after reload), as one
     CRC-sealed {!Fl_wire.Envelope} — byte corruption anywhere in the
@@ -59,7 +55,7 @@ val write_chain_header :
 (** The fields that open an {!encode_chain} body, ahead of the blocks
     — for sealers that assemble the body from pre-encoded block runs. *)
 
-val decode_chain : string -> (Store.t, string) result
+val decode_chain : Fl_wire.Sparse.t -> (Store.t, string) result
 (** Rebuild a store, re-validating the envelope CRC and every hash
     link. *)
 

@@ -170,7 +170,7 @@ let create env ~config ?(behavior = Honest) ?(valid = fun _ -> true) ?persist
       body_arrival = Hashtbl.create 64;
       stash = Hashtbl.create 16;
       fetched = Hashtbl.create 64;
-      signed_headers = Hashtbl.create 1024;
+      signed_headers = Hashtbl.create 64;
       my_signed = Hashtbl.create 64;
       evidence_log = Hashtbl.create 8;
       pulse = Ivar.create engine;

@@ -44,7 +44,7 @@ let key = function
 (* One codec from protocol structs to NIC bytes: every constructor is
    an envelope tag; sub-protocol messages (OBBC, Bracha, PBFT) are
    written by their own in-body codecs, parameterized here with the
-   FireLedger payload codecs. [String.length (encode m)] is the exact
+   FireLedger payload codecs. [Sparse.length (encode m)] is the exact
    byte count the network charges for [m]. *)
 
 let write_body w body_hash txs ttl =

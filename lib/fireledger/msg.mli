@@ -59,12 +59,13 @@ val ob_key : era:int -> round:int -> attempt:int -> string
 val key : t -> string
 (** The channel a message is dispatched to. *)
 
-val encode : t -> string
+val encode : t -> Fl_wire.Sparse.t
 (** One sealed {!Fl_wire.Envelope} per message, one tag per
-    constructor; [String.length (encode m)] is the exact byte count the
-    network charges for [m]. *)
+    constructor, as a piece whose synthetic padding is a zero run;
+    [Sparse.length (encode m)] is the exact byte count the network
+    charges for [m]. *)
 
-val decode : string -> t option
+val decode : Fl_wire.Sparse.t -> t option
 (** Total inverse of {!encode} (see {!Fl_wire.Msg_codec}). *)
 
 val decode_sub : string -> pos:int -> len:int -> t option

@@ -279,7 +279,7 @@ let state_transfer t =
             sid := -1;
             total := -1
           in
-          match Fl_persist.Snapshot.decode encoded with
+          match Fl_persist.Snapshot.decode (Fl_wire.Sparse.of_string encoded) with
           | Error e -> fail e
           | Ok snap -> (
               match Fl_persist.Snapshot.restore_chain snap with

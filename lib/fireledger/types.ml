@@ -127,7 +127,8 @@ let evidence_of ~accused ~first ~second =
     Envelope.seal ~tag:evidence_tag (fun w ->
         write_evidence_fields w ~accused ~first ~second)
   in
-  { accused; first; second; digest = Fl_crypto.Sha256.digest frame }
+  { accused; first; second;
+    digest = Fl_crypto.Sha256.digest (Sparse.to_string frame) }
 
 (* Canonical form: order the conflicting pair by header hash so the
    same conflict always digests identically no matter which side was
@@ -165,9 +166,9 @@ let read_evidence r =
 
 let encode_evidence e = Envelope.seal ~tag:evidence_tag (fun w -> write_evidence w e)
 
-let decode_evidence s =
+let decode_evidence p =
   match
-    let r = Envelope.open_expect ~tag:evidence_tag s in
+    let r = Envelope.open_expect ~tag:evidence_tag p in
     let e = read_evidence r in
     if Codec.Reader.at_end r then Some e else None
   with

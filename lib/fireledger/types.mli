@@ -102,11 +102,11 @@ val write_evidence : Fl_wire.Codec.Writer.t -> evidence -> unit
 val read_evidence : Fl_wire.Codec.Reader.t -> evidence
 (** Keeps the wire order of the pair, canonical or not. *)
 
-val encode_evidence : evidence -> string
+val encode_evidence : evidence -> Fl_wire.Sparse.t
 (** Detached, enveloped frame (version/tag/CRC header) — the form
     evidence is stored or relayed in outside a protocol message. *)
 
-val decode_evidence : string -> evidence option
+val decode_evidence : Fl_wire.Sparse.t -> evidence option
 
 val evidence_digest : evidence -> string
 (** SHA-256 of {!encode_evidence}. *)

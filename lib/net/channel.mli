@@ -31,7 +31,7 @@ val of_hub :
   net:'w Net.t ->
   self:int ->
   f:int ->
-  encode:('w -> string) ->
+  encode:('w -> Fl_wire.Sparse.t) ->
   inj:('m -> 'w) ->
   prj:('w -> 'm) ->
   'm t

@@ -33,7 +33,8 @@ let create engine ~inbox ?on_malformed ~key () =
         | None ->
             t.malformed <- t.malformed + 1;
             (match t.on_malformed with
-            | Some f -> f ~src ~bytes:(String.length (Net.Frame.bytes frame))
+            | Some f ->
+                f ~src ~bytes:(Fl_wire.Sparse.length (Net.Frame.piece frame))
             | None -> ()));
         loop ()
       in

@@ -1,16 +1,18 @@
 open Fl_sim
 
-module Frame = struct
-  type 'm t = { bytes : string; msg : 'm option Lazy.t }
+module Sparse = Fl_wire.Sparse
 
-  let make decode bytes = { bytes; msg = lazy (decode bytes) }
-  let bytes f = f.bytes
+module Frame = struct
+  type 'm t = { piece : Sparse.t; msg : 'm option Lazy.t }
+
+  let make decode piece = { piece; msg = lazy (decode piece) }
+  let piece f = f.piece
   let msg f = Lazy.force f.msg
 end
 
 type 'm t = {
   engine : Engine.t;
-  decode : string -> 'm option;
+  decode : Sparse.t -> 'm option;
   rng : Rng.t;
   loss_rng : Rng.t;
       (* dedicated stream so probabilistic-loss draws do not perturb
@@ -121,21 +123,22 @@ let deliverable t ~src ~dst =
 (* Byte-level fault injection: with the window's probability, either
    flip one bit of a copy of the frame's bytes or truncate them at a
    random boundary — the two physical failure modes a checksum must
-   catch. Self-delivery is exempt (no wire). The bytes are copied
-   before mutation, and the mutant travels as a fresh frame with its
-   own decode: the other links of the same broadcast keep the intact
-   frame and its shared decode. *)
+   catch. Self-delivery is exempt (no wire). The piece is written out
+   to bytes before mutation (a flip may land inside a zero run), and
+   the mutant travels as a fresh one-chunk frame with its own decode:
+   the other links of the same broadcast keep the intact frame and its
+   shared decode. *)
 let maybe_corrupt t ~src ~dst frame =
   if src = dst then frame
   else
     match Hashtbl.find_opt t.corrupt src with
     | None -> frame
     | Some p ->
-        let payload = Frame.bytes frame in
-        let len = String.length payload in
+        let len = Sparse.length (Frame.piece frame) in
         if len = 0 || Rng.float t.corrupt_rng 1.0 >= p then frame
         else begin
           t.corrupted <- t.corrupted + 1;
+          let payload = Sparse.to_string (Frame.piece frame) in
           let flip = Rng.bool t.corrupt_rng in
           let payload' =
             if flip then begin
@@ -155,7 +158,7 @@ let maybe_corrupt t ~src ~dst frame =
                 ("mode", if flip then "bitflip" else "truncate");
                 ("bytes", string_of_int (String.length payload')) ]
             ~at:(Engine.now t.engine) ();
-          Frame.make t.decode payload'
+          Frame.make t.decode (Sparse.of_string payload')
         end
 
 let deliver t ~src ~dst ~at frame =
@@ -169,10 +172,10 @@ let deliver t ~src ~dst ~at frame =
          Mailbox.send t.inboxes.(dst) (src, frame)))
 
 (* The frame carries whatever bytes the sender encoded; the NIC is
-   charged their exact length — there is no separate size channel to
-   drift from the content. A truncating fault shortens the frame
-   before the NIC, as on a real wire where the cut transmission ends
-   early. *)
+   charged their exact length, zero runs included — there is no
+   separate size channel to drift from the content. A truncating
+   fault shortens the frame before the NIC, as on a real wire where
+   the cut transmission ends early. *)
 let transmit t ~src ~dst frame =
   if not (deliverable t ~src ~dst) then begin
     t.dropped <- t.dropped + 1;
@@ -180,12 +183,12 @@ let transmit t ~src ~dst frame =
       ~worker:t.obs_worker
       ~args:
         [ ("dst", string_of_int dst);
-          ("bytes", string_of_int (String.length (Frame.bytes frame))) ]
+          ("bytes", string_of_int (Sparse.length (Frame.piece frame))) ]
       ~at:(Engine.now t.engine) ()
   end
   else begin
     let frame = maybe_corrupt t ~src ~dst frame in
-    let size = String.length (Frame.bytes frame) in
+    let size = Sparse.length (Frame.piece frame) in
     t.link_bytes.(src).(dst) <- t.link_bytes.(src).(dst) + size;
     let now = Engine.now t.engine in
     let propagation = Latency.sample t.latency t.rng ~src ~dst in

@@ -2,10 +2,13 @@
 
     A ['m t] connects [n] nodes in a clique with asynchronous links,
     exactly the paper's §3.1 model, and carries messages of type ['m].
-    What crosses a link is an actual framed byte string — the sender
-    encodes once through its message codec ({!Fl_wire.Msg_codec}) and
-    the NIC is charged exactly its length. There is no separate size
-    argument to drift from the message content.
+    What crosses a link is an actual frame — the sender encodes once
+    through its message codec ({!Fl_wire.Msg_codec}) and the NIC is
+    charged exactly its length. The frame is a {!Fl_wire.Sparse}
+    piece: synthetic padding travels as a zero run, but its length and
+    every byte it stands for are those of the written-out frame, so
+    the charge, the CRC and any byte fault are unchanged. There is no
+    separate size argument to drift from the message content.
 
     Each [send]/[broadcast]/[multicast] call wraps its bytes in one
     {!Frame}, and every destination of that call receives the same
@@ -36,16 +39,16 @@
 
 open Fl_sim
 
-(** What one transmission delivers: the encoded bytes plus their
+(** What one transmission delivers: the encoded frame plus its
     once-only decode. *)
 module Frame : sig
   type 'm t
 
-  val bytes : 'm t -> string
-  (** The bytes on the wire (after any byte fault on this link). *)
+  val piece : 'm t -> Fl_wire.Sparse.t
+  (** The frame on the wire (after any byte fault on this link). *)
 
   val msg : 'm t -> 'm option
-  (** The codec's decode of {!bytes}: [None] for a malformed frame.
+  (** The codec's decode of {!piece}: [None] for a malformed frame.
       The first call on a frame runs the decode; later calls, from any
       receiver, return the same value without decoding again. *)
 end
@@ -57,7 +60,7 @@ val create :
   Rng.t ->
   nics:Nic.t array ->
   latency:Latency.t ->
-  decode:(string -> 'm option) ->
+  decode:(Fl_wire.Sparse.t -> 'm option) ->
   'm t
 (** One network instance; [n] is the length of [nics]. [decode] is the
     message codec's total decode, run once per frame. *)
@@ -75,17 +78,17 @@ val reset_inbox : 'm t -> int -> unit
     queued pre-crash frames vanish with the old mailbox and new
     traffic flows to the rebuilt node's hub. *)
 
-val send : 'm t -> src:int -> dst:int -> string -> unit
+val send : 'm t -> src:int -> dst:int -> Fl_wire.Sparse.t -> unit
 (** Transmit an encoded message as one frame; the NICs are charged its
-    exact byte length. Self-sends skip the NIC and incur only loopback
-    latency. *)
+    exact byte length, [Sparse.length], zero runs included. Self-sends
+    skip the NIC and incur only loopback latency. *)
 
-val broadcast : 'm t -> src:int -> string -> unit
+val broadcast : 'm t -> src:int -> Fl_wire.Sparse.t -> unit
 (** Send to every node, the sender included (clique overlay: n−1 NIC
     serialisations and a loopback delivery, one shared encoding, one
     shared frame and so one decode). *)
 
-val multicast : 'm t -> src:int -> dsts:int list -> string -> unit
+val multicast : 'm t -> src:int -> dsts:int list -> Fl_wire.Sparse.t -> unit
 (** Send to an explicit destination set, as one shared frame — the
     primitive Byzantine equivocators use to feed different halves
     different blocks. *)
@@ -119,8 +122,10 @@ val set_loss : 'm t -> node:int -> float -> unit
 val set_corrupt : 'm t -> node:int -> float -> unit
 (** Corrupt each of [node]'s outbound wire frames with the given
     probability (0 clears the entry): a fault either flips one random
-    bit or truncates the frame at a random boundary, on a copy that
-    travels as a fresh frame with its own decode — the sender's other
+    bit or truncates the frame at a random boundary, on a written-out
+    copy that travels as a fresh frame with its own decode (the same
+    draws and outcomes whether the frame held zero runs or not, a flip
+    inside a run included) — the sender's other
     links still carry the intact frame. Draws come from a dedicated
     ["net-corrupt"] RNG stream consumed only while a window is open,
     so corruption-free schedules are byte-identical to runs without

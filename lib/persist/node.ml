@@ -25,6 +25,8 @@ type stats = {
   s_bytes : int;
 }
 
+let no_media = Fl_wire.Sparse.of_string ""
+
 type t = {
   engine : Engine.t;
   config : config;
@@ -39,7 +41,8 @@ type t = {
   mutable snapshot_media : Snapshot.image option;
   mutable sealed : Snapshot.image option;
       (* the last image built: the sealer's segment cache *)
-  mutable wal_media : string;  (* frozen image between power_fail and recover *)
+  mutable wal_media : Fl_wire.Sparse.t;
+      (* frozen image between power_fail and recover *)
   mutable live : bool;
   mutable gen : int;  (* incarnation guard for in-flight async work *)
   mutable last_snapshot_upto : int;
@@ -71,7 +74,7 @@ let create engine ?obs ?(node = -1) ?(worker = 0) ?disk ?app ~config () =
     chain = None;
     snapshot_media = None;
     sealed = None;
-    wal_media = "";
+    wal_media = no_media;
     live = true;
     gen = 0;
     last_snapshot_upto = -1;
@@ -214,7 +217,7 @@ let power_fail t ~torn =
 let lose_media t =
   Disk.lose t.disk;
   t.snapshot_media <- None;
-  t.wal_media <- "";
+  t.wal_media <- no_media;
   if t.live then begin
     t.live <- false;
     t.gen <- t.gen + 1
@@ -227,7 +230,7 @@ let lose_media t =
    this much sequentially off the device, which is what a restarting
    instance charges as its boot delay. *)
 let media_bytes t =
-  String.length t.wal_media
+  Fl_wire.Sparse.length t.wal_media
   + match t.snapshot_media with Some i -> Snapshot.length i | None -> 0
 
 (* Parse the frozen media back into node state and go live again.
@@ -241,10 +244,10 @@ let recover t =
     t.gen <- t.gen + 1;
     t.live <- true;
     t.recovers <- t.recovers + 1;
-    t.wal_media <- "";
+    t.wal_media <- no_media;
     let r =
       Recovery.run
-        ~snapshot_media:(Option.map Snapshot.encode t.snapshot_media)
+        ~snapshot_media:(Option.map Snapshot.piece t.snapshot_media)
         ~wal_media:media ~app:t.app
     in
     if r.Recovery.r_torn then t.torn_discards <- t.torn_discards + 1;

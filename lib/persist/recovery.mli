@@ -23,14 +23,18 @@ type recovered = {
   r_torn : bool;  (** a torn/corrupt WAL tail was discarded *)
   r_records : int;  (** WAL records applied *)
   r_frames : (Fl_wire.Sparse.t * int) list;
-      (** the media's valid WAL prefix as verified, compacted frames
-          with their rounds, oldest first — the live log restarts from
-          these *)
+      (** the media's valid WAL prefix as verified frames (copied out
+          of the media) with their rounds, oldest first — the live log
+          restarts from these *)
   r_from_snapshot : bool;
   r_snapshot_upto : int;
       (** [upto] of the snapshot on the media, [-1] = none readable *)
 }
 
 val run :
-  snapshot_media:string option -> wal_media:string -> app:app option ->
-  recovered
+  snapshot_media:Fl_wire.Sparse.t option -> wal_media:Fl_wire.Sparse.t ->
+  app:app option -> recovered
+(** Both media are pieces, as a node's {!Snapshot.piece} and
+    {!Wal.power_fail_image} leave them: their CRCs are checked and
+    their records decoded stepping over zero runs, so no padding byte
+    is written out. Raw bytes go in as {!Fl_wire.Sparse.of_string}. *)

@@ -36,7 +36,7 @@ type t = {
   era : int;
   app : string;
   app_hash : string;
-  chain : string;
+  chain : Sparse.t;
 }
 
 (* ---------- sealing ---------- *)
@@ -73,17 +73,15 @@ let block_at store ~pruned_below r =
 
 (* One round's bytes and their CRC-32: the WAL's piece when it logged
    the very block value the image holds (a header-only copy is a value
-   of its own, so it misses), else encoded here and compacted. *)
+   of its own, so it misses), else encoded here. *)
 let round_piece ~wal b =
   match Option.bind wal (fun wal -> Wal.encoded_block wal b) with
   | Some piece -> piece
   | None ->
       Pool.with_writer (fun w ->
           Serial.encode_block w b;
-          let buf = Codec.Writer.unsafe_bytes w
-          and len = Codec.Writer.length w in
-          ( Sparse.compact buf ~pos:0 ~len (Serial.padding_runs b ~at:0),
-            Crc32.digest_int_bytes_sub buf ~pos:0 ~len ))
+          ( Codec.Writer.piece w,
+            Codec.Writer.crc w ~pos:0 ~len:(Codec.Writer.length w) ))
 
 let make_segment store ~first ~last ~pruned rounds =
   let length = ref 0 and crc = ref 0 in
@@ -181,9 +179,7 @@ let seal_impl ~prev ~wal ~store ~upto ~era ~app ~app_hash =
           Codec.Writer.raw w chain_fields;
           let body = start + Envelope.header_bytes in
           let head_crc =
-            Crc32.digest_int_bytes_sub
-              (Codec.Writer.unsafe_bytes w)
-              ~pos:body ~len:(Codec.Writer.length w - body)
+            Codec.Writer.crc w ~pos:body ~len:(Codec.Writer.length w - body)
           in
           Envelope.patch_header w ~start ~tag:0
             ~crc:(crc_over head_crc segments);
@@ -203,26 +199,19 @@ let seal ~prev ~wal ~store ~upto ~era ~app ~app_hash =
 (* A one-off snapshot: the sealer with nothing cached. *)
 let build = seal ~prev:None ~wal:None
 
-(* The image as one contiguous string, zeros written out — only where
-   its bytes are actually read (recovery at restart, a state-transfer
-   donor). *)
-let encode i =
-  let b = Bytes.create i.length in
-  Bytes.blit_string i.head 0 b 0 (String.length i.head);
-  ignore
-    (List.fold_left
-       (fun off s ->
-         List.fold_left
-           (fun off p ->
-             Sparse.blit p b off;
-             off + Sparse.length p)
-           off s.pieces)
-       (String.length i.head) i.segments);
-  Bytes.unsafe_to_string b
+(* The image as one piece: the zero runs stay counts — what restart
+   recovery reads. *)
+let piece i =
+  Sparse.concat
+    (Sparse.of_string i.head :: List.concat_map (fun s -> s.pieces) i.segments)
 
-let decode s =
+(* The image as one contiguous string, zeros written out — only where
+   its bytes leave as bytes (a state-transfer donor's chunks). *)
+let encode i = Sparse.to_string (piece i)
+
+let decode p =
   match
-    let tag, r = Envelope.open_ s in
+    let tag, r = Envelope.open_ p in
     if tag <> 0 then Error "snapshot: bad tag"
     else begin
       (* in-place magic check: no 8-byte copy per decode *)
@@ -231,7 +220,7 @@ let decode s =
       let era = Codec.Reader.varint r in
       let app = Codec.Reader.bytes r in
       let app_hash = Codec.Reader.bytes r in
-      let chain = Codec.Reader.bytes r in
+      let chain = Codec.Reader.piece r (Codec.Reader.varint r) in
       if Codec.Reader.at_end r then Ok { upto; era; app; app_hash; chain }
       else Error "snapshot: trailing bytes"
     end

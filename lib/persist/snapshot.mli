@@ -14,7 +14,8 @@
     the rest. A segment is one {!Fl_wire.Sparse} piece per round, not
     a string of its own: a round the node's {!Wal} logged takes the
     piece of its Append frame, and only the other rounds are encoded.
-    Synthetic padding stays a zero run until {!encode}. Segment and
+    Synthetic padding stays a zero run in {!piece}; only {!encode}
+    writes it out. Segment and
     frame CRCs are assembled with {!Fl_wire.Crc32.combine}. The result
     is byte-identical to a from-scratch {!build}. *)
 
@@ -23,7 +24,8 @@ type t = private {
   era : int;  (** completed recoveries at snapshot time *)
   app : string;  (** opaque application payload ([""] = no app) *)
   app_hash : string;  (** application state hash at [upto] *)
-  chain : string;  (** the FLCHAIN1 frame *)
+  chain : Fl_wire.Sparse.t;
+      (** the FLCHAIN1 frame, borrowed from the decoded image *)
 }
 (** A decoded snapshot. *)
 
@@ -51,10 +53,14 @@ val segments : image -> (int * int * Fl_wire.Sparse.t list) list
     order. A segment kept from the previous image returns the very
     same list. *)
 
-val encode : image -> string
-(** The image's bytes, zeros written out. *)
+val piece : image -> Fl_wire.Sparse.t
+(** The image as one piece (a fresh backing holding its literal bytes;
+    zero runs stay counts) — what a restart reads. *)
 
-val decode : string -> (t, string) result
+val encode : image -> string
+(** The image's bytes, zeros written out — what state transfer ships. *)
+
+val decode : Fl_wire.Sparse.t -> (t, string) result
 (** [Error] on a bad envelope, CRC, magic or trailing bytes. *)
 
 val restore_chain : t -> (Fl_chain.Store.t, string) result

@@ -2,9 +2,10 @@
    only concern rounds at or below the snapshot; segments are
    time-ordered, so the survivors still form a contiguous suffix.
 
-   The log keeps each frame as a {!Sparse} piece: an Append's
-   synthetic padding is a zero run, and real bytes exist only in the
-   media image a power failure leaves. *)
+   The log keeps each frame as the {!Sparse} piece its writer made: an
+   Append's synthetic padding is a zero run from the moment
+   {!Serial.encode_tx} pads, in the log and in the media image a power
+   failure leaves. *)
 
 open Fl_chain
 open Fl_wire
@@ -51,9 +52,9 @@ let read_record tag r =
       Ok (Definite { upto; era })
   | tag -> Error (Printf.sprintf "unknown WAL record tag %d" tag)
 
-let decode_record s =
+let decode_record p =
   match
-    let tag, r = Envelope.open_ s in
+    let tag, r = Envelope.open_ p in
     match read_record tag r with
     | Ok _ when not (Codec.Reader.at_end r) ->
         Error "WAL record: trailing bytes"
@@ -86,7 +87,7 @@ type t = {
       (* per-log grow-only build buffer: every record frame is
          assembled here in place — length prefix reserved, envelope
          sealed directly behind it, length patched — so an append
-         allocates only the frame's compact copy *)
+         allocates only the frame's piece *)
   encoded : (int, encoded) Hashtbl.t;
       (* by round: the last block appended there, until a snapshot
          supersedes the round ([truncate]) or recovery rebuilds the
@@ -108,8 +109,9 @@ let create ~segment_bytes =
 
 (* An Append envelope sealed by hand: its body is [signature | block],
    and the two pieces are checksummed apart, the frame CRC combined
-   from them — still one pass over the bytes, and the block's own CRC
-   falls out of it. Returns the block's offset and CRC. *)
+   from them — still one pass over the literal bytes (runs are
+   counts), and the block's own CRC falls out of it. Returns the
+   block's offset and CRC. *)
 let seal_append_impl w record ~signature =
   let start = Codec.Writer.reserve w Envelope.header_bytes in
   write_record w record;
@@ -118,9 +120,8 @@ let seal_append_impl w record ~signature =
     body + Codec.varint_size (String.length signature) + String.length signature
   in
   let len = Codec.Writer.length w - off in
-  let buf = Codec.Writer.unsafe_bytes w in
-  let crc = Crc32.digest_int_bytes_sub buf ~pos:off ~len in
-  let sig_crc = Crc32.digest_int_bytes_sub buf ~pos:body ~len:(off - body) in
+  let crc = Codec.Writer.crc w ~pos:off ~len in
+  let sig_crc = Codec.Writer.crc w ~pos:body ~len:(off - body) in
   Envelope.patch_header w ~start ~tag:(record_tag record)
     ~crc:(Crc32.combine sig_crc crc len);
   (off, crc)
@@ -132,24 +133,8 @@ let seal_append w record ~signature =
         seal_append_impl w record ~signature)
   else seal_append_impl w record ~signature
 
-(* The compact copy of the frame at [src.[pos..pos+len)] that holds
-   [record]: an Append's padding elided, and a cut where its block's
-   encoding starts, so that encoding is a {!Sparse.drop} of the
-   frame. *)
-let compact_frame src ~pos ~len = function
-  | Append { block; signature } ->
-      let at =
-        pos + 4 + Envelope.header_bytes
-        + Codec.varint_size (String.length signature)
-        + String.length signature
-      in
-      Sparse.compact src ~pos ~len (fun mark ->
-          mark at 0;
-          Serial.padding_runs block ~at mark)
-  | Truncate _ | Definite _ -> Sparse.compact src ~pos ~len (fun _ -> ())
-
 (* Build one record's framed bytes — [u32 length | sealed envelope] —
-   in the log's scratch buffer, one pass, and keep their compact copy.
+   in the log's scratch buffer, one pass, and keep the writer's piece.
    For an Append, also where the block's encoding sits in the frame
    and its CRC; [(0, 0)] otherwise. *)
 let build_frame_impl t record =
@@ -165,9 +150,7 @@ let build_frame_impl t record =
         (0, 0)
   in
   Codec.Writer.patch_u32 w len_off (Codec.Writer.length w - 4);
-  ( compact_frame (Codec.Writer.unsafe_bytes w) ~pos:0
-      ~len:(Codec.Writer.length w) record,
-    block_at )
+  (Codec.Writer.piece w, block_at)
 
 (* Self-profiling bracket (Fl_prof): record encode + length framing —
    the WAL's share of host time, with the nested envelope seal
@@ -199,7 +182,8 @@ let append t record =
   let round = round_of record in
   (match record with
   | Append { block; _ } ->
-      Hashtbl.replace t.encoded round { block; piece = Sparse.drop fr off; crc }
+      Hashtbl.replace t.encoded round
+        { block; piece = Sparse.sub fr ~pos:off ~len:(Sparse.length fr - off); crc }
   | Truncate _ | Definite _ -> ());
   push_frame t fr ~round;
   Sparse.length fr
@@ -235,7 +219,7 @@ let all_frames t =
    prefix, plus — when [torn] and a non-durable frame exists — a
    partial fragment of the first frame past the watermark, cut
    mid-frame so replay sees either a length underflow or a CRC
-   mismatch. *)
+   mismatch. One piece: the zero runs stay counts on the media too. *)
 let power_fail_image t ~torn =
   let frames = all_frames t in
   let rec take k = function
@@ -253,21 +237,10 @@ let power_fail_image t ~torn =
            the payload — deterministic, no RNG. *)
         let len = Sparse.length fr in
         let cut = max 1 (4 + ((len - 4) / 2)) in
-        String.sub (Sparse.to_string fr) 0 (min cut (len - 1))
-    | _ -> ""
+        [ Sparse.sub fr ~pos:0 ~len:(min cut (len - 1)) ]
+    | _ -> []
   in
-  let size =
-    List.fold_left (fun n fr -> n + Sparse.length fr) 0 durable
-  in
-  let b = Bytes.create (size + String.length fragment) in
-  ignore
-    (List.fold_left
-       (fun off fr ->
-         Sparse.blit fr b off;
-         off + Sparse.length fr)
-       0 durable);
-  Bytes.blit_string fragment 0 b size (String.length fragment);
-  Bytes.unsafe_to_string b
+  Sparse.concat (durable @ fragment)
 
 (* Replace the log's contents with a recovered media image: every
    frame on it is durable by construction. *)
@@ -304,37 +277,41 @@ type replay = {
   records : record list;  (* oldest first, valid prefix only *)
   frames : (Sparse.t * int) list;
       (* the same prefix's verified frames, as read off the media and
-         compacted, each with its record's round — what
+         copied out of it, each with its record's round — what
          [reset_to_frames] takes *)
   torn : bool;  (* a partial / corrupt tail was detected and discarded *)
 }
 
-(* Parse a media byte image into its valid record prefix. Stops (and
-   flags [torn]) at the first length underflow, CRC mismatch or
-   undecodable record — everything after a torn frame is garbage. *)
+let u32_string n =
+  let b = Bytes.create 4 in
+  Bytes.set_int32_le b 0 (Int32.of_int n);
+  Bytes.unsafe_to_string b
+
+(* Parse a media image into its valid record prefix. Stops (and flags
+   [torn]) at the first length underflow, CRC mismatch or undecodable
+   record — everything after a torn frame is garbage. *)
 let replay_media_impl media =
-  let len = String.length media in
-  let pos = ref 0 in
+  let r = Codec.Reader.of_piece media in
   let records = ref [] in
   let frames = ref [] in
   let torn = ref false in
   let stop = ref false in
-  while (not !stop) && !pos < len do
-    if len - !pos < 4 then begin
+  while (not !stop) && not (Codec.Reader.at_end r) do
+    if Codec.Reader.remaining r < 4 then begin
       torn := true;
       stop := true
     end
     else begin
-      let r = Codec.Reader.of_substring media ~pos:!pos ~len:(len - !pos) in
       let flen = Codec.Reader.u32 r in
-      if len - !pos - 4 < flen then begin
+      if Codec.Reader.remaining r < flen then begin
         torn := true;
         stop := true
       end
       else
         (* Zero-copy: the envelope opens directly over the media
            window; version/CRC mismatches surface as Malformed. *)
-        match Envelope.open_sub media ~pos:(!pos + 4) ~len:flen with
+        let frame = Codec.Reader.piece r flen in
+        match Envelope.open_ frame with
         | exception (Codec.Reader.Underflow | Codec.Malformed _) ->
             torn := true;
             stop := true
@@ -343,11 +320,9 @@ let replay_media_impl media =
             | Ok rec_ when Codec.Reader.at_end body ->
                 records := rec_ :: !records;
                 frames :=
-                  ( compact_frame (Bytes.unsafe_of_string media) ~pos:!pos
-                      ~len:(4 + flen) rec_,
+                  ( Sparse.concat [ Sparse.of_string (u32_string flen); frame ],
                     round_of rec_ )
-                  :: !frames;
-                pos := !pos + 4 + flen
+                  :: !frames
             | Ok _ | Error _ ->
                 torn := true;
                 stop := true

@@ -9,9 +9,9 @@
     which {!replay_media} detects (length underflow or CRC mismatch)
     and discards.
 
-    The log holds its frames as {!Fl_wire.Sparse} pieces: an Append's
-    synthetic padding is a zero run, not bytes. Only
-    {!power_fail_image} writes the frames out in full. *)
+    The log holds its frames as the {!Fl_wire.Sparse} pieces its
+    writer made: an Append's synthetic padding is a zero run, not
+    bytes, in the log and on the media {!power_fail_image} leaves. *)
 
 type record =
   | Append of { block : Fl_chain.Block.t; signature : string }
@@ -26,10 +26,10 @@ type record =
 val round_of : record -> int
 (** The round a record concerns. *)
 
-val encode_record : record -> string
+val encode_record : record -> Fl_wire.Sparse.t
 (** The record's sealed envelope (without the length prefix). *)
 
-val decode_record : string -> (record, string) result
+val decode_record : Fl_wire.Sparse.t -> (record, string) result
 (** Inverse of {!encode_record}; [Error] on any malformed frame. *)
 
 type t
@@ -49,7 +49,7 @@ val encoded_block : t -> Fl_chain.Block.t -> (Fl_wire.Sparse.t * int) option
 
 val build_frame : t -> record -> Fl_wire.Sparse.t
 (** One record's framed bytes — [u32 length | sealed envelope] — built
-    in the log's reusable scratch buffer and kept compact; what
+    in the log's reusable scratch buffer, as the writer's piece; what
     {!append} appends. *)
 
 val mark_durable : t -> unit
@@ -64,10 +64,11 @@ val total_frames : t -> int
 val segments : t -> int
 val truncated_segments : t -> int
 
-val power_fail_image : t -> torn:bool -> string
+val power_fail_image : t -> torn:bool -> Fl_wire.Sparse.t
 (** The media a power failure leaves: the durable frames, plus — when
     [torn] and a non-durable frame exists — a fragment of the first
-    non-durable frame cut mid-frame. *)
+    non-durable frame cut mid-frame. One piece with a fresh backing;
+    zero runs stay counts. *)
 
 val reset_to_frames : t -> (Fl_wire.Sparse.t * int) list -> unit
 (** Replace the log's contents with recovered frames (each with its
@@ -83,10 +84,10 @@ type replay = {
   records : record list;  (** oldest first, valid prefix only *)
   frames : (Fl_wire.Sparse.t * int) list;
       (** the same prefix's verified frames, as read off the media and
-          compacted, each with its record's round *)
+          copied out of it, each with its record's round *)
   torn : bool;  (** a partial or corrupt tail was detected and discarded *)
 }
 
-val replay_media : string -> replay
+val replay_media : Fl_wire.Sparse.t -> replay
 (** Parse a media image into its valid record prefix, stopping at the
     first length underflow, CRC mismatch or undecodable record. *)

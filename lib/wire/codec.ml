@@ -46,23 +46,49 @@ module Slice = struct
 end
 
 module Writer = struct
-  (* Grow-only scratch buffer. Unlike [Buffer.t] it exposes its byte
-     storage for in-place work — checksumming a sealed body without
-     first copying it out, and patching a reserved header slot after
+  (* Grow-only scratch buffer of literal bytes, plus the zero runs
+     [pad] recorded instead of writing: flat [(at, n)] pairs, [n]
+     zeros standing before literal byte [at], the unused tail filled
+     with [max_int] sentinels so a {!Sparse} window over the live
+     arrays stops at the last run. Unlike [Buffer.t] it exposes its
+     storage for in-place work — patching a reserved header slot after
      the body length is known. Cleared-and-reused via {!Pool} or a
      per-owner scratch, so steady-state encoding allocates only the
-     final [contents] string. *)
-  type t = { mutable buf : Bytes.t; mutable len : int; initial : int }
+     final piece. *)
+  type t = {
+    mutable buf : Bytes.t;
+    mutable len : int;  (* literal bytes *)
+    mutable runs : int array;
+    mutable nruns : int;
+    mutable zeros : int;  (* zero bytes in runs *)
+    initial : int;
+  }
+
+  let no_runs = [||]
 
   let create ?(capacity = 256) () =
     let capacity = max capacity 16 in
-    { buf = Bytes.create capacity; len = 0; initial = capacity }
+    { buf = Bytes.create capacity;
+      len = 0;
+      runs = no_runs;
+      nruns = 0;
+      zeros = 0;
+      initial = capacity }
 
-  let clear t = t.len <- 0
+  let clear t =
+    for i = 0 to t.nruns - 1 do
+      t.runs.(2 * i) <- max_int
+    done;
+    t.len <- 0;
+    t.nruns <- 0;
+    t.zeros <- 0
 
   let reset t =
-    t.len <- 0;
+    clear t;
+    t.runs <- no_runs;
     if Bytes.length t.buf > t.initial then t.buf <- Bytes.create t.initial
+
+  let capacity t = Bytes.length t.buf + (8 * Array.length t.runs)
 
   let grow t needed =
     let cap = ref (Bytes.length t.buf) in
@@ -137,85 +163,246 @@ module Writer = struct
 
   let bool t b = u8 t (if b then 1 else 0)
 
+  (* A zero run is a count, not bytes: it joins the previous run when
+     no literal byte came between them. *)
   let pad t n =
     if n < 0 then invalid_arg "Codec.pad: negative"
-    else begin
-      ensure t n;
-      Bytes.fill t.buf t.len n '\000';
-      t.len <- t.len + n
+    else if n > 0 then begin
+      let k = t.nruns in
+      if k > 0 && t.runs.(2 * (k - 1)) = t.len then
+        t.runs.((2 * (k - 1)) + 1) <- t.runs.((2 * (k - 1)) + 1) + n
+      else begin
+        if 2 * (k + 1) > Array.length t.runs then begin
+          let runs = Array.make (max 16 (4 * (k + 1))) max_int in
+          Array.blit t.runs 0 runs 0 (2 * k);
+          t.runs <- runs
+        end;
+        t.runs.(2 * k) <- t.len;
+        t.runs.((2 * k) + 1) <- n;
+        t.nruns <- k + 1
+      end;
+      t.zeros <- t.zeros + n
     end
 
-  (* Append [n] zero bytes and return their offset — a header slot to
-     [patch_*] once the trailing content (length, checksum) is known,
-     so frames build front-to-back in one pass with no copy. *)
+  (* Append [n] literal zero bytes and return their offset — a header
+     slot to [patch_*] once the trailing content (length, checksum) is
+     known, so frames build front-to-back in one pass with no copy. *)
   let reserve t n =
-    let off = t.len in
-    pad t n;
+    let off = t.len + t.zeros in
+    ensure t n;
+    Bytes.fill t.buf t.len n '\000';
+    t.len <- t.len + n;
     off
 
-  let patch_u32 t off v =
-    if off < 0 || off + 4 > t.len then invalid_arg "Codec.patch_u32";
-    set32 t.buf off v
+  let length t = t.len + t.zeros
+
+  (* The whole writer as a window over its live arrays — valid until
+     the next write. *)
+  let view t =
+    Sparse.unsafe_make ~lits:(Bytes.unsafe_to_string t.buf) ~runs:t.runs
+      ~pos:0 ~run:0 ~skip:0 ~len:(length t)
+
+  (* The literal index of logical offset [off], whose [width] bytes
+     must all be literal. *)
+  let literal_at t off width name =
+    if off < 0 || off + width > length t then invalid_arg name;
+    let p = ref off and k = ref 0 in
+    while !k < t.nruns && t.runs.(2 * !k) <= !p do
+      let at = t.runs.(2 * !k) and n = t.runs.((2 * !k) + 1) in
+      if !p - at < n then invalid_arg name;
+      p := !p - n;
+      incr k
+    done;
+    if !k < t.nruns && t.runs.(2 * !k) < !p + width then invalid_arg name;
+    !p
+
+  let patch_u32 t off v = set32 t.buf (literal_at t off 4 "Codec.patch_u32") v
 
   let patch_u8 t off v =
-    if off < 0 || off >= t.len then invalid_arg "Codec.patch_u8";
-    Bytes.unsafe_set t.buf off (Char.unsafe_chr (v land 0xff))
+    Bytes.unsafe_set t.buf
+      (literal_at t off 1 "Codec.patch_u8")
+      (Char.unsafe_chr (v land 0xff))
 
-  let length t = t.len
-  let contents t = Bytes.sub_string t.buf 0 t.len
+  let crc t ~pos ~len =
+    if t.nruns = 0 then begin
+      if pos < 0 || len < 0 || len > t.len - pos then invalid_arg "Codec.Writer.crc";
+      Crc32.digest_int_bytes_sub t.buf ~pos ~len
+    end
+    else Sparse.crc (Sparse.sub (view t) ~pos ~len)
+
+  let piece t =
+    Sparse.unsafe_make ~lits:(Bytes.sub_string t.buf 0 t.len)
+      ~runs:(if t.nruns = 0 then no_runs else Array.sub t.runs 0 (2 * t.nruns))
+      ~pos:0 ~run:0 ~skip:0 ~len:(length t)
 
   let sub_string t ~pos ~len =
-    if pos < 0 || len < 0 || len > t.len - pos then
+    if pos < 0 || len < 0 || len > length t - pos then
       invalid_arg "Codec.Writer.sub_string";
-    Bytes.sub_string t.buf pos len
+    if t.nruns = 0 then Bytes.sub_string t.buf pos len
+    else Sparse.to_string (Sparse.sub (view t) ~pos ~len)
 
-  (* The writer's live storage, valid bytes [0, length t). Read-only
-     borrow for in-place checksumming; never mutate, never retain
-     across a write (growth swaps the buffer). *)
-  let unsafe_bytes t = t.buf
+  let contents t = sub_string t ~pos:0 ~len:(length t)
 end
 
 module Reader = struct
-  (* [pos, limit) window over [data]; sub-readers share [data] with a
-     narrower window, so nested/lazy body decode is zero-copy. *)
-  type t = { data : string; mutable pos : int; limit : int }
+  (* A window over a {!Sparse} backing: literal bytes [data] and zero
+     runs [runs]. [data.[pos, limit)] is the current literal stretch
+     — the fast path of every primitive compares against [limit]
+     alone, as over a plain string. [rest] bytes of the window follow
+     it: when [pos = limit] and [zeros > 0], run [run] (standing at
+     [limit]) still has [zeros] of its zeros to give; the bytes after
+     those start at [data.[limit]], with run [run + 1] next. Over a
+     plain string [runs] is empty and [rest] is 0. Sub-readers share
+     the backing with a narrower window, so nested/lazy body decode is
+     zero-copy. *)
+  type t = {
+    data : string;
+    runs : int array;
+    mutable pos : int;
+    mutable limit : int;
+    mutable run : int;
+    mutable zeros : int;
+    mutable rest : int;
+  }
 
   exception Underflow
 
-  let of_string data = { data; pos = 0; limit = String.length data }
+  let plain data ~pos ~len =
+    { data; runs = Sparse.no_runs; pos; limit = pos + len; run = 0; zeros = 0; rest = 0 }
+
+  let of_string data = plain data ~pos:0 ~len:(String.length data)
 
   let of_substring data ~pos ~len =
     if pos < 0 || len < 0 || len > String.length data - pos then
       invalid_arg "Codec.Reader.of_substring";
-    { data; pos; limit = pos + len }
+    plain data ~pos ~len
 
-  let of_slice (s : Slice.t) =
-    { data = s.Slice.base; pos = s.Slice.off; limit = s.Slice.off + s.Slice.len }
+  let of_slice (s : Slice.t) = plain s.Slice.base ~pos:s.Slice.off ~len:s.Slice.len
 
-  let remaining t = t.limit - t.pos
+  (* [pos = limit], and run [run - 1] is used up (or there is none
+     before [limit]): open the literal stretch up to run [run]. *)
+  let open_stretch t =
+    let k = min (Sparse.at t.runs t.run - t.limit) t.rest in
+    t.limit <- t.limit + k;
+    t.rest <- t.rest - k;
+    t.zeros <- (if t.rest > 0 then t.runs.((2 * t.run) + 1) else 0)
+
+  let of_piece (p : Sparse.t) =
+    let t =
+      { data = p.Sparse.lits;
+        runs = p.Sparse.runs;
+        pos = p.Sparse.pos;
+        limit = p.Sparse.pos;
+        run = p.Sparse.run;
+        zeros = 0;
+        rest = p.Sparse.len }
+    in
+    if p.Sparse.len > 0 && Sparse.at t.runs t.run = t.pos then
+      t.zeros <- t.runs.((2 * t.run) + 1) - p.Sparse.skip
+    else open_stretch t;
+    t
+
+  let remaining t = t.limit - t.pos + t.rest
   let at_end t = remaining t = 0
 
+  (* The slow path, at the end of the literal stretch: take [z] zeros
+     of the run there, opening the next stretch once the run is used
+     up — so [pos = limit] with bytes left always means zeros to
+     give. *)
+  let take_zeros t z =
+    t.zeros <- t.zeros - z;
+    t.rest <- t.rest - z;
+    if t.zeros = 0 && t.rest > 0 then begin
+      t.run <- t.run + 1;
+      open_stretch t
+    end
+
+  (* Advance [n <= remaining] bytes, handing each literal stretch to
+     [lit] and each zero part to [zero]. *)
+  let walk t n ~lit ~zero =
+    let n = ref n in
+    while !n > 0 do
+      let k = min (t.limit - t.pos) !n in
+      if k > 0 then begin
+        lit t.pos k;
+        t.pos <- t.pos + k;
+        n := !n - k
+      end
+      else begin
+        let z = min (min t.zeros t.rest) !n in
+        zero z;
+        take_zeros t z;
+        n := !n - z
+      end
+    done
+
+  let rec skip_slow t n =
+    if n > 0 then begin
+      let k = min (t.limit - t.pos) n in
+      if k > 0 then begin
+        t.pos <- t.pos + k;
+        skip_slow t (n - k)
+      end
+      else begin
+        let z = min (min t.zeros t.rest) n in
+        take_zeros t z;
+        skip_slow t (n - z)
+      end
+    end
+
+  (* The next [n] bytes copied out, zeros written. *)
+  let fill t n =
+    let b = Bytes.create n and o = ref 0 in
+    walk t n
+      ~lit:(fun p k ->
+        Bytes.blit_string t.data p b !o k;
+        o := !o + k)
+      ~zero:(fun z ->
+        Bytes.fill b !o z '\000';
+        o := !o + z);
+    Bytes.unsafe_to_string b
+
   let u8 t =
-    if t.pos >= t.limit then raise Underflow;
-    let v = Char.code (String.unsafe_get t.data t.pos) in
-    t.pos <- t.pos + 1;
-    v
+    if t.pos < t.limit then begin
+      let v = Char.code (String.unsafe_get t.data t.pos) in
+      t.pos <- t.pos + 1;
+      v
+    end
+    else if t.rest = 0 then raise Underflow
+    else begin
+      take_zeros t 1;
+      0
+    end
 
   let u16 t =
-    if t.limit - t.pos < 2 then raise Underflow;
-    let d = t.data and p = t.pos in
-    t.pos <- p + 2;
-    Char.code (String.unsafe_get d p)
-    lor (Char.code (String.unsafe_get d (p + 1)) lsl 8)
+    if t.limit - t.pos < 2 then begin
+      if remaining t < 2 then raise Underflow;
+      let lo = u8 t in
+      lo lor (u8 t lsl 8)
+    end
+    else begin
+      let d = t.data and p = t.pos in
+      t.pos <- p + 2;
+      Char.code (String.unsafe_get d p)
+      lor (Char.code (String.unsafe_get d (p + 1)) lsl 8)
+    end
 
   let u32 t =
-    if t.limit - t.pos < 4 then raise Underflow;
-    let d = t.data and p = t.pos in
-    t.pos <- p + 4;
-    Char.code (String.unsafe_get d p)
-    lor (Char.code (String.unsafe_get d (p + 1)) lsl 8)
-    lor (Char.code (String.unsafe_get d (p + 2)) lsl 16)
-    lor (Char.code (String.unsafe_get d (p + 3)) lsl 24)
+    if t.limit - t.pos < 4 then begin
+      if remaining t < 4 then raise Underflow;
+      let b0 = u8 t in
+      let b1 = u8 t in
+      let b2 = u8 t in
+      b0 lor (b1 lsl 8) lor (b2 lsl 16) lor (u8 t lsl 24)
+    end
+    else begin
+      let d = t.data and p = t.pos in
+      t.pos <- p + 4;
+      Char.code (String.unsafe_get d p)
+      lor (Char.code (String.unsafe_get d (p + 1)) lsl 8)
+      lor (Char.code (String.unsafe_get d (p + 2)) lsl 16)
+      lor (Char.code (String.unsafe_get d (p + 3)) lsl 24)
+    end
 
   let u64 t =
     let lo = u32 t in
@@ -233,22 +420,28 @@ module Reader = struct
   (* Guards use subtraction, never [pos + n]: an adversarial length
      near [max_int] must not wrap around the comparison. *)
   let raw t n =
-    if n < 0 || n > remaining t then raise Underflow;
-    let s = String.sub t.data t.pos n in
-    t.pos <- t.pos + n;
-    s
+    if n >= 0 && n <= t.limit - t.pos then begin
+      let s = String.sub t.data t.pos n in
+      t.pos <- t.pos + n;
+      s
+    end
+    else if n < 0 || n > remaining t then raise Underflow
+    else fill t n
 
   let bytes t =
     let n = varint t in
     raw t n
 
   (* Zero-copy [raw]: borrow the next [n] bytes as a slice of the
-     backing buffer instead of copying them out. *)
+     backing buffer instead of copying them out — unless they straddle
+     a zero run, when only those [n] bytes are written out. *)
   let view t n =
-    if n < 0 || n > remaining t then raise Underflow;
-    let s = { Slice.base = t.data; off = t.pos; len = n } in
-    t.pos <- t.pos + n;
-    s
+    if n >= 0 && n <= t.limit - t.pos then begin
+      let s = { Slice.base = t.data; off = t.pos; len = n } in
+      t.pos <- t.pos + n;
+      s
+    end
+    else Slice.of_string (raw t n)
 
   let view_bytes t =
     let n = varint t in
@@ -259,26 +452,51 @@ module Reader = struct
   let expect_raw t expected =
     let n = String.length expected in
     if n > remaining t then raise Underflow;
-    let d = t.data and p = t.pos in
-    for i = 0 to n - 1 do
-      if String.unsafe_get d (p + i) <> String.unsafe_get expected i then
-        raise (Malformed "magic mismatch")
-    done;
-    t.pos <- p + n
+    if n <= t.limit - t.pos then begin
+      let d = t.data and p = t.pos in
+      for i = 0 to n - 1 do
+        if String.unsafe_get d (p + i) <> String.unsafe_get expected i then
+          raise (Malformed "magic mismatch")
+      done;
+      t.pos <- p + n
+    end
+    else if not (String.equal (fill t n) expected) then
+      raise (Malformed "magic mismatch")
 
   let skip t n =
-    if n < 0 || n > remaining t then raise Underflow;
-    t.pos <- t.pos + n
+    if n >= 0 && n <= t.limit - t.pos then t.pos <- t.pos + n
+    else if n < 0 || n > remaining t then raise Underflow
+    else skip_slow t n
 
+  (* The next [n] bytes as a window of the same backing: the current
+     state, clipped. *)
   let sub t n =
     if n < 0 || n > remaining t then raise Underflow;
-    let r = { data = t.data; pos = t.pos; limit = t.pos + n } in
-    t.pos <- t.pos + n;
+    let lit = t.limit - t.pos in
+    let r =
+      if n <= lit then { t with limit = t.pos + n; zeros = 0; rest = 0 }
+      else { t with rest = n - lit }
+    in
+    skip t n;
     r
 
   let sub_bytes t =
     let n = varint t in
     sub t n
+
+  let piece t n =
+    if n < 0 || n > remaining t then raise Underflow;
+    let p =
+      if t.pos < t.limit || n = 0 then
+        Sparse.unsafe_make ~lits:t.data ~runs:t.runs ~pos:t.pos ~run:t.run
+          ~skip:0 ~len:n
+      else
+        Sparse.unsafe_make ~lits:t.data ~runs:t.runs ~pos:t.pos ~run:t.run
+          ~skip:(t.runs.((2 * t.run) + 1) - t.zeros)
+          ~len:n
+    in
+    skip t n;
+    p
 
   let bool t = u8 t <> 0
 

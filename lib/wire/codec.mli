@@ -8,11 +8,18 @@
     snapshots. Integers are little-endian fixed width; variable-length
     fields are length-prefixed.
 
-    Ownership rule for zero-copy decode: {!Slice.t} and {!Reader.t}
-    values {e borrow} the frame they were decoded from. Any component
-    that retains a payload past the frame's lifetime (a stash, the
-    WAL, a snapshot cache) must copy first ({!Slice.to_string}, or a
-    {!Sparse.compact} copy) — everything else stays a view. *)
+    Synthetic padding ({!Writer.pad}) is a zero run, not bytes: a
+    writer's output is a {!Sparse} piece, and a {!Reader} over a piece
+    returns exactly what it returns over the piece's bytes, stepping
+    over runs without materialising them.
+
+    Ownership rule for zero-copy decode: {!Slice.t}, {!Sparse.t} and
+    {!Reader.t} values {e borrow} the frame they were decoded from. Any
+    component that retains a payload past the frame's lifetime (a
+    stash, the WAL, a snapshot cache) must copy first
+    ({!Slice.to_string}, {!Sparse.copy}) — everything else stays a
+    view. A piece a writer hands out ({!Writer.piece}) owns its
+    backing. *)
 
 exception Malformed of string
 (** Structurally invalid input: bad tag, checksum mismatch,
@@ -76,31 +83,43 @@ module Writer : sig
       the payload as a string first. *)
 
   val pad : t -> int -> unit
-  (** [n] zero bytes — simulated payload that must occupy real frame
-      bytes. Amortised: no per-call string allocation. *)
+  (** [n] zero bytes — simulated payload that occupies frame bytes —
+      recorded as a run: no byte is written, and {!length} counts
+      them. *)
 
   val bool : t -> bool -> unit
+
   val length : t -> int
+  (** Bytes written, zero runs included. *)
+
+  val piece : t -> Sparse.t
+  (** What was written, as a piece with its own backing: the literal
+      bytes copied once, the runs as counts. *)
+
   val contents : t -> string
+  (** What was written, zeros written out. *)
 
   val sub_string : t -> pos:int -> len:int -> string
-  (** Copy out a range of the written bytes. *)
+  (** Copy out a range of the written bytes, zeros written out. *)
+
+  val crc : t -> pos:int -> len:int -> int
+  (** CRC-32 of a range of the written bytes, in place: literal bytes
+      through the native kernel, runs by {!Crc32.update_zeros}. *)
 
   val reserve : t -> int -> int
-  (** Append [n] zero bytes and return their offset — a header slot
-      to patch once trailing content (length, checksum) is known, so
-      frames build front-to-back in one pass. *)
+  (** Append [n] literal zero bytes and return their offset — a header
+      slot to patch once trailing content (length, checksum) is known,
+      so frames build front-to-back in one pass. *)
 
   val patch_u32 : t -> int -> int -> unit
-  (** [patch_u32 t off v] overwrites 4 already-written bytes at
-      [off] with little-endian [v]. *)
+  (** [patch_u32 t off v] overwrites 4 already-written literal bytes
+      at [off] with little-endian [v]. Raises [Invalid_argument] if
+      they are not written or not all literal. *)
 
   val patch_u8 : t -> int -> int -> unit
 
-  val unsafe_bytes : t -> Bytes.t
-  (** The writer's live storage; valid bytes are [0, length t).
-      Read-only borrow for in-place checksumming — never mutate, and
-      never hold across a write (growth swaps the buffer). *)
+  val capacity : t -> int
+  (** Bytes of storage the writer holds (for pooling). *)
 
   val clear : t -> unit
   (** Empty the writer, keeping its internal storage (pooling). *)
@@ -125,6 +144,12 @@ module Reader : sig
   val of_slice : Slice.t -> t
   (** Zero-copy reader over a slice's window. *)
 
+  val of_piece : Sparse.t -> t
+  (** Zero-copy reader over a piece. Every primitive returns exactly
+      what it returns over [Sparse.to_string p]; a read, {!view} or
+      {!raw} that straddles a zero run writes out only the bytes it
+      returns, and {!skip} over a run is O(1). *)
+
   val u8 : t -> int
   val u16 : t -> int
   val u32 : t -> int
@@ -135,7 +160,8 @@ module Reader : sig
 
   val view : t -> int -> Slice.t
   (** Zero-copy {!raw}: borrow the next [n] bytes as a slice of the
-      backing buffer. The borrow rules of {!Slice} apply. *)
+      backing buffer (copied out only when they straddle a zero run).
+      The borrow rules of {!Slice} apply. *)
 
   val view_bytes : t -> Slice.t
   (** Length-prefixed (varint) {!view}. *)
@@ -157,6 +183,11 @@ module Reader : sig
 
   val sub_bytes : t -> t
   (** Length-prefixed (varint) {!sub}. *)
+
+  val piece : t -> int -> Sparse.t
+  (** The next [n] bytes as a piece sharing the backing (runs stay
+      counts), advancing past them. Raises {!Underflow} if fewer than
+      [n] bytes remain. *)
 
   val seq_len : t -> int
   (** A varint element count, validated against [remaining] (every

@@ -39,51 +39,39 @@ let digest_int_bytes_sub b ~pos ~len =
     invalid_arg "Crc32.digest_int_bytes_sub";
   run (Bytes.unsafe_to_string b) pos len 0xFFFFFFFF lxor 0xFFFFFFFF
 
-(* ---------- combine (zlib's crc32_combine) ----------
+(* ---------- zero runs and combine (zlib's crc32_combine) ----------
 
-   [combine (digest a) (digest b) (length b) = digest (a ^ b)] without
-   touching the bytes again: appending [len] bytes multiplies the first
-   CRC by x^(8·len) modulo the polynomial, which takes O(log len)
-   carry-less 32-bit multiplications using a table of x^(2^k). This is
-   what lets a frame assembled from already-checksummed pieces get its
-   CRC in constant time per piece. *)
+   Appending [n] zero bytes multiplies the running state by x^(8n)
+   modulo the polynomial, and [combine (digest a) (digest b) (length b)
+   = digest (a ^ b)] is that same multiplication applied to [digest a]
+   before xoring in [digest b]. Both take O(log n) carry-less 32-bit
+   multiplications (the C kernel's [multmodp] over its table of
+   x^(2^k)) and read no byte: a frame whose body holds zero runs gets
+   its CRC without the zeros ever being written, and a frame assembled
+   from already-checksummed pieces gets its CRC in constant time per
+   piece. *)
 
-let poly = 0xEDB88320
+external zeros :
+  (int[@untagged]) -> (int[@untagged]) -> (int[@untagged])
+  = "fl_crc32_zeros_byte" "fl_crc32_zeros"
+[@@noalloc]
 
-(* a·b modulo the polynomial, both in reflected bit order *)
-let multmodp a b =
-  let p = ref 0 and b = ref b and m = ref (1 lsl 31) in
-  while !m <> 0 do
-    if a land !m <> 0 then begin
-      p := !p lxor !b;
-      if a land (!m - 1) = 0 then m := 0
-    end;
-    if !m <> 0 then begin
-      m := !m lsr 1;
-      b := if !b land 1 = 1 then (!b lsr 1) lxor poly else !b lsr 1
-    end
-  done;
-  !p
+let state_run s pos len crc =
+  if pos < 0 || len < 0 || len > String.length s - pos then
+    invalid_arg "Crc32.state_run";
+  run s pos len crc
 
-(* x2n_table.(k) = x^(2^k) mod p *)
-let x2n_table =
-  let t = Array.make 32 0 in
-  t.(0) <- 1 lsl 30 (* x^1 *);
-  for k = 1 to 31 do
-    t.(k) <- multmodp t.(k - 1) t.(k - 1)
-  done;
-  t
+let state_zeros crc n = zeros crc n
 
-(* x^(n·2^k) mod p *)
-let x2nmodp n k =
-  let p = ref (1 lsl 31) (* x^0 *) and n = ref n and k = ref k in
-  while !n <> 0 do
-    if !n land 1 = 1 then p := multmodp x2n_table.(!k land 31) !p;
-    n := !n lsr 1;
-    incr k
-  done;
-  !p
+let update crc s ~pos ~len =
+  if pos < 0 || len < 0 || len > String.length s - pos then
+    invalid_arg "Crc32.update";
+  run s pos len (crc lxor 0xFFFFFFFF) lxor 0xFFFFFFFF
+
+let update_zeros crc n =
+  if n < 0 then invalid_arg "Crc32.update_zeros";
+  zeros (crc lxor 0xFFFFFFFF) n lxor 0xFFFFFFFF
 
 let combine crc1 crc2 len2 =
   if len2 < 0 then invalid_arg "Crc32.combine";
-  multmodp (x2nmodp len2 3) (crc1 land 0xFFFFFFFF) lxor (crc2 land 0xFFFFFFFF)
+  zeros (crc1 land 0xFFFFFFFF) len2 lxor (crc2 land 0xFFFFFFFF)

@@ -15,6 +15,27 @@ val digest_int_bytes_sub : bytes -> pos:int -> len:int -> int
 (** Same over a [bytes] region — the in-place sealing path, where a
     frame body still sits in a writer's buffer. *)
 
+val update : int -> string -> pos:int -> len:int -> int
+(** [update (digest_int a) s ~pos ~len] is the digest of [a] followed
+    by [s.[pos] .. s.[pos + len - 1]]: a digest continued over a
+    string assembled in pieces. Raises [Invalid_argument] on a range
+    outside [s]. *)
+
+val update_zeros : int -> int -> int
+(** [update_zeros (digest_int a) n] is [digest_int (a ^ String.make n
+    '\000')], computed in O(log n) without any zero byte: how a frame
+    with {!Sparse} zero runs is checksummed. Raises [Invalid_argument]
+    on a negative [n]. *)
+
+val state_run : string -> int -> int -> int -> int
+(** [state_run s pos len state]: the raw register (no final xor;
+    [0xFFFFFFFF] to start) after [s.[pos] .. s.[pos + len - 1]] — for
+    loops that chain many stretches without re-conditioning. Raises
+    [Invalid_argument] on a range outside [s]. *)
+
+val state_zeros : int -> int -> int
+(** [state_zeros state n]: the raw register after [n] zero bytes. *)
+
 val combine : int -> int -> int -> int
 (** [combine (digest_int a) (digest_int b) (String.length b)] is
     [digest_int (a ^ b)], computed in O(log len) without reading the

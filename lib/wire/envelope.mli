@@ -12,29 +12,27 @@
 val header_bytes : int
 (** 6: the version, tag and CRC ahead of the body. *)
 
-val seal : tag:int -> (Codec.Writer.t -> unit) -> string
-(** [seal ~tag write] is the frame whose body [write] produces. Raises
+val seal : tag:int -> (Codec.Writer.t -> unit) -> Sparse.t
+(** [seal ~tag write] is the frame whose body [write] produces, as a
+    piece: zero runs the body pads stay counts, and the CRC steps over
+    them, so it equals the CRC-32 of the written-out bytes. Raises
     [Invalid_argument] unless [0 <= tag <= 255]. *)
 
 val seal_into : Codec.Writer.t -> tag:int -> (Codec.Writer.t -> unit) -> unit
 (** Append the same frame to a caller-owned writer instead of
-    returning it as a string. *)
+    returning it as a piece. *)
 
 val patch_header : Codec.Writer.t -> start:int -> tag:int -> crc:int -> unit
 (** Fill the [header_bytes] reserved at [start] for a body whose CRC
     is already known — a frame assembled from pre-checksummed pieces
     (see {!Crc32.combine}). *)
 
-val open_sub : string -> pos:int -> len:int -> int * Codec.Reader.t
-(** Open the frame at [pos, pos+len) of [s]: check the version and
-    the body CRC and return the tag and a zero-copy reader over the
+val open_ : Sparse.t -> int * Codec.Reader.t
+(** Open a frame: check the version and the body CRC (stepping over
+    zero runs) and return the tag and a zero-copy reader over the
     body. Raises {!Codec.Malformed} on a version or CRC mismatch and
-    {!Codec.Reader.Underflow} on a frame too short for its header or a
-    range outside [s]. *)
+    {!Codec.Reader.Underflow} on a frame too short for its header. *)
 
-val open_ : string -> int * Codec.Reader.t
-(** [open_sub] over the whole string. *)
-
-val open_expect : tag:int -> string -> Codec.Reader.t
+val open_expect : tag:int -> Sparse.t -> Codec.Reader.t
 (** [open_] of a frame whose tag is fixed by context (evidence records,
     snapshot headers): raises {!Codec.Malformed} on any other tag. *)

@@ -27,7 +27,7 @@ let acquire () =
 let release w =
   let p = Domain.DLS.get key in
   if p.count < max_pooled then begin
-    if Bytes.length (Codec.Writer.unsafe_bytes w) > retain_bytes then
+    if Codec.Writer.capacity w > retain_bytes then
       Codec.Writer.reset w
     else Codec.Writer.clear w;
     p.free <- w :: p.free;

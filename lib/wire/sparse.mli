@@ -1,36 +1,78 @@
-(** Byte strings kept with their zero runs elided.
+(** Byte strings that keep their zero runs as counts.
 
     A synthetic transaction's payload is zero padding of its declared
-    size ({!Fl_chain.Serial.encode_tx}), so most of a block encoding
-    can be zeros. A durable copy of one — a WAL frame, a snapshot
-    round — keeps only the bytes around those runs and becomes real
-    bytes again only where it is read out ({!blit}, {!to_string}).
+    size ({!Fl_chain.Serial.encode_tx}), so most of a block-carrying
+    frame can be zeros. {!Codec.Writer.pad} records such padding as a
+    run instead of writing it, and the writer's output is a piece: its
+    literal bytes plus [(position, count)] runs. The piece goes on the
+    wire as it is (the NIC is charged {!length}, zeros included), is
+    read back through {!Codec.Reader.of_piece}, lands in WAL frames and
+    snapshot images, and is checksummed by {!crc} without a zero byte
+    ever being written or read. Its bytes become real only where they
+    are read out as bytes ({!blit}, {!to_string}).
 
-    A piece is immutable. Its compact form is one string of chunks
-    [varint literal_length | literal bytes | varint zero_count], so a
-    piece costs one heap block however many runs it elides. *)
+    A piece is immutable: a window over a backing of literal bytes and
+    runs, which {!sub} and {!Codec.Reader.piece} share. The borrow rule
+    of {!Codec} applies: whatever retains a piece past the frame it
+    came from retains the whole backing, so it takes a {!copy}. *)
 
-type t
+type t = private {
+  lits : string;  (** the backing's literal bytes *)
+  runs : int array;
+      (** the backing's runs: flat [(at, n)] pairs, [n > 0] zeros just
+          before [lits.[at]], [at] strictly increasing; any pairs after
+          the last run hold [max_int] *)
+  pos : int;  (** where the window starts in [lits] *)
+  run : int;  (** the first run with [at >= pos] *)
+  skip : int;
+      (** when run [run] stands at [pos]: its zeros that lie before the
+          window *)
+  len : int;  (** the window's length, zeros included *)
+}
+(** The fields are readable for {!Codec}'s reader; only the
+    constructors below build one. *)
 
-val compact : Bytes.t -> pos:int -> len:int -> ((int -> int -> unit) -> unit) -> t
-(** [compact src ~pos ~len runs] is the piece of [src]'s bytes
-    [[pos, pos+len)]. [runs mark] calls [mark at n] for each run of
-    [n] bytes at [at] to elide, in increasing order and inside the
-    range; those bytes must be zeros. A run of [n = 0] elides nothing
-    but lets {!drop} cut at [at]. Raises [Invalid_argument] on a range
-    outside [src] or a run out of order or out of range. *)
+val unsafe_make :
+  lits:string -> runs:int array -> pos:int -> run:int -> skip:int -> len:int -> t
+(** A piece from fields that already satisfy the invariants above —
+    {!Codec}'s writer and reader, which keep them. Not checked. *)
 
-val drop : t -> int -> t
-(** [drop t n] is [t] without its first [n] bytes, sharing its compact
-    form. [n] must be [0] or the end of a run given to {!compact};
-    raises [Invalid_argument] otherwise. *)
+val of_string : string -> t
+(** The whole string as a piece without runs — no copy. *)
+
+val of_sub : string -> pos:int -> len:int -> t
+(** A window of a string as a piece without runs — no copy. Raises
+    [Invalid_argument] out of range. *)
+
+val no_runs : int array
+(** The empty run table. *)
+
+val at : int array -> int -> int
+(** [at runs k]: where run [k] stands, [max_int] past the last. *)
 
 val length : t -> int
 (** The number of bytes the piece stands for. *)
+
+val sub : t -> pos:int -> len:int -> t
+(** The bytes [[pos, pos+len)] of the piece, sharing its backing;
+    O(runs before [pos]). Raises [Invalid_argument] out of range. *)
+
+val concat : t list -> t
+(** The pieces one after the other, as a piece with a fresh backing
+    that holds only their bytes (literal bytes copied, runs kept as
+    counts). *)
+
+val copy : t -> t
+(** [concat [t]]: the copy-on-retain boundary. *)
+
+val crc : t -> int
+(** [Crc32.digest_int (to_string t)], computed from the literal bytes
+    and {!Crc32.update_zeros} per run: no zero byte is read. *)
 
 val blit : t -> Bytes.t -> int -> unit
 (** [blit t dst off] writes the piece's bytes, zeros included, to
     [dst] from [off]. Raises [Invalid_argument] if they do not fit. *)
 
 val to_string : t -> string
-(** The piece's bytes as one string. *)
+(** The piece's bytes as one string; a whole string without runs is
+    returned as it is. *)

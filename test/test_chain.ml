@@ -260,12 +260,12 @@ let test_serial_chain_roundtrip_pruned () =
   (* Corrupt one byte anywhere past the header: decode must fail, not
      produce a silently different chain. *)
   let corrupt =
-    let b = Bytes.of_string bytes in
+    let b = Bytes.of_string (Fl_wire.Sparse.to_string bytes) in
     let i = Bytes.length b / 2 in
     Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x40));
     Bytes.to_string b
   in
-  match Serial.decode_chain corrupt with
+  match Serial.decode_chain (Fl_wire.Sparse.of_string corrupt) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "corrupted chain must not decode"
 

@@ -2,7 +2,9 @@
    m) = m]) and malformed-input robustness (arbitrary or mutated bytes
    must yield [None]/[Error], raising nothing past the codec layer) —
    plus the cross-layer wire-truth check: the NIC charges exactly
-   [String.length (Msg.encode m)] for a message, padding included.
+   [Sparse.length (Msg.encode m)] for a message, padding included.
+   Frames are pieces whose synthetic padding is a zero run; the string
+   tests below work on their written-out bytes ([enc]/[dec]).
 
    Complements test_wire.ml (scalar-level codec properties) one layer
    up: these are the protocol-struct codecs that ride the envelope. *)
@@ -13,6 +15,8 @@ module Msg = Fl_fireledger.Msg
 module Types = Fl_fireledger.Types
 
 let registry = Fl_crypto.Signature.create_registry ~seed:"codecs" ~n:4
+let enc m = Sparse.to_string (Msg.encode m)
+let dec s = Msg.decode (Sparse.of_string s)
 
 (* ---------- generators ---------- *)
 
@@ -26,7 +30,10 @@ let gen_tx =
     let* id = int_range 0 1_000_000 in
     let* synthetic = bool in
     if synthetic then
-      let+ size = int_range 0 300 in
+      let+ size =
+        frequency
+          [ (4, int_range 0 300); (1, oneofl [ 0; 1; 511; 512; 513; 4096 ]) ]
+      in
       Tx.create ~id ~size
     else
       let+ payload = string_size (int_range 0 64) in
@@ -226,7 +233,7 @@ let arb_of gen = QCheck.make ~print:(fun _ -> "<opaque>") gen
 
 let arb_msg =
   QCheck.make
-    ~print:(fun m -> Fl_crypto.Hex.encode (Msg.encode m))
+    ~print:(fun m -> Fl_crypto.Hex.encode (enc m))
     gen_msg
 
 (* ---------- in-body writer/reader round-trips ---------- *)
@@ -322,7 +329,7 @@ let prop_derived_digests =
       let proof_ok p = Types.proof_digest p = proof_digest_from_scratch p in
       let evidence_ok e =
         Types.evidence_digest e
-        = Fl_crypto.Sha256.digest (Types.encode_evidence e)
+        = Fl_crypto.Sha256.digest (Sparse.to_string (Types.encode_evidence e))
       in
       let version_ok v =
         Types.version_digest v = version_digest_from_scratch v
@@ -399,11 +406,11 @@ let prop_view_decode_equals_copy_decode =
         (string_of_size Gen.(int_range 0 24))
         (string_of_size Gen.(int_range 0 24)))
     (fun (m, prefix, suffix) ->
-      let frame = Msg.encode m in
+      let frame = enc m in
       let buf = prefix ^ frame ^ suffix in
       let pos = String.length prefix and len = String.length frame in
       let via_view = Msg.decode_sub buf ~pos ~len in
-      let via_copy = Msg.decode (String.sub buf pos len) in
+      let via_copy = dec (String.sub buf pos len) in
       match (via_view, via_copy) with
       | Some a, Some b -> msg_eq a b && msg_eq a m
       | None, None -> true
@@ -415,7 +422,7 @@ let prop_view_decode_damage_parity =
     ~count:300
     QCheck.(pair arb_msg (QCheck.make Gen.(int_range 0 20_000)))
     (fun (m, seed) ->
-      let frame = Msg.encode m in
+      let frame = enc m in
       let buf = "pfx" ^ frame ^ "sfx" in
       let flen = String.length frame in
       (* alternate between truncating the window and flipping a byte *)
@@ -425,7 +432,7 @@ let prop_view_decode_damage_parity =
         else (flip buf (pos + (seed / 2 mod flen)), flen)
       in
       let via_view = Msg.decode_sub buf ~pos ~len in
-      let via_copy = Msg.decode (String.sub buf pos len) in
+      let via_copy = dec (String.sub buf pos len) in
       match (via_view, via_copy) with
       | None, None -> true
       | Some a, Some b -> msg_eq a b
@@ -443,7 +450,7 @@ let test_slice_aliasing_safety () =
     Msg.Snap_chunk
       { sid = 2; seq = 1; total = 3; data = Codec.Slice.of_string payload }
   in
-  let frame = Msg.encode m in
+  let frame = enc m in
   (* the receive buffer: a mutable Bytes the frame sits inside *)
   let buf = Bytes.of_string ("hdr!" ^ frame ^ "!trl") in
   let s = Bytes.unsafe_to_string buf in
@@ -484,7 +491,7 @@ let prop_wal_frame_is_prefixed_record =
   let wal = Fl_persist.Wal.create ~segment_bytes:(1 lsl 16) in
   QCheck.Test.make ~name:"codecs: WAL frame = u32 length | record" ~count:200
     (arb_of gen_wal_record) (fun rec_ ->
-      let record = Fl_persist.Wal.encode_record rec_ in
+      let record = Sparse.to_string (Fl_persist.Wal.encode_record rec_) in
       let w = Codec.Writer.create () in
       Codec.Writer.u32 w (String.length record);
       Codec.Writer.raw w record;
@@ -499,12 +506,14 @@ let prop_wal_frame_is_prefixed_record =
    (in particular [Invalid_argument] from an unchecked allocation)
    fails the property. *)
 let decoders : (string * (string -> bool)) list =
-  [ ("msg", fun s -> Msg.decode s = None);
+  [ ("msg", fun s -> dec s = None);
     ("block", fun s -> Result.is_error (Serial.block_of_string s));
-    ("chain", fun s -> Result.is_error (Serial.decode_chain s));
+    ("chain", fun s -> Result.is_error (Serial.decode_chain (Sparse.of_string s)));
     ("signed-header", fun s -> Types.decode_signed_header s = None);
-    ("wal-record", fun s -> Result.is_error (Fl_persist.Wal.decode_record s));
-    ("snapshot", fun s -> Result.is_error (Fl_persist.Snapshot.decode s)) ]
+    ("wal-record",
+      fun s -> Result.is_error (Fl_persist.Wal.decode_record (Sparse.of_string s)));
+    ("snapshot",
+      fun s -> Result.is_error (Fl_persist.Snapshot.decode (Sparse.of_string s))) ]
 
 let prop_random_bytes_rejected =
   QCheck.Test.make ~name:"codecs: random bytes never decode, never raise"
@@ -566,10 +575,10 @@ let prop_bitflip_rejected =
     ~count:300
     QCheck.(pair arb_msg (QCheck.make Gen.(int_range 0 10_000)))
     (fun (m, off_seed) ->
-      let s = Msg.encode m in
+      let s = enc m in
       let off = off_seed mod String.length s in
       let mutated = flip s off in
-      match Msg.decode mutated with
+      match dec mutated with
       | None -> true
       | Some m' ->
           (* Only a header-byte flip may still decode, and never to a
@@ -583,17 +592,17 @@ let prop_truncation_rejected =
   QCheck.Test.make ~name:"codecs: truncated frames never decode" ~count:300
     QCheck.(pair arb_msg (QCheck.make Gen.(int_range 0 10_000)))
     (fun (m, len_seed) ->
-      let s = Msg.encode m in
+      let s = enc m in
       let len = len_seed mod String.length s in
-      Msg.decode (String.sub s 0 len) = None)
+      dec (String.sub s 0 len) = None)
 
 let prop_wal_record_mutation =
   QCheck.Test.make ~name:"codecs: mutated WAL records are rejected" ~count:200
     QCheck.(pair (arb_of gen_wal_record) (QCheck.make Gen.(int_range 0 10_000)))
     (fun (rec_, off_seed) ->
-      let s = Fl_persist.Wal.encode_record rec_ in
+      let s = Sparse.to_string (Fl_persist.Wal.encode_record rec_) in
       let off = off_seed mod String.length s in
-      match Fl_persist.Wal.decode_record (flip s off) with
+      match Fl_persist.Wal.decode_record (Sparse.of_string (flip s off)) with
       | Error _ -> true
       | Ok _ -> off < 6 (* tag-byte reframing; body flips must fail *))
 
@@ -623,7 +632,7 @@ let test_snapshot_roundtrip () =
   | None -> Alcotest.fail "snapshot build failed"
   | Some snap -> (
       let enc = Fl_persist.Snapshot.encode snap in
-      match Fl_persist.Snapshot.decode enc with
+      match Fl_persist.Snapshot.decode (Sparse.of_string enc) with
       | Error e -> Alcotest.failf "decode: %s" e
       | Ok snap' -> (
           let module S = Fl_persist.Snapshot in
@@ -642,7 +651,7 @@ let test_snapshot_roundtrip () =
                 (Store.check_integrity prefix);
               (* Byte corruption anywhere in the image is caught. *)
               for off = 0 to String.length enc - 1 do
-                match Fl_persist.Snapshot.decode (flip enc off) with
+                match Fl_persist.Snapshot.decode (Sparse.of_string (flip enc off)) with
                 | Error _ -> ()
                 | Ok _ when off < 6 -> ()
                 | Ok _ ->
@@ -656,7 +665,7 @@ let test_nic_charges_encoding_length () =
      protocol messages — including a synthetic-transaction body whose
      padding must count — and require every byte-accounting layer
      (sender NIC, per-link ledger, per-node totals) to agree with
-     [String.length (Msg.encode m)] exactly. *)
+     [Sparse.length (Msg.encode m)] exactly. *)
   let w =
     World.make ~seed:97 ~n:2 ~key:Msg.key ~encode:Msg.encode
       ~decode:Msg.decode ()
@@ -678,12 +687,12 @@ let test_nic_charges_encoding_length () =
           m = Fl_consensus.Obbc.Vote { value = true; pgd = None } } ]
   in
   let expected =
-    List.fold_left (fun acc m -> acc + String.length (Msg.encode m)) 0 msgs
+    List.fold_left (fun acc m -> acc + Sparse.length (Msg.encode m)) 0 msgs
   in
   (* Synthetic padding is on the wire: the Body frame must charge the
      four 512-byte transactions it carries. *)
   Alcotest.(check bool) "padding counted" true
-    (String.length (Msg.encode (List.hd msgs)) > 4 * 512);
+    (Sparse.length (Msg.encode (List.hd msgs)) > 4 * 512);
   List.iter (fun m -> Fl_net.Net.send w.World.net ~src:0 ~dst:1 (Msg.encode m)) msgs;
   World.run w;
   Alcotest.(check int) "NIC bytes = encoded bytes" expected
@@ -694,6 +703,320 @@ let test_nic_charges_encoding_length () =
     (Fl_net.Net.bytes_out w.World.net ~node:0);
   Alcotest.(check int) "all delivered" (List.length msgs)
     (Fl_net.Net.messages_delivered w.World.net)
+
+(* ---------- zero-run frames = dense frames ---------- *)
+
+(* Every top-level codec seals through a writer whose padding is a
+   zero run. Its frame, written out, must equal the frame sealed the
+   dense way ({!Dense.seal}, over the same body writers); its decode
+   must equal the decode of those bytes; and so must the decode of a
+   mutated body, re-sealed (so the mutation gets past the CRC) and cut
+   into runs at every stretch of [k] or more zeros, so that reads
+   straddle runs wherever the mutation sends them. Decoded values are
+   compared by their re-encoding: slices borrow different buffers on
+   the two paths. *)
+
+(* [s] as a piece whose zero stretches of at least [k] bytes are runs. *)
+let sparsify k s =
+  let w = Codec.Writer.create () in
+  let n = String.length s and i = ref 0 in
+  while !i < n do
+    let j = ref !i in
+    while !j < n && s.[!j] = '\000' do
+      incr j
+    done;
+    if !j - !i >= k then begin
+      Codec.Writer.pad w (!j - !i);
+      i := !j
+    end
+    else begin
+      Codec.Writer.u8 w (Char.code s.[!i]);
+      incr i
+    end
+  done;
+  Codec.Writer.piece w
+
+let reseal s =
+  let body = String.sub s 6 (String.length s - 6) in
+  Dense.seal ~tag:(Char.code s.[1]) (fun w -> Codec.Writer.raw w body)
+
+type mutation = Flip of int * int | Set of int * int | Zero of int * int
+
+let gen_mutation =
+  QCheck.Gen.(
+    let* at = int_range 0 100_000 in
+    let* v = int_range 0 255 in
+    oneofl [ Flip (at, v land 7); Set (at, v); Zero (at, v) ])
+
+let mutate s m =
+  let b = Bytes.of_string s in
+  let n = Bytes.length b - 6 in
+  (if n > 0 then
+     match m with
+     | Flip (at, bit) ->
+         let i = 6 + (at mod n) in
+         Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)))
+     | Set (at, v) -> Bytes.set b (6 + (at mod n)) (Char.chr v)
+     | Zero (at, len) ->
+         let i = at mod n in
+         Bytes.fill b (6 + i) (min len (n - i)) '\000');
+  Bytes.to_string b
+
+let prop_zero_run_codec name ~gen ~encode ~decode ~dense =
+  QCheck.Test.make ~name ~count:200
+    (arb_of
+       QCheck.Gen.(
+         quad gen (list_size (int_range 1 3) gen_mutation) (int_range 1 9)
+           (int_range 0 3)))
+    (fun (m, muts, k, truncate) ->
+      let reenc = Option.map (fun m -> Sparse.to_string (encode m)) in
+      let piece = encode m in
+      let bytes = Sparse.to_string piece in
+      let tag, write = dense m in
+      let same what a b =
+        a = b
+        || QCheck.Test.fail_reportf "%s: %s" what
+             (match (a, b) with
+             | Some _, None -> "piece decodes, bytes do not"
+             | None, Some _ -> "bytes decode, piece does not"
+             | _ -> "different messages")
+      in
+      String.equal bytes (Dense.seal ~tag write)
+      && same "valid" (reenc (decode piece)) (Some bytes)
+      && same "valid, re-cut" (reenc (decode (sparsify k bytes)))
+           (Some bytes)
+      &&
+      let mutated = List.fold_left mutate bytes muts in
+      let mutated =
+        reseal
+          (String.sub mutated 0 (max 6 (String.length mutated - truncate)))
+      in
+      same "mutated"
+        (reenc (decode (sparsify k mutated)))
+        (reenc (decode (Sparse.of_string mutated))))
+
+let msg_dense (m : Msg.t) =
+  let open Fl_consensus in
+  let v = Codec.Writer.varint in
+  match m with
+  | Msg.Body { body_hash; txs; ttl } ->
+      ( 0,
+        fun w ->
+          Codec.Writer.raw w body_hash;
+          Serial.encode_txs w txs;
+          v w ttl )
+  | Msg.Push { proposal } -> (1, fun w -> Types.write_proposal w proposal)
+  | Msg.Ob { era; round; attempt; m } ->
+      ( 2,
+        fun w ->
+          v w era;
+          v w round;
+          v w attempt;
+          Obbc.write_msg Types.write_proposal w m )
+  | Msg.Req { round } -> (3, fun w -> v w round)
+  | Msg.Reply { round; proposal; txs } ->
+      ( 4,
+        fun w ->
+          v w round;
+          Types.write_proposal w proposal;
+          Serial.encode_txs w txs )
+  | Msg.Rb m -> (5, fun w -> Fl_broadcast.Bracha.write_msg Types.write_proof w m)
+  | Msg.Ab m -> (6, fun w -> Pbft.write_msg Types.write_version w m)
+  | Msg.Evd m ->
+      (7, fun w -> Fl_broadcast.Bracha.write_msg Types.write_evidence w m)
+  | Msg.Snap_req { from_chunk } -> (8, fun w -> v w from_chunk)
+  | Msg.Snap_chunk { sid; seq; total; data } ->
+      ( 9,
+        fun w ->
+          v w sid;
+          v w seq;
+          v w total;
+          Codec.Writer.slice w data )
+  | Msg.Tx_handoff { txs; fees } ->
+      ( 10,
+        fun w ->
+          Serial.encode_txs w txs;
+          Array.iter (v w) fees )
+
+(* Versions carrying whole blocks, bodies that are mostly padding and
+   state-transfer chunks (tags 6, 0 and 9) at least a third of the
+   time. *)
+let gen_msg_runs =
+  QCheck.Gen.(
+    frequency
+      [ (2, gen_msg);
+        (1, map (fun v -> Msg.Ab (Fl_consensus.Pbft.Submit v)) gen_version);
+        ( 1,
+          let* txs = array_size (int_range 1 6) gen_tx in
+          return (Msg.Body { body_hash = Block.body_hash txs; txs; ttl = 0 }) ) ])
+
+let prop_msg_zero_runs =
+  prop_zero_run_codec "codecs: msg frame = dense frame, piece decode = bytes decode"
+    ~gen:gen_msg_runs ~encode:Msg.encode ~decode:Msg.decode ~dense:msg_dense
+
+let prop_wal_zero_runs =
+  let open Fl_persist.Wal in
+  prop_zero_run_codec "codecs: WAL record = dense frame, piece decode = bytes decode"
+    ~gen:gen_wal_record ~encode:encode_record
+    ~decode:(fun p -> Result.to_option (decode_record p))
+    ~dense:(function
+      | Append { block; signature } ->
+          ( 1,
+            fun w ->
+              Codec.Writer.bytes w signature;
+              Serial.encode_block w block )
+      | Truncate { from } -> (2, fun w -> Codec.Writer.varint w from)
+      | Definite { upto; era } ->
+          ( 3,
+            fun w ->
+              Codec.Writer.varint w (upto + 1);
+              Codec.Writer.varint w era ))
+
+let prop_evidence_zero_runs =
+  prop_zero_run_codec
+    "codecs: evidence = dense frame, piece decode = bytes decode"
+    ~gen:gen_evidence ~encode:Types.encode_evidence ~decode:Types.decode_evidence
+    ~dense:(fun e -> (0x45, fun w -> Types.write_evidence w e))
+
+let gen_hs =
+  QCheck.Gen.(
+    let module H = Fl_baselines.Hotstuff in
+    let gen_qc =
+      let* qc_view = int_range 0 100 in
+      let+ qc_hash = gen_hash in
+      { H.qc_view; qc_hash }
+    in
+    oneof
+      [ (let* b_view = int_range 0 100 in
+         let* b_parent = gen_hash in
+         let* b_justify = gen_qc in
+         let* b_txs = array_size (int_range 0 6) gen_tx in
+         let* b_hash = gen_hash in
+         let+ b_created = int_range 0 1_000_000 in
+         H.Proposal
+           { b_view; b_parent; b_justify; b_txs; b_hash;
+             b_created = Fl_sim.Time.ns b_created });
+        (let* view = int_range 0 100 in
+         let+ hash = gen_hash in
+         H.Vote { view; hash });
+        (let* view = int_range 0 100 in
+         let+ qc = gen_qc in
+         H.New_view { view; qc }) ])
+
+let prop_hotstuff_zero_runs =
+  let module H = Fl_baselines.Hotstuff in
+  let write_qc w (q : H.qc) =
+    Codec.Writer.varint w q.H.qc_view;
+    Codec.Writer.bytes w q.H.qc_hash
+  in
+  prop_zero_run_codec
+    "codecs: hotstuff = dense frame, piece decode = bytes decode" ~gen:gen_hs
+    ~encode:H.encode ~decode:H.decode ~dense:(function
+    | H.Proposal b ->
+        ( 0,
+          fun w ->
+            Codec.Writer.varint w b.H.b_view;
+            Codec.Writer.bytes w b.H.b_parent;
+            write_qc w b.H.b_justify;
+            Serial.encode_txs w b.H.b_txs;
+            Codec.Writer.bytes w b.H.b_hash;
+            Codec.Writer.varint w b.H.b_created )
+    | H.Vote { view; hash } ->
+        ( 1,
+          fun w ->
+            Codec.Writer.varint w view;
+            Codec.Writer.bytes w hash )
+    | H.New_view { view; qc } ->
+        ( 2,
+          fun w ->
+            Codec.Writer.varint w view;
+            write_qc w qc ))
+
+let prop_pbft_baseline_zero_runs =
+  let module P = Fl_consensus.Pbft in
+  let gen =
+    QCheck.Gen.(
+      let* view = int_range 0 5 in
+      let* seq = int_range 0 50 in
+      oneof
+        [ map (fun tx -> P.Submit tx) gen_tx;
+          map
+            (fun batch -> P.Pre_prepare { view; seq; batch })
+            (list_size (int_range 0 4) gen_tx);
+          map (fun digest -> P.Prepare { view; seq; digest }) gen_hash ])
+  in
+  prop_zero_run_codec
+    "codecs: pbft baseline = dense frame, piece decode = bytes decode" ~gen
+    ~encode:Fl_baselines.Pbft_cluster.encode_msg
+    ~decode:Fl_baselines.Pbft_cluster.decode_msg
+    ~dense:(fun m -> (0, fun w -> P.write_msg Serial.encode_tx w m))
+
+(* A body of 100 synthetic 512-byte transactions is 97% padding. A bit
+   flipped inside a run must fail the CRC: [decode_tx] skips padding
+   without reading it, so the envelope is the only guard. On the wire,
+   every corrupted copy is dropped and counted by the receiving hub. *)
+let padded_body () =
+  let txs = Array.init 100 (fun i -> Tx.create ~id:i ~size:512) in
+  Msg.Body { body_hash = Block.body_hash txs; txs; ttl = 0 }
+
+let test_flip_in_padding_rejected () =
+  let m = padded_body () in
+  let bytes = enc m in
+  (* header, body hash, one-byte count, first tx's 13-byte head *)
+  let first_pad = 6 + 32 + 1 + 13 in
+  List.iter
+    (fun off ->
+      Alcotest.(check char) "inside padding" '\000' bytes.[off];
+      Alcotest.(check bool)
+        (Printf.sprintf "flip at %d rejected" off)
+        true
+        (dec (flip bytes off) = None))
+    [ first_pad; first_pad + 511; String.length bytes - 2 ];
+  let w =
+    World.make ~seed:5 ~n:2 ~key:Msg.key ~encode:Msg.encode ~decode:Msg.decode ()
+  in
+  let hub = World.hub w 1 in
+  let sent = 20 in
+  Fl_net.Net.set_corrupt w.World.net ~node:0 1.0;
+  for _ = 1 to sent do
+    Fl_net.Net.send w.World.net ~src:0 ~dst:1 (Msg.encode m)
+  done;
+  World.run w;
+  Alcotest.(check int) "every copy corrupted" sent
+    (Fl_net.Net.messages_corrupted w.World.net);
+  Alcotest.(check int) "every copy counted as a decode error" sent
+    (Fl_net.Hub.malformed hub)
+
+(* The frame of a broadcast 100x512 body and its decoded message:
+   about 1.3 KB of literal bytes and one run per transaction, where
+   written-out frames held 52 KB (6,500 words). *)
+let test_padded_frame_heap () =
+  let w =
+    World.make ~seed:6 ~n:4 ~key:Msg.key ~encode:Msg.encode ~decode:Msg.decode ()
+  in
+  let got = ref None in
+  Fl_sim.Fiber.spawn w.World.engine (fun () ->
+      let _, frame = Fl_sim.Mailbox.recv (Fl_net.Net.inbox w.World.net 1) in
+      got := Some frame);
+  Fl_net.Net.broadcast w.World.net ~src:0 (Msg.encode (padded_body ()));
+  World.run w;
+  match !got with
+  | None -> Alcotest.fail "no frame"
+  | Some frame ->
+      Alcotest.(check int) "charged in full"
+        (6 + 32 + 1 + (100 * (13 + 512)) + 1)
+        (Sparse.length (Fl_net.Net.Frame.piece frame));
+      let frame_words = Obj.reachable_words (Obj.repr (Fl_net.Net.Frame.piece frame)) in
+      Alcotest.(check bool)
+        (Printf.sprintf "frame %d words <= 500" frame_words)
+        true (frame_words <= 500);
+      (match Fl_net.Net.Frame.msg frame with
+      | Some (Msg.Body _) -> ()
+      | _ -> Alcotest.fail "body did not decode");
+      let words = Obj.reachable_words (Obj.repr frame) in
+      Alcotest.(check bool)
+        (Printf.sprintf "frame + message %d words <= 1500" words)
+        true (words <= 1500)
 
 let suite =
   [ QCheck_alcotest.to_alcotest prop_tx_roundtrip;
@@ -733,4 +1056,12 @@ let suite =
     Alcotest.test_case "snapshot roundtrip + corruption" `Quick
       test_snapshot_roundtrip;
     Alcotest.test_case "nic charges encoding length" `Quick
-      test_nic_charges_encoding_length ]
+      test_nic_charges_encoding_length;
+    QCheck_alcotest.to_alcotest prop_msg_zero_runs;
+    QCheck_alcotest.to_alcotest prop_wal_zero_runs;
+    QCheck_alcotest.to_alcotest prop_evidence_zero_runs;
+    QCheck_alcotest.to_alcotest prop_hotstuff_zero_runs;
+    QCheck_alcotest.to_alcotest prop_pbft_baseline_zero_runs;
+    Alcotest.test_case "bit flip inside padding rejected" `Quick
+      test_flip_in_padding_rejected;
+    Alcotest.test_case "padded frame heap bound" `Quick test_padded_frame_heap ]

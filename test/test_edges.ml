@@ -92,13 +92,13 @@ let test_net_self_send_skips_nic () =
   let w =
     World.make ~n:2
       ~key:(fun _ -> "m")
-      ~encode:Fun.id
-      ~decode:(fun s -> Some s)
+      ~encode:Fl_wire.Sparse.of_string
+      ~decode:(fun p -> Some (Fl_wire.Sparse.to_string p))
       ()
   in
   (* the frame is a real megabyte of bytes — its length is the NIC
      charge a wire transmission would pay *)
-  Fl_net.Net.send w.World.net ~src:0 ~dst:0 (String.make 1_000_000 's');
+  Fl_net.Net.send w.World.net ~src:0 ~dst:0 (Fl_wire.Sparse.of_string (String.make 1_000_000 's'));
   World.run w;
   Alcotest.(check int) "self-send bypasses NIC" 0
     (Fl_net.Nic.bytes_sent w.World.nics.(0));
@@ -109,19 +109,19 @@ let test_hub_channel_gc () =
   let w =
     World.make ~n:2
       ~key:(fun m -> m)
-      ~encode:Fun.id
-      ~decode:(fun s -> Some s)
+      ~encode:Fl_wire.Sparse.of_string
+      ~decode:(fun p -> Some (Fl_wire.Sparse.to_string p))
       ()
   in
   let hub = World.hub w 1 in
-  Fl_net.Net.send w.World.net ~src:0 ~dst:1 "chan-a";
-  Fl_net.Net.send w.World.net ~src:0 ~dst:1 "chan-b";
+  Fl_net.Net.send w.World.net ~src:0 ~dst:1 (Fl_wire.Sparse.of_string "chan-a");
+  Fl_net.Net.send w.World.net ~src:0 ~dst:1 (Fl_wire.Sparse.of_string "chan-b");
   World.run w;
   Alcotest.(check int) "two channels" 2 (Fl_net.Hub.channels hub);
   Fl_net.Hub.remove hub "chan-a";
   Alcotest.(check int) "one removed" 1 (Fl_net.Hub.channels hub);
   (* A late message recreates the channel rather than crashing. *)
-  Fl_net.Net.send w.World.net ~src:0 ~dst:1 "chan-a";
+  Fl_net.Net.send w.World.net ~src:0 ~dst:1 (Fl_wire.Sparse.of_string "chan-a");
   World.run w;
   Alcotest.(check int) "recreated" 2 (Fl_net.Hub.channels hub)
 

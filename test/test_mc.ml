@@ -118,7 +118,8 @@ let gen_evidence =
 
 let arb_evidence =
   QCheck.make
-    ~print:(fun ev -> Fl_crypto.Hex.encode (Types.encode_evidence ev))
+    ~print:(fun ev ->
+      Fl_crypto.Hex.encode (Fl_wire.Sparse.to_string (Types.encode_evidence ev)))
     gen_evidence
 
 let prop_evidence_roundtrip =
@@ -156,9 +157,9 @@ let prop_evidence_mutation_rejected =
     ~count:200
     QCheck.(pair arb_evidence (QCheck.make Gen.(int_range 0 10_000)))
     (fun (ev, off_seed) ->
-      let s = Types.encode_evidence ev in
+      let s = Fl_wire.Sparse.to_string (Types.encode_evidence ev) in
       let off = off_seed mod String.length s in
-      match Types.decode_evidence (flip s off) with
+      match Types.decode_evidence (Fl_wire.Sparse.of_string (flip s off)) with
       | None -> true
       | Some _ -> off < 6 (* tag-byte reframing; body flips must fail *))
 
@@ -167,7 +168,7 @@ let prop_evidence_random_bytes =
     ~count:300
     QCheck.(string_of_size Gen.(int_range 0 200))
     (fun s ->
-      try Types.decode_evidence s = None
+      try Types.decode_evidence (Fl_wire.Sparse.of_string s) = None
       with e ->
         QCheck.Test.fail_reportf "decode_evidence raised %s"
           (Printexc.to_string e))

@@ -1,19 +1,26 @@
 open Fl_sim
 open Fl_net
 
+module Sparse = Fl_wire.Sparse
+
+let str = Sparse.of_string
+let bytes_of frame = Sparse.to_string (Net.Frame.piece frame)
+let int_encode i = str (string_of_int i)
+let int_decode p = int_of_string_opt (Sparse.to_string p)
+
 (* Raw-frame worlds: the "codec" is the identity on strings, so tests
    can reason in bytes — the NIC charge IS the string length. *)
 let make_world ?latency n =
   World.make ?latency ~n
     ~key:(fun _ -> "main")
-    ~encode:Fun.id
-    ~decode:(fun s -> Some s)
+    ~encode:str
+    ~decode:(fun p -> Some (Sparse.to_string p))
     ()
 
 (* Int-message worlds: a tiny decimal codec, so hub routing over a
    typed message space is exercised end to end. *)
 let make_int_world ~key n =
-  World.make ~n ~key ~encode:string_of_int ~decode:int_of_string_opt ()
+  World.make ~n ~key ~encode:int_encode ~decode:int_decode ()
 
 (* Counting worlds: the codec's decode bumps [calls], so tests can
    count how many times the network parsed a frame. *)
@@ -44,8 +51,8 @@ let test_delivery () =
   let got = ref [] in
   Fiber.spawn w.World.engine (fun () ->
       let src, frame = Mailbox.recv (Net.inbox w.World.net 1) in
-      got := (src, Net.Frame.bytes frame) :: !got);
-  Net.send w.World.net ~src:0 ~dst:1 "hi";
+      got := (src, bytes_of frame) :: !got);
+  Net.send w.World.net ~src:0 ~dst:1 (str "hi");
   World.run w;
   Alcotest.(check (list (pair int string))) "delivered" [ (0, "hi") ] !got
 
@@ -57,7 +64,7 @@ let test_broadcast_reaches_all () =
         let _ = Mailbox.recv (Net.inbox w.World.net i) in
         counts.(i) <- counts.(i) + 1)
   done;
-  Net.broadcast w.World.net ~src:2 "blast";
+  Net.broadcast w.World.net ~src:2 (str "blast");
   World.run w;
   Alcotest.(check (list int)) "everyone incl. self" [ 1; 1; 1; 1 ]
     (Array.to_list counts)
@@ -78,8 +85,8 @@ let test_nic_serialization () =
       in
       loop 2);
   let mb = String.make 1_250_000 'x' in
-  Net.send w.World.net ~src:0 ~dst:1 mb;
-  Net.send w.World.net ~src:0 ~dst:1 mb;
+  Net.send w.World.net ~src:0 ~dst:1 (str mb);
+  Net.send w.World.net ~src:0 ~dst:1 (str mb);
   World.run w;
   match List.rev !arrivals with
   | [ t1; t2 ] ->
@@ -100,8 +107,8 @@ let test_filter_drops () =
   Fiber.spawn w.World.engine (fun () ->
       let _ = Mailbox.recv (Net.inbox w.World.net 2) in
       incr got2);
-  Net.send w.World.net ~src:0 ~dst:1 "x";
-  Net.send w.World.net ~src:0 ~dst:2 "y";
+  Net.send w.World.net ~src:0 ~dst:1 (str "x");
+  Net.send w.World.net ~src:0 ~dst:2 (str "y");
   World.run w;
   Alcotest.(check int) "dropped" 0 !got1;
   Alcotest.(check int) "passed" 1 !got2;
@@ -127,7 +134,7 @@ let test_hub_routing () =
       in
       loop ());
   List.iter
-    (fun m -> Net.send w.World.net ~src:0 ~dst:1 (string_of_int m))
+    (fun m -> Net.send w.World.net ~src:0 ~dst:1 (str (string_of_int m)))
     [ 3; 12; 5; 40 ];
   World.run w;
   Alcotest.(check (list int)) "low channel" [ 3; 5 ] (List.rev !lows);
@@ -136,7 +143,7 @@ let test_hub_routing () =
 let test_hub_buffers_future () =
   (* Messages for a channel nobody reads yet are buffered, not lost. *)
   let w = make_int_world ~key:(fun _ -> "later") 2 in
-  Net.send w.World.net ~src:0 ~dst:1 "99";
+  Net.send w.World.net ~src:0 ~dst:1 (str "99");
   World.run w;
   let got = ref None in
   Fiber.spawn w.World.engine (fun () ->
@@ -157,9 +164,9 @@ let test_hub_drops_malformed () =
         loop ()
       in
       loop ());
-  Net.send w.World.net ~src:0 ~dst:1 "7";
-  Net.send w.World.net ~src:0 ~dst:1 "not-a-number";
-  Net.send w.World.net ~src:0 ~dst:1 "8";
+  Net.send w.World.net ~src:0 ~dst:1 (str "7");
+  Net.send w.World.net ~src:0 ~dst:1 (str "not-a-number");
+  Net.send w.World.net ~src:0 ~dst:1 (str "8");
   World.run w;
   Alcotest.(check (list int)) "valid frames delivered" [ 7; 8 ]
     (List.rev !got);
@@ -176,14 +183,14 @@ let test_corruption_window () =
       let rec loop k =
         if k > 0 then begin
           let _, frame = Mailbox.recv (Net.inbox w.World.net 1) in
-          got := Net.Frame.bytes frame :: !got;
+          got := bytes_of frame :: !got;
           loop (k - 1)
         end
       in
       loop 3);
   let payload = String.make 64 'p' in
   for _ = 1 to 3 do
-    Net.send w.World.net ~src:0 ~dst:1 payload
+    Net.send w.World.net ~src:0 ~dst:1 (str payload)
   done;
   World.run w;
   Alcotest.(check int) "all frames mutated" 3
@@ -197,8 +204,8 @@ let test_corruption_window () =
   let clean = ref None in
   Fiber.spawn w.World.engine (fun () ->
       let _, frame = Mailbox.recv (Net.inbox w.World.net 1) in
-      clean := Some (Net.Frame.bytes frame));
-  Net.send w.World.net ~src:0 ~dst:1 payload;
+      clean := Some (bytes_of frame));
+  Net.send w.World.net ~src:0 ~dst:1 (str payload);
   World.run w;
   Alcotest.(check (option string)) "window closed" (Some payload) !clean
 
@@ -208,8 +215,8 @@ let test_corruption_self_exempt () =
   let got = ref None in
   Fiber.spawn w.World.engine (fun () ->
       let _, frame = Mailbox.recv (Net.inbox w.World.net 0) in
-      got := Some (Net.Frame.bytes frame));
-  Net.send w.World.net ~src:0 ~dst:0 "loopback";
+      got := Some (bytes_of frame));
+  Net.send w.World.net ~src:0 ~dst:0 (str "loopback");
   World.run w;
   Alcotest.(check (option string)) "self-delivery intact" (Some "loopback")
     !got;
@@ -222,14 +229,14 @@ let test_latency_matrix () =
   Fiber.spawn w.World.engine (fun () ->
       let _ = Mailbox.recv (Net.inbox w.World.net 1) in
       at := Engine.now w.World.engine);
-  Net.send w.World.net ~src:0 ~dst:1 (String.make 100 'g');
+  Net.send w.World.net ~src:0 ~dst:1 (str (String.make 100 'g'));
   World.run w;
   Alcotest.(check bool) "~80ms one-way" true
     (!at >= Time.ms 80 && !at < Time.us 80_200)
 
 let test_byte_accounting () =
   let w = make_world 3 in
-  Net.broadcast w.World.net ~src:0 (String.make 500 'b');
+  Net.broadcast w.World.net ~src:0 (str (String.make 500 'b'));
   World.run w;
   Alcotest.(check int) "tx bytes: 2 peers (self skips NIC)" 1000
     (Nic.bytes_sent w.World.nics.(0));
@@ -243,11 +250,11 @@ let test_broadcast_decodes_once () =
   (* One broadcast is one frame: its decode runs at the first receiver
      and every other receiver reads the same result. *)
   let w, calls =
-    make_counting_world ~key:(fun _ -> "main") ~encode:string_of_int
-      ~decode:int_of_string_opt 4
+    make_counting_world ~key:(fun _ -> "main") ~encode:int_encode
+      ~decode:int_decode 4
   in
   let got = collect w ~key:"main" in
-  Net.broadcast w.World.net ~src:2 "42";
+  Net.broadcast w.World.net ~src:2 (str "42");
   World.run w;
   Alcotest.(check int) "one decode for four receivers" 1 !calls;
   Array.iteri
@@ -287,11 +294,11 @@ let test_garbage_counted_per_hub () =
      receives it counts it: per-receiver decode-error counters keep
      their meaning. *)
   let w, calls =
-    make_counting_world ~key:(fun _ -> "main") ~encode:string_of_int
-      ~decode:int_of_string_opt 4
+    make_counting_world ~key:(fun _ -> "main") ~encode:int_encode
+      ~decode:int_decode 4
   in
   let got = collect w ~key:"main" in
-  Net.broadcast w.World.net ~src:1 "not-a-number";
+  Net.broadcast w.World.net ~src:1 (str "not-a-number");
   World.run w;
   Alcotest.(check int) "decoded once" 1 !calls;
   for i = 0 to 3 do

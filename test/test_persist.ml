@@ -14,7 +14,15 @@ let mk_blocks count =
 
 let sig_of round = Printf.sprintf "sig-%d" round
 
-let record_eq a b = String.equal (Wal.encode_record a) (Wal.encode_record b)
+(* Frames, media and images are pieces; [str] writes one out, [piece]
+   takes raw bytes in. *)
+module Sparse = Fl_wire.Sparse
+
+let str = Sparse.to_string
+let piece = Sparse.of_string
+
+let record_eq a b =
+  String.equal (str (Wal.encode_record a)) (str (Wal.encode_record b))
 
 (* ---- WAL ---- *)
 
@@ -35,10 +43,10 @@ let test_wal_record_roundtrip () =
           Alcotest.(check bool) "record round-trips" true (record_eq r r')
       | Error e -> Alcotest.failf "decode: %s" e)
     records;
-  (match Wal.decode_record "\x09garbage" with
+  (match Wal.decode_record (piece "\x09garbage") with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown tag must not decode");
-  match Wal.decode_record "" with
+  match Wal.decode_record (piece "") with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "empty record must not decode"
 
@@ -67,9 +75,9 @@ let test_wal_replay_prefix () =
      must detect and discard it. *)
   let torn = Wal.power_fail_image wal ~torn:true in
   Alcotest.(check bool) "torn image is longer" true
-    (String.length torn > String.length clean);
+    (Sparse.length torn > Sparse.length clean);
   Alcotest.(check bool) "torn image extends the clean one" true
-    (String.starts_with ~prefix:clean torn);
+    (String.starts_with ~prefix:(str clean) (str torn));
   let r = Wal.replay_media torn in
   Alcotest.(check int) "torn fragment discarded" 3 (List.length r.Wal.records);
   Alcotest.(check bool) "torn detected" true r.Wal.torn
@@ -83,10 +91,10 @@ let test_wal_corrupt_frame () =
   let media = Wal.power_fail_image wal ~torn:false in
   (* Flip a payload byte in the middle: CRC must catch it and replay
      must stop at the corrupt frame, keeping the prefix. *)
-  let b = Bytes.of_string media in
+  let b = Bytes.of_string (str media) in
   let i = Bytes.length b / 2 in
   Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x01));
-  let r = Wal.replay_media (Bytes.to_string b) in
+  let r = Wal.replay_media (piece (Bytes.to_string b)) in
   Alcotest.(check bool) "corruption detected" true r.Wal.torn;
   Alcotest.(check bool) "prefix only" true (List.length r.Wal.records < 3)
 
@@ -149,7 +157,7 @@ let test_snapshot_roundtrip () =
     | Some s -> s
     | None -> Alcotest.fail "build failed"
   in
-  (match Snapshot.decode (Snapshot.encode snap) with
+  (match Snapshot.decode (piece (Snapshot.encode snap)) with
   | Error e -> Alcotest.failf "decode: %s" e
   | Ok s ->
       Alcotest.(check int) "upto" 4 s.Snapshot.upto;
@@ -173,10 +181,10 @@ let test_snapshot_roundtrip () =
   let b = Bytes.of_string enc in
   Bytes.set b (Bytes.length b - 3)
     (Char.chr (Char.code (Bytes.get b (Bytes.length b - 3)) lxor 0x10));
-  (match Snapshot.decode (Bytes.to_string b) with
+  (match Snapshot.decode (piece (Bytes.to_string b)) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "corrupt snapshot must not decode");
-  match Snapshot.decode (String.sub enc 0 (String.length enc - 5)) with
+  match Snapshot.decode (piece (String.sub enc 0 (String.length enc - 5))) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "truncated snapshot must not decode"
 
@@ -196,12 +204,12 @@ let test_snapshot_truncated_chunk_fails_closed () =
   Alcotest.(check bool) "multiple chunks" true (total > 1);
   let last_off = (total - 1) * chunk in
   for keep = 0 to len - last_off - 1 do
-    match Snapshot.decode (String.sub snap 0 (last_off + keep)) with
+    match Snapshot.decode (piece (String.sub snap 0 (last_off + keep))) with
     | Error _ -> ()
     | Ok _ -> Alcotest.failf "truncated final chunk (keep=%d) decoded" keep
   done;
   (* The intact reassembly still decodes. *)
-  match Snapshot.decode snap with
+  match Snapshot.decode (piece snap) with
   | Ok s -> Alcotest.(check int) "upto" 3 s.Snapshot.upto
   | Error e -> Alcotest.failf "intact decode: %s" e
 
@@ -221,13 +229,13 @@ let reference_image store ~upto ~era ~app ~app_hash =
   done;
   Store.prune prefix ~keep_from:(min (Store.pruned_below store) (upto + 1));
   let open Fl_wire in
-  Envelope.seal ~tag:0 (fun w ->
+  str @@ Envelope.seal ~tag:0 (fun w ->
       Codec.Writer.raw w "FLSNAP1\x01";
       Codec.Writer.varint w upto;
       Codec.Writer.varint w era;
       Codec.Writer.bytes w app;
       Codec.Writer.bytes w app_hash;
-      Codec.Writer.bytes w (Serial.encode_chain prefix))
+      Codec.Writer.bytes w (Sparse.to_string (Serial.encode_chain prefix)))
 
 (* Extend [store] to [len] rounds; [salt] picks the transactions, so
    two salts give two different chains. One synthetic and one
@@ -324,7 +332,7 @@ let incremental_scenario ~wal =
           rewrite ?log ~salt:k !store ~from
       | `Recover -> (
           let img =
-            match !prev with Some i -> Snapshot.encode i | None -> assert false
+            match !prev with Some i -> Snapshot.piece i | None -> assert false
           in
           (* a restarted node's log holds only replayed frames, and
              no block encoding *)
@@ -502,7 +510,7 @@ let test_recovery_snapshot_plus_suffix () =
   let store = Test_chain.chain_of_blocks (List.init 8 (fun i -> i mod 4)) in
   let snap =
     match Snapshot.build ~store ~upto:4 ~era:1 ~app:"" ~app_hash:"" with
-    | Some s -> Snapshot.encode s
+    | Some s -> Snapshot.piece s
     | None -> Alcotest.fail "snapshot build"
   in
   let suffix =
@@ -567,7 +575,7 @@ let test_recovery_truncate_replay () =
     (List.assoc 3 r.Recovery.r_sigs)
 
 let test_recovery_nothing_durable () =
-  let r = Recovery.run ~snapshot_media:None ~wal_media:"" ~app:None in
+  let r = Recovery.run ~snapshot_media:None ~wal_media:(piece "") ~app:None in
   Alcotest.(check int) "empty store" 0 (Store.length r.Recovery.r_store);
   Alcotest.(check int) "no definite" (-1) r.Recovery.r_definite;
   Alcotest.(check bool) "not from snapshot" false r.Recovery.r_from_snapshot
@@ -647,7 +655,7 @@ let test_node_power_fail_recover () =
   Node.power_fail n ~torn:true;
   Alcotest.(check bool) "dead after power fail" false (Node.live n);
   Alcotest.(check bool) "torn fragment past the valid prefix" true
-    (Node.media_bytes n > String.length valid_prefix);
+    (Node.media_bytes n > Sparse.length valid_prefix);
   (match Node.recover n with
   | None -> Alcotest.fail "expected recovered state"
   | Some r ->
@@ -656,7 +664,7 @@ let test_node_power_fail_recover () =
       Alcotest.(check int) "definite watermark" 1 r.Recovery.r_definite;
       Alcotest.(check bool) "torn tail discarded" true r.Recovery.r_torn;
       Alcotest.(check string) "recovered frames = valid media prefix"
-        valid_prefix (frames_bytes r));
+        (str valid_prefix) (frames_bytes r));
   Alcotest.(check bool) "live again" true (Node.live n);
   let st = Node.stats n in
   Alcotest.(check int) "one recovery" 1 st.Node.s_recovers;
@@ -667,12 +675,12 @@ let test_node_power_fail_recover () =
      state again *)
   Node.power_fail n ~torn:false;
   Alcotest.(check int) "rebuilt WAL = valid media prefix"
-    (String.length valid_prefix) (Node.media_bytes n);
+    (Sparse.length valid_prefix) (Node.media_bytes n);
   match Node.recover n with
   | None -> Alcotest.fail "expected a second recovery"
   | Some r' ->
       Alcotest.(check string) "rebuilt WAL frames = valid media prefix"
-        valid_prefix (frames_bytes r');
+        (str valid_prefix) (frames_bytes r');
       Alcotest.(check int) "durable prefix again" 4
         (Store.length r'.Recovery.r_store);
       Alcotest.(check int) "definite watermark again" 1
@@ -791,11 +799,11 @@ let mixed_chain shapes =
     shapes;
   store
 
-(* One WAL frame spelled out: [u32 length | Envelope.seal] with the
-   record's body written by the plain encoders. *)
+(* One WAL frame spelled out: [u32 length | envelope] with the record's
+   body written by the plain encoders and sealed densely. *)
 let plain_frame ~tag write =
   let open Fl_wire in
-  let env = Envelope.seal ~tag write in
+  let env = Dense.seal ~tag write in
   let w = Codec.Writer.create () in
   Codec.Writer.u32 w (String.length env);
   Codec.Writer.raw w env;
@@ -846,7 +854,7 @@ let prop_zero_runs_materialise =
       let reference =
         reference_image store ~upto ~era:1 ~app:"a" ~app_hash:"h"
       in
-      String.equal media (Buffer.contents expected)
+      String.equal (str media) (Buffer.contents expected)
       && String.equal (image (Some wal)) reference
       && String.equal (image None) reference)
 
@@ -870,18 +878,19 @@ let test_wal_replayed_frames_materialise () =
   Wal.mark_durable_upto wal 5;
   let media = Wal.power_fail_image wal ~torn:false in
   let r = Wal.replay_media (Wal.power_fail_image wal ~torn:true) in
+  let media_bytes = str media in
   Alcotest.(check bool) "torn tail seen" true r.Wal.torn;
   Alcotest.(check int) "durable records" 5 (List.length r.Wal.records);
-  Alcotest.(check string) "frames = media" media
+  Alcotest.(check string) "frames = media" media_bytes
     (String.concat ""
        (List.map (fun (fr, _) -> Fl_wire.Sparse.to_string fr) r.Wal.frames));
   Alcotest.(check bool) "frames kept compact" true
     (Obj.reachable_words (Obj.repr r.Wal.frames) * (Sys.word_size / 8)
-    < String.length media / 4);
+    < String.length media_bytes / 4);
   let again = Wal.create ~segment_bytes:(1 lsl 16) in
   Wal.reset_to_frames again r.Wal.frames;
-  Alcotest.(check string) "rebuilt log's image = media" media
-    (Wal.power_fail_image again ~torn:false);
+  Alcotest.(check string) "rebuilt log's image = media" media_bytes
+    (str (Wal.power_fail_image again ~torn:false));
   let r' = Wal.replay_media media in
   Alcotest.(check bool) "clean replay" false r'.Wal.torn;
   List.iter2

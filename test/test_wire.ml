@@ -145,56 +145,194 @@ let prop_crc32_bitwise =
              = crc32_bitwise s ~pos ~len)
         (List.init 16 Fun.id))
 
-(* Bytes made of literal parts and zero runs (some of length 0), at an
-   offset inside a larger buffer: the piece must give back exactly
-   those bytes, and [drop] at every cut exactly the suffix. *)
+(* Layouts of literal parts and zero runs, written through a writer:
+   run lengths 0, 1, 2^k and 2^k +- 1 up to 64 KiB, and now and then
+   one above 1 MiB. *)
+let gen_run =
+  QCheck.Gen.(
+    frequency
+      [ (20, oneofl [ 0; 1; 2; 3; 7; 8; 9; 15; 16; 17; 255; 256; 257 ]);
+        (10, oneofl [ 511; 512; 513; 4095; 4096; 4097; 65535; 65536; 65537 ]);
+        (1, oneofl [ (1 lsl 20) - 1; (1 lsl 20) + 1; (1 lsl 21) + 3 ]) ])
+
+let arb_layout =
+  QCheck.make
+    ~print:
+      QCheck.Print.(list (pair (fun s -> string_of_int (String.length s)) int))
+    QCheck.Gen.(list_size (0 -- 8) (pair (string_size (0 -- 20)) gen_run))
+
+(* The layout written by a writer, and the bytes it stands for. *)
+let write_layout parts =
+  let w = Codec.Writer.create ~capacity:16 () in
+  List.iter
+    (fun (lit, z) ->
+      Codec.Writer.raw w lit;
+      Codec.Writer.pad w z)
+    parts;
+  ( w,
+    String.concat ""
+      (List.map (fun (lit, z) -> lit ^ String.make z '\000') parts) )
+
 let prop_sparse_roundtrip =
-  QCheck.Test.make ~name:"sparse: compact then expand = the bytes"
-    ~count:300
-    QCheck.(
-      pair small_nat
-        (list_of_size Gen.(0 -- 8)
-           (pair (string_of_size Gen.(0 -- 20)) (int_range 0 600))))
-    (fun (lead, parts) ->
-      let body =
-        String.concat ""
-          (List.map (fun (lit, z) -> lit ^ String.make z '\000') parts)
-      in
-      let src = Bytes.of_string (String.make lead 'x' ^ body ^ "tail") in
-      let runs = ref [] and at = ref lead in
-      List.iter
-        (fun (lit, z) ->
-          runs := (!at + String.length lit, z) :: !runs;
-          at := !at + String.length lit + z)
-        parts;
-      let runs = List.rev !runs in
-      let piece =
-        Sparse.compact src ~pos:lead ~len:(String.length body) (fun mark ->
-            List.iter (fun (at, n) -> mark at n) runs)
-      in
-      Sparse.length piece = String.length body
+  QCheck.Test.make ~name:"sparse: written then expanded = the bytes"
+    ~count:300 arb_layout (fun parts ->
+      let w, body = write_layout parts in
+      let piece = Codec.Writer.piece w in
+      let n = String.length body in
+      Sparse.length piece = n
+      && Codec.Writer.length w = n
       && String.equal (Sparse.to_string piece) body
+      && String.equal (Codec.Writer.contents w) body
+      && String.equal (Sparse.to_string (Sparse.copy piece)) body
       && List.for_all
-           (fun (at, n) ->
-             let cut = at + n - lead in
+           (fun k ->
+             let pos = k * n / 7 in
+             let len = (n - pos) * k / 9 in
              String.equal
-               (Sparse.to_string (Sparse.drop piece cut))
-               (String.sub body cut (String.length body - cut)))
-           runs)
+               (Sparse.to_string (Sparse.sub piece ~pos ~len))
+               (String.sub body pos len)
+             && String.equal
+                  (Sparse.to_string
+                     (Sparse.concat
+                        [ Sparse.sub piece ~pos:0 ~len:pos;
+                          Sparse.sub piece ~pos ~len:(n - pos) ]))
+                  body)
+           (List.init 8 Fun.id))
+
+(* The CRC of a piece and of any window of it, run by run, against the
+   dense kernel over the written-out bytes. *)
+let prop_sparse_crc =
+  QCheck.Test.make ~name:"sparse: piece CRC = CRC of its bytes" ~count:300
+    arb_layout (fun parts ->
+      let w, body = write_layout parts in
+      let piece = Codec.Writer.piece w in
+      let n = String.length body in
+      Sparse.crc piece = Crc32.digest_int body
+      && Codec.Writer.crc w ~pos:0 ~len:n = Crc32.digest_int body
+      && List.for_all
+           (fun k ->
+             let pos = k * n / 5 in
+             let len = (n - pos) * k / 6 in
+             let want = Crc32.digest_int_sub body ~pos ~len in
+             Sparse.crc (Sparse.sub piece ~pos ~len) = want
+             && Codec.Writer.crc w ~pos ~len = want)
+           (List.init 6 Fun.id))
+
+let test_crc_zero_runs () =
+  List.iter
+    (fun n ->
+      Alcotest.(check int)
+        (Printf.sprintf "%d zeros" n)
+        (Crc32.digest_int (String.make n '\000'))
+        (Crc32.update_zeros (Crc32.digest_int "") n);
+      Alcotest.(check int)
+        (Printf.sprintf "abc then %d zeros" n)
+        (Crc32.digest_int ("abc" ^ String.make n '\000'))
+        (Crc32.update_zeros (Crc32.digest_int "abc") n))
+    [ 0; 1; 2; 3; 4; 5; 8; 15; 16; 17; 512; 4096; (1 lsl 20) + 1 ]
+
+(* A reader over a piece returns exactly what a reader over its
+   written-out bytes returns, exceptions included, for any sequence of
+   primitives — the reads that straddle a run among them. *)
+type op =
+  | U8
+  | U16
+  | U32
+  | U64
+  | Varint
+  | Raw of int
+  | View of int
+  | Skip of int
+  | Sub of int
+  | Piece of int
+  | Expect of int
+
+let gen_op =
+  QCheck.Gen.(
+    let n = oneof [ int_range 0 40; gen_run ] in
+    oneof
+      [ return U8; return U16; return U32; return U64; return Varint;
+        map (fun n -> Raw n) n; map (fun n -> View n) n;
+        map (fun n -> Skip n) n; map (fun n -> Sub n) n;
+        map (fun n -> Piece n) n; map (fun n -> Expect n) (int_range 0 12) ])
+
+let show_op = function
+  | U8 -> "u8" | U16 -> "u16" | U32 -> "u32" | U64 -> "u64"
+  | Varint -> "varint"
+  | Raw n -> Printf.sprintf "raw %d" n
+  | View n -> Printf.sprintf "view %d" n
+  | Skip n -> Printf.sprintf "skip %d" n
+  | Sub n -> Printf.sprintf "sub %d" n
+  | Piece n -> Printf.sprintf "piece %d" n
+  | Expect n -> Printf.sprintf "expect %d" n
+
+(* One primitive's observable result as a string; [body] is the
+   written-out reference, [off] the reader's offset in it. *)
+let run_op body off r op =
+  let digest r = Printf.sprintf "%d:%d" (Codec.Reader.remaining r) (Codec.Reader.u8 r) in
+  match
+    match op with
+    | U8 -> string_of_int (Codec.Reader.u8 r)
+    | U16 -> string_of_int (Codec.Reader.u16 r)
+    | U32 -> string_of_int (Codec.Reader.u32 r)
+    | U64 -> string_of_int (Codec.Reader.u64 r)
+    | Varint -> string_of_int (Codec.Reader.varint r)
+    | Raw n -> Codec.Reader.raw r n
+    | View n -> Codec.Slice.to_string (Codec.Reader.view r n)
+    | Skip n ->
+        Codec.Reader.skip r n;
+        ""
+    | Sub n ->
+        let s = Codec.Reader.sub r n in
+        (try digest s with Codec.Reader.Underflow -> "empty")
+    | Piece n -> Sparse.to_string (Codec.Reader.piece r n)
+    | Expect n ->
+        let want =
+          if off + n <= String.length body then String.sub body off n
+          else String.make n 'x'
+        in
+        Codec.Reader.expect_raw r want;
+        "ok"
+  with
+  | v -> v ^ "/" ^ string_of_int (Codec.Reader.remaining r)
+  | exception Codec.Reader.Underflow -> "underflow"
+  | exception Codec.Malformed m -> "malformed " ^ m
+
+let prop_reader_piece =
+  QCheck.Test.make ~name:"reader: over a piece = over its bytes" ~count:500
+    QCheck.(
+      pair arb_layout
+        (make ~print:Print.(list show_op) Gen.(list_size (1 -- 12) gen_op)))
+    (fun (parts, ops) ->
+      let w, body = write_layout parts in
+      let over_piece = Codec.Reader.of_piece (Codec.Writer.piece w) in
+      let over_bytes = Codec.Reader.of_string body in
+      List.for_all
+        (fun op ->
+          let off = String.length body - Codec.Reader.remaining over_bytes in
+          let a = run_op body off over_piece op in
+          let b = run_op body off over_bytes op in
+          String.equal a b
+          || QCheck.Test.fail_reportf "%s: piece %S, bytes %S" (show_op op) a b)
+        ops)
 
 let test_sparse_bad_cut () =
-  let src = Bytes.of_string "abc\000\000\000def" in
-  let piece = Sparse.compact src ~pos:0 ~len:9 (fun mark -> mark 3 3) in
-  Alcotest.(check string) "suffix" "def" (Sparse.to_string (Sparse.drop piece 6));
-  Alcotest.check_raises "inside a literal"
-    (Invalid_argument "Sparse.drop: not a cut") (fun () ->
-      ignore (Sparse.drop piece 2));
-  Alcotest.check_raises "run out of order" (Invalid_argument "Sparse.compact: run")
-    (fun () ->
-      ignore
-        (Sparse.compact src ~pos:0 ~len:9 (fun mark ->
-             mark 3 3;
-             mark 1 1)))
+  let w = Codec.Writer.create () in
+  Codec.Writer.raw w "abc";
+  Codec.Writer.pad w 3;
+  Codec.Writer.raw w "def";
+  let piece = Codec.Writer.piece w in
+  Alcotest.(check string) "suffix" "def"
+    (Sparse.to_string (Sparse.sub piece ~pos:6 ~len:3));
+  Alcotest.(check string) "inside the run" "\000\000d"
+    (Sparse.to_string (Sparse.sub piece ~pos:4 ~len:3));
+  Alcotest.check_raises "past the end" (Invalid_argument "Sparse.sub")
+    (fun () -> ignore (Sparse.sub piece ~pos:7 ~len:3));
+  Alcotest.check_raises "patch over a run" (Invalid_argument "Codec.patch_u32")
+    (fun () -> Codec.Writer.patch_u32 w 1 0);
+  Codec.Writer.patch_u8 w 7 (Char.code 'E');
+  Alcotest.(check string) "patch after a run" "abc\000\000\000dEf"
+    (Codec.Writer.contents w)
 
 let suite =
   [ Alcotest.test_case "scalar roundtrip" `Quick test_roundtrip_scalars;
@@ -208,4 +346,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_crc32_combine;
     QCheck_alcotest.to_alcotest prop_crc32_bitwise;
     Alcotest.test_case "sparse cuts and runs" `Quick test_sparse_bad_cut;
-    QCheck_alcotest.to_alcotest prop_sparse_roundtrip ]
+    QCheck_alcotest.to_alcotest prop_sparse_roundtrip;
+    QCheck_alcotest.to_alcotest prop_sparse_crc;
+    Alcotest.test_case "crc32 zero runs" `Quick test_crc_zero_runs;
+    QCheck_alcotest.to_alcotest prop_reader_piece ]

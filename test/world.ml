@@ -1,6 +1,6 @@
 (* Shared scaffolding for protocol tests: a small simulated cluster
    with one network instance and per-node hubs/CPUs. The network
-   carries framed byte strings, so a world is built around a message
+   carries frames ({!Fl_wire.Sparse} pieces), so a world is built around a message
    codec: [encode] is used by channels at the send boundary, [decode]
    by the network, once per frame, with the result shared by every
    receiver of that frame (each hub still drops and counts the
@@ -19,7 +19,7 @@ type 'm t = {
   net : 'm Net.t;
   hubs : 'm Hub.t option array;
   hub_key : 'm -> string;
-  encode : 'm -> string;
+  encode : 'm -> Fl_wire.Sparse.t;
   cpus : Cpu.t array;
   n : int;
   f : int;

@@ -123,6 +123,15 @@ intnat fl_crc32_run(value s, intnat pos, intnat len, intnat crc_in)
     p += 16;
     len -= 16;
   }
+  /* short stretches (a transaction's 13-byte head between two zero
+     runs) and tails: four bytes a step, slice-by-4 */
+  while (len >= 4) {
+    uint32_t a = crc ^ load_le32(p);
+    crc = crc_table[3][a & 0xff] ^ crc_table[2][(a >> 8) & 0xff]
+          ^ crc_table[1][(a >> 16) & 0xff] ^ crc_table[0][a >> 24];
+    p += 4;
+    len -= 4;
+  }
   while (len-- > 0)
     crc = crc_table[0][(crc ^ *p++) & 0xff] ^ (crc >> 8);
   return (intnat)crc;

@@ -6,8 +6,10 @@
     megabytes of random bytes per block; the CPU cost of hashing those
     bytes is charged through {!Fl_crypto.Cost_model}, and on the wire
     {!Serial.encode_tx} pads the frame to the declared size so the NIC
-    model sees the true byte count. Application examples use real
-    payloads. *)
+    model sees the true byte count. The padding is a zero run of the
+    frame's {!Fl_wire.Sparse} piece: counted in its length, its CRC and
+    every byte it stands for, but never written out on the hot path.
+    Application examples use real payloads. *)
 
 type t = { id : int; size : int; payload : string }
 (** [payload] is [""] for synthetic transactions; [size] is the

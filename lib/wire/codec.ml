@@ -317,25 +317,6 @@ module Reader = struct
       open_stretch t
     end
 
-  (* Advance [n <= remaining] bytes, handing each literal stretch to
-     [lit] and each zero part to [zero]. *)
-  let walk t n ~lit ~zero =
-    let n = ref n in
-    while !n > 0 do
-      let k = min (t.limit - t.pos) !n in
-      if k > 0 then begin
-        lit t.pos k;
-        t.pos <- t.pos + k;
-        n := !n - k
-      end
-      else begin
-        let z = min (min t.zeros t.rest) !n in
-        zero z;
-        take_zeros t z;
-        n := !n - z
-      end
-    done
-
   let rec skip_slow t n =
     if n > 0 then begin
       let k = min (t.limit - t.pos) n in
@@ -350,16 +331,23 @@ module Reader = struct
       end
     end
 
-  (* The next [n] bytes copied out, zeros written. *)
+  (* The next [n <= remaining] bytes copied out, zeros written. *)
   let fill t n =
     let b = Bytes.create n and o = ref 0 in
-    walk t n
-      ~lit:(fun p k ->
-        Bytes.blit_string t.data p b !o k;
-        o := !o + k)
-      ~zero:(fun z ->
+    while !o < n do
+      let k = min (t.limit - t.pos) (n - !o) in
+      if k > 0 then begin
+        Bytes.blit_string t.data t.pos b !o k;
+        t.pos <- t.pos + k;
+        o := !o + k
+      end
+      else begin
+        let z = min (min t.zeros t.rest) (n - !o) in
         Bytes.fill b !o z '\000';
-        o := !o + z);
+        take_zeros t z;
+        o := !o + z
+      end
+    done;
     Bytes.unsafe_to_string b
 
   let u8 t =

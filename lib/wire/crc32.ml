@@ -56,13 +56,6 @@ external zeros :
   = "fl_crc32_zeros_byte" "fl_crc32_zeros"
 [@@noalloc]
 
-let state_run s pos len crc =
-  if pos < 0 || len < 0 || len > String.length s - pos then
-    invalid_arg "Crc32.state_run";
-  run s pos len crc
-
-let state_zeros crc n = zeros crc n
-
 let update crc s ~pos ~len =
   if pos < 0 || len < 0 || len > String.length s - pos then
     invalid_arg "Crc32.update";

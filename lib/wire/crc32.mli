@@ -27,15 +27,6 @@ val update_zeros : int -> int -> int
     with {!Sparse} zero runs is checksummed. Raises [Invalid_argument]
     on a negative [n]. *)
 
-val state_run : string -> int -> int -> int -> int
-(** [state_run s pos len state]: the raw register (no final xor;
-    [0xFFFFFFFF] to start) after [s.[pos] .. s.[pos + len - 1]] — for
-    loops that chain many stretches without re-conditioning. Raises
-    [Invalid_argument] on a range outside [s]. *)
-
-val state_zeros : int -> int -> int
-(** [state_zeros state n]: the raw register after [n] zero bytes. *)
-
 val combine : int -> int -> int -> int
 (** [combine (digest_int a) (digest_int b) (String.length b)] is
     [digest_int (a ^ b)], computed in O(log len) without reading the

@@ -49,29 +49,29 @@ let iter t ~lit ~zeros =
     end
   done
 
-(* [iter]'s walk with the two steps inlined: the per-frame checksum
-   of every sealed and opened frame. *)
+(* [iter]'s walk with its two steps inlined: the checksum of every
+   sealed and opened frame. *)
 let crc t =
-  let c = ref 0xFFFFFFFF and left = ref t.len and p = ref t.pos and k = ref t.run in
+  let c = ref 0 and left = ref t.len and p = ref t.pos and k = ref t.run in
   if !left > 0 && at t.runs !k = !p then begin
     let z = min (t.runs.((2 * !k) + 1) - t.skip) !left in
-    c := Crc32.state_zeros !c z;
+    c := Crc32.update_zeros !c z;
     left := !left - z;
     incr k
   end;
   while !left > 0 do
     let n = min (at t.runs !k - !p) !left in
-    c := Crc32.state_run t.lits !p n !c;
+    c := Crc32.update !c t.lits ~pos:!p ~len:n;
     p := !p + n;
     left := !left - n;
     if !left > 0 then begin
       let z = min t.runs.((2 * !k) + 1) !left in
-      c := Crc32.state_zeros !c z;
+      c := Crc32.update_zeros !c z;
       left := !left - z;
       incr k
     end
   done;
-  !c lxor 0xFFFFFFFF
+  !c
 
 let blit t dst off =
   if off < 0 || t.len > Bytes.length dst - off then invalid_arg "Sparse.blit";

@@ -144,13 +144,6 @@ module Writer = struct
     Bytes.blit_string s 0 t.buf t.len n;
     t.len <- t.len + n
 
-  let raw_bytes t src ~pos ~len =
-    if pos < 0 || len < 0 || len > Bytes.length src - pos then
-      invalid_arg "Codec.Writer.raw_bytes";
-    ensure t len;
-    Bytes.blit src pos t.buf t.len len;
-    t.len <- t.len + len
-
   let bytes t s =
     varint t (String.length s);
     raw t s
@@ -235,13 +228,9 @@ module Writer = struct
       ~runs:(if t.nruns = 0 then no_runs else Array.sub t.runs 0 (2 * t.nruns))
       ~pos:0 ~run:0 ~skip:0 ~len:(length t)
 
-  let sub_string t ~pos ~len =
-    if pos < 0 || len < 0 || len > length t - pos then
-      invalid_arg "Codec.Writer.sub_string";
-    if t.nruns = 0 then Bytes.sub_string t.buf pos len
-    else Sparse.to_string (Sparse.sub (view t) ~pos ~len)
-
-  let contents t = sub_string t ~pos:0 ~len:(length t)
+  let contents t =
+    if t.nruns = 0 then Bytes.sub_string t.buf 0 t.len
+    else Sparse.to_string (view t)
 end
 
 module Reader = struct
@@ -271,11 +260,6 @@ module Reader = struct
     { data; runs = Sparse.no_runs; pos; limit = pos + len; run = 0; zeros = 0; rest = 0 }
 
   let of_string data = plain data ~pos:0 ~len:(String.length data)
-
-  let of_substring data ~pos ~len =
-    if pos < 0 || len < 0 || len > String.length data - pos then
-      invalid_arg "Codec.Reader.of_substring";
-    plain data ~pos ~len
 
   let of_slice (s : Slice.t) = plain s.Slice.base ~pos:s.Slice.off ~len:s.Slice.len
 

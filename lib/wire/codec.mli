@@ -17,7 +17,7 @@
     {!Reader.t} values {e borrow} the frame they were decoded from. Any
     component that retains a payload past the frame's lifetime (a
     stash, the WAL, a snapshot cache) must copy first
-    ({!Slice.to_string}, {!Sparse.copy}) — everything else stays a
+    ({!Slice.to_string}, {!Sparse.concat}) — everything else stays a
     view. A piece a writer hands out ({!Writer.piece}) owns its
     backing. *)
 
@@ -74,10 +74,6 @@ module Writer : sig
   val raw : t -> string -> unit
   (** Raw bytes, no prefix — for fixed-size fields like digests. *)
 
-  val raw_bytes : t -> Bytes.t -> pos:int -> len:int -> unit
-  (** {!raw} of a range of a [bytes] buffer, without copying it out
-      first. Raises [Invalid_argument] on a range outside it. *)
-
   val slice : t -> Slice.t -> unit
   (** Length-prefixed (varint) slice — [bytes] without materialising
       the payload as a string first. *)
@@ -98,9 +94,6 @@ module Writer : sig
 
   val contents : t -> string
   (** What was written, zeros written out. *)
-
-  val sub_string : t -> pos:int -> len:int -> string
-  (** Copy out a range of the written bytes, zeros written out. *)
 
   val crc : t -> pos:int -> len:int -> int
   (** CRC-32 of a range of the written bytes, in place: literal bytes
@@ -135,11 +128,6 @@ module Reader : sig
   (** Raised when reading past the end of input — malformed message. *)
 
   val of_string : string -> t
-
-  val of_substring : string -> pos:int -> len:int -> t
-  (** Zero-copy window [pos, pos+len) of a string. Raises
-      [Invalid_argument] on an out-of-range window — callers pass
-      trusted bounds; untrusted bounds go through {!sub}. *)
 
   val of_slice : Slice.t -> t
   (** Zero-copy reader over a slice's window. *)

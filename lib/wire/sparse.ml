@@ -73,23 +73,18 @@ let crc t =
   done;
   !c
 
-let blit t dst off =
-  if off < 0 || t.len > Bytes.length dst - off then invalid_arg "Sparse.blit";
-  let out = ref off in
-  iter t
-    ~lit:(fun p n ->
-      Bytes.blit_string t.lits p dst !out n;
-      out := !out + n)
-    ~zeros:(fun n ->
-      Bytes.fill dst !out n '\000';
-      out := !out + n)
-
 let to_string t =
   if t.pos = 0 && t.len = String.length t.lits && at t.runs t.run = max_int
   then t.lits
   else begin
-    let b = Bytes.create t.len in
-    blit t b 0;
+    let b = Bytes.create t.len and out = ref 0 in
+    iter t
+      ~lit:(fun p n ->
+        Bytes.blit_string t.lits p b !out n;
+        out := !out + n)
+      ~zeros:(fun n ->
+        Bytes.fill b !out n '\000';
+        out := !out + n);
     Bytes.unsafe_to_string b
   end
 
@@ -127,11 +122,6 @@ let sub t ~pos ~len =
   done;
   { t with pos = !p; run = !k; skip = !skip; len }
 
-let runs_in t =
-  let n = ref 0 in
-  iter t ~lit:(fun _ _ -> ()) ~zeros:(fun _ -> incr n);
-  !n
-
 (* One fresh backing for all the pieces: their literal bytes copied
    once, their runs re-based, adjacent runs merged. *)
 let concat pieces =
@@ -139,8 +129,7 @@ let concat pieces =
   List.iter
     (fun t ->
       len := !len + t.len;
-      nruns := !nruns + runs_in t;
-      iter t ~lit:(fun _ n -> lit_len := !lit_len + n) ~zeros:(fun _ -> ()))
+      iter t ~lit:(fun _ n -> lit_len := !lit_len + n) ~zeros:(fun _ -> incr nruns))
     pieces;
   let lits = Bytes.create !lit_len and runs = Array.make (2 * !nruns) 0 in
   let lp = ref 0 and k = ref 0 in
@@ -166,4 +155,3 @@ let concat pieces =
     skip = 0;
     len = !len }
 
-let copy t = concat [ t ]

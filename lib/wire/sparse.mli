@@ -9,12 +9,13 @@
     read back through {!Codec.Reader.of_piece}, lands in WAL frames and
     snapshot images, and is checksummed by {!crc} without a zero byte
     ever being written or read. Its bytes become real only where they
-    are read out as bytes ({!blit}, {!to_string}).
+    are read out as bytes ({!to_string}).
 
     A piece is immutable: a window over a backing of literal bytes and
     runs, which {!sub} and {!Codec.Reader.piece} share. The borrow rule
     of {!Codec} applies: whatever retains a piece past the frame it
-    came from retains the whole backing, so it takes a {!copy}. *)
+    came from retains the whole backing, so it takes a copy
+    ({!concat}). *)
 
 type t = private {
   lits : string;  (** the backing's literal bytes *)
@@ -60,18 +61,11 @@ val sub : t -> pos:int -> len:int -> t
 val concat : t list -> t
 (** The pieces one after the other, as a piece with a fresh backing
     that holds only their bytes (literal bytes copied, runs kept as
-    counts). *)
-
-val copy : t -> t
-(** [concat [t]]: the copy-on-retain boundary. *)
+    counts) — also the copy-on-retain of one piece. *)
 
 val crc : t -> int
 (** [Crc32.digest_int (to_string t)], computed from the literal bytes
     and {!Crc32.update_zeros} per run: no zero byte is read. *)
-
-val blit : t -> Bytes.t -> int -> unit
-(** [blit t dst off] writes the piece's bytes, zeros included, to
-    [dst] from [off]. Raises [Invalid_argument] if they do not fit. *)
 
 val to_string : t -> string
 (** The piece's bytes as one string; a whole string without runs is

@@ -64,13 +64,11 @@ module Writer = struct
     initial : int;
   }
 
-  let no_runs = [||]
-
   let create ?(capacity = 256) () =
     let capacity = max capacity 16 in
     { buf = Bytes.create capacity;
       len = 0;
-      runs = no_runs;
+      runs = Sparse.no_runs;
       nruns = 0;
       zeros = 0;
       initial = capacity }
@@ -85,7 +83,7 @@ module Writer = struct
 
   let reset t =
     clear t;
-    t.runs <- no_runs;
+    t.runs <- Sparse.no_runs;
     if Bytes.length t.buf > t.initial then t.buf <- Bytes.create t.initial
 
   let capacity t = Bytes.length t.buf + (8 * Array.length t.runs)
@@ -225,7 +223,7 @@ module Writer = struct
 
   let piece t =
     Sparse.unsafe_make ~lits:(Bytes.sub_string t.buf 0 t.len)
-      ~runs:(if t.nruns = 0 then no_runs else Array.sub t.runs 0 (2 * t.nruns))
+      ~runs:(if t.nruns = 0 then Sparse.no_runs else Array.sub t.runs 0 (2 * t.nruns))
       ~pos:0 ~run:0 ~skip:0 ~len:(length t)
 
   let contents t =

@@ -197,7 +197,28 @@ let prop_sparse_roundtrip =
                         [ Sparse.sub piece ~pos:0 ~len:pos;
                           Sparse.sub piece ~pos ~len:(n - pos) ]))
                   body)
-           (List.init 8 Fun.id))
+           (List.init 8 Fun.id)
+      &&
+      (* a reader over a window cut at every edge of the layout, run
+         ends included *)
+      let edges =
+        List.rev
+          (snd
+             (List.fold_left
+                (fun (at, acc) (lit, z) ->
+                  let a = at + String.length lit in
+                  (a + z, (a + z) :: a :: acc))
+                (0, [ 0 ]) parts))
+      in
+      List.for_all
+        (fun b ->
+          let r = Codec.Reader.of_piece (Sparse.sub piece ~pos:b ~len:(n - b)) in
+          let k = min 64 (n - b) in
+          let got = String.init k (fun _ -> Char.chr (Codec.Reader.u8 r)) in
+          String.equal got (String.sub body b k)
+          && (Codec.Reader.skip r (n - b - k);
+              Codec.Reader.at_end r))
+        edges)
 
 (* The CRC of a piece and of any window of it, run by run, against the
    dense kernel over the written-out bytes. *)
